@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "hw/network_ir.hpp"
+#include "core/plan/network_ir.hpp"
 #include "hw/npu_simulator.hpp"
 
 using namespace sesr;

@@ -7,7 +7,7 @@
 
 #include "bench_common.hpp"
 #include "core/paper_reference.hpp"
-#include "hw/network_ir.hpp"
+#include "core/plan/network_ir.hpp"
 #include "hw/npu_simulator.hpp"
 
 using namespace sesr;

@@ -6,8 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/plan/network_ir.hpp"
 #include "core/sesr_network.hpp"
-#include "hw/network_ir.hpp"
 #include "hw/npu_simulator.hpp"
 
 using namespace sesr;

@@ -539,15 +539,16 @@ TrialResult streaming_vs_fullframe_trial(std::uint64_t seed) {
 TrialResult cached_vs_cold_serve_trial(std::uint64_t seed) {
   TrialResult r;
   Rng rng(seed);
-  const core::SesrConfig config = small_config(rng);  // with_bias=false: streaming-safe
+  core::SesrConfig config = small_config(rng);
+  config.with_bias = rng.bernoulli(0.5);  // every serve mode handles biased nets
   Rng init = rng.fork();
   const core::SesrNetwork network(config, init);
   const core::SesrInference inference(network);
 
   const serve::ExecMode modes[] = {serve::ExecMode::kFullFrame, serve::ExecMode::kTiled,
-                                   serve::ExecMode::kStreaming, serve::ExecMode::kAuto};
+                                   serve::ExecMode::kAuto};
   serve::ServeOptions options;
-  options.mode = modes[rng.uniform_int(0, 3)];
+  options.mode = modes[rng.uniform_int(0, 2)];
   options.precision = rng.bernoulli(0.5) ? core::InferencePrecision::kFp16
                                          : core::InferencePrecision::kFp32;
   options.workers = 1 + static_cast<int>(rng.uniform_int(0, 2));
@@ -573,7 +574,8 @@ TrialResult cached_vs_cold_serve_trial(std::uint64_t seed) {
   std::ostringstream os;
   os << "in=" << shape_str(frame.shape()) << " mode=" << static_cast<int>(options.mode)
      << " prec=" << (options.precision == core::InferencePrecision::kFp16 ? "fp16" : "fp32")
-     << " workers=" << options.workers << " " << config.describe();
+     << " workers=" << options.workers << " bias=" << config.with_bias << " "
+     << config.describe();
   if (cache_hits != 1) {
     // Without a real hit the bit comparison is vacuous; fail the trial loudly.
     r.stats.max_abs = std::numeric_limits<double>::infinity();
@@ -598,7 +600,8 @@ TrialResult cached_vs_cold_serve_trial(std::uint64_t seed) {
 TrialResult video_delta_vs_full_trial(std::uint64_t seed) {
   TrialResult r;
   Rng rng(seed);
-  const core::SesrConfig config = small_config(rng);  // with_bias=false: streaming-safe
+  core::SesrConfig config = small_config(rng);
+  config.with_bias = rng.bernoulli(0.5);  // every serve mode handles biased nets
   Rng init = rng.fork();
   const core::SesrNetwork network(config, init);
   core::SesrInference inference(network);
@@ -616,9 +619,9 @@ TrialResult video_delta_vs_full_trial(std::uint64_t seed) {
   registry.add(key, inference);
 
   const serve::ExecMode modes[] = {serve::ExecMode::kFullFrame, serve::ExecMode::kTiled,
-                                   serve::ExecMode::kStreaming, serve::ExecMode::kAuto};
+                                   serve::ExecMode::kAuto};
   serve::ServeOptions options;
-  options.mode = modes[rng.uniform_int(0, 3)];
+  options.mode = modes[rng.uniform_int(0, 2)];
   options.workers = 1 + static_cast<int>(rng.uniform_int(0, 2));
   options.max_batch = 1 + rng.uniform_int(0, 3);
   options.max_delay_us = 200;
@@ -665,8 +668,8 @@ TrialResult video_delta_vs_full_trial(std::uint64_t seed) {
   std::ostringstream os;
   os << "pattern=" << data::to_string(vopts.pattern) << " lr=" << vopts.h << "x" << vopts.w
      << " mode=" << static_cast<int>(options.mode) << " route=" << serve::route_string(key)
-     << " workers=" << options.workers << " reused_tiles=" << reused_tiles << " "
-     << config.describe();
+     << " workers=" << options.workers << " reused_tiles=" << reused_tiles
+     << " bias=" << config.with_bias << " " << config.describe();
   if (delta_frames != frames.size() - 1) {
     // Every frame after the first must take the delta path (same session,
     // consecutive seqs, constant shape). Anything else means the session

@@ -28,7 +28,6 @@ ExecutionPlan ExecutionPlan::compile(const SesrInference& net, std::int64_t lr_h
   ExecutionPlan plan;
   plan.lr_h_ = lr_h;
   plan.lr_w_ = lr_w;
-  plan.precision_ = net.precision();
   const int n_steps = static_cast<int>(ops.size());
 
   // Value ids are original lowered-op indices; remap to dense PlanValue
@@ -59,12 +58,9 @@ ExecutionPlan ExecutionPlan::compile(const SesrInference& net, std::int64_t lr_h
   }
 
   int last_conv_step = -1;
-  for (int s = 0; s < n_steps; ++s) {
-    if (ops[s].kind == hw::OpKind::kConv) last_conv_step = s;
-  }
-
   plan.steps_.reserve(ops.size());
   for (int s = 0; s < n_steps; ++s) {
+    if (ops[s].kind == hw::OpKind::kConv) last_conv_step = s;
     PlanStep step;
     step.op = std::move(ops[s]);
     plan.steps_.push_back(std::move(step));
@@ -80,46 +76,67 @@ ExecutionPlan ExecutionPlan::compile(const SesrInference& net, std::int64_t lr_h
     return static_cast<int>(plan.values_.size()) - 1;
   };
 
-  // Precision-specific storage spaces and staging values, mirroring the
-  // legacy per-precision paths exactly.
-  if (plan.precision_ == InferencePrecision::kFp16) {
-    // Inter-conv activations are stored as binary16; the last conv's fp32
-    // accumulator (and everything after it) stays float.
-    for (int s = 0; s < n_steps; ++s) {
-      const PlanOp& op = plan.steps_[static_cast<std::size_t>(s)].op;
-      if (op.kind == hw::OpKind::kConv && s != last_conv_step) {
-        plan.values_[static_cast<std::size_t>(op.output)].space = ValueSpace::kHalf;
-      }
+  // Bind every conv step's kernel from its layer's precision. A half-output
+  // kernel moves its value into binary16 space.
+  const InferencePrecision precision = net.precision();
+  const auto layer_kernel = [&](const PlanOp& op, bool last_conv) {
+    switch (precision) {
+      case InferencePrecision::kFp32:
+        return ConvKernel::kFp32;
+      case InferencePrecision::kInt8:
+        return ConvKernel::kInt8;
+      case InferencePrecision::kFp16:
+        // The last conv keeps its fp32 accumulator for the float tail.
+        return last_conv ? ConvKernel::kFp16ToFloat : ConvKernel::kFp16;
+      case InferencePrecision::kHybrid:
+        return net.hybrid_plan().at(static_cast<std::size_t>(op.conv_index)) ==
+                       LayerPrecision::kInt8
+                   ? ConvKernel::kInt8
+                   : ConvKernel::kFp16ToFloat;
     }
-    // The input is rounded to binary16 once and stays live as long as any
-    // step (conv input or input residual) still reads it.
-    int input_last_use = 0;
-    int residual_step = kNoValue;
-    for (int s = 0; s < n_steps; ++s) {
-      const PlanOp& op = plan.steps_[static_cast<std::size_t>(s)].op;
-      if (op.input == kInputValue) input_last_use = std::max(input_last_use, s);
-      if (op.skip == kInputValue) {
-        input_last_use = std::max(input_last_use, s);
-        residual_step = std::max(residual_step, s);
-      }
+    throw std::logic_error("ExecutionPlan: unknown precision");
+  };
+
+  // A half-input kernel whose operand sits on the fp32 carrier reads it
+  // through a step-local binary16 copy (producers precede their readers, so
+  // the operand's space is already bound). Hybrid fp16 layers also round
+  // their stored output once, so each behaves like one layer of the fp16 path.
+  for (int s = 0; s < n_steps; ++s) {
+    PlanStep& step = plan.steps_[static_cast<std::size_t>(s)];
+    PlanOp& op = step.op;
+    step.input_residual = op.skip == kInputValue;
+    if (op.kind != hw::OpKind::kConv) continue;
+    step.kernel = layer_kernel(op, s == last_conv_step);
+    if (step.kernel == ConvKernel::kFp32 || step.kernel == ConvKernel::kInt8) continue;
+    if (step.kernel == ConvKernel::kFp16) {
+      plan.values_[static_cast<std::size_t>(op.output)].space = ValueSpace::kHalf;
     }
-    const std::int64_t input_elements = ir.input_h * ir.input_w * ir.input_c;
-    plan.input_half_value_ = add_value(input_elements, ValueSpace::kHalf, 0, input_last_use);
-    if (residual_step != kNoValue) {
-      // Step-local float widening of the rounded input for the residual add.
-      plan.input_float_value_ =
-          add_value(input_elements, ValueSpace::kFloat, residual_step, residual_step);
+    if (op.input == kInputValue ||
+        plan.values_[static_cast<std::size_t>(op.input)].space == ValueSpace::kFloat) {
+      step.stage_from = op.input;
+      step.stage = add_value(op.input_elements(), ValueSpace::kHalf, s, s);
+      op.input = step.stage;
     }
-  } else if (plan.precision_ == InferencePrecision::kHybrid) {
-    // Each fp16 layer stages its fp32 carrier input through binary16.
-    const std::vector<LayerPrecision>& layer_plan = net.hybrid_plan();
+    step.round_output = precision == InferencePrecision::kHybrid && s != last_conv_step;
+  }
+
+  // fp16 holds the input in binary16 too: the first step's staged copy stays
+  // live for every later reader, and the input residual adds those rounded
+  // values, widened back into a step-local float value.
+  if (precision == InferencePrecision::kFp16) {
+    const int input_half = plan.steps_.front().stage;
     for (int s = 0; s < n_steps; ++s) {
       PlanStep& step = plan.steps_[static_cast<std::size_t>(s)];
-      if (step.op.kind != hw::OpKind::kConv) continue;
-      if (layer_plan.at(static_cast<std::size_t>(step.op.conv_index)) != LayerPrecision::kFp16) {
-        continue;
+      if (!step.input_residual) continue;
+      if (input_half == kNoValue || step.stage != kNoValue) {
+        throw std::logic_error("ExecutionPlan: fp16 input residual without a staged input");
       }
-      step.stage = add_value(step.op.input_elements(), ValueSpace::kHalf, s, s);
+      PlanValue& half = plan.values_[static_cast<std::size_t>(input_half)];
+      half.last_use = std::max(half.last_use, s);
+      const std::int64_t elements = half.elements;  // add_value may reallocate
+      step.stage_from = input_half;
+      step.stage = add_value(elements, ValueSpace::kFloat, s, s);
+      step.op.skip = step.stage;
     }
   }
 

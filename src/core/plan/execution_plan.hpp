@@ -1,18 +1,22 @@
 // Compiled execution plan: fused steps + a static activation memory plan.
 //
 // compile() runs the whole pipeline for one network at one input shape:
-// build the IR, lower and fuse it (passes.hpp), assign every surviving value
-// a storage space for the requested precision (fp32 carrier or binary16),
-// derive live intervals, and let the memory planner pack each space into one
-// flat arena. The result is a closed-form recipe the planned executor
-// replays: for each step, which kernel, which weights, and the exact arena
-// offsets of its operands. No allocation decisions remain at run time.
+// build the IR, lower and fuse it (passes.hpp), bind every conv step's
+// kernel from its layer's precision, assign every surviving value a storage
+// space (fp32 carrier or binary16), derive live intervals, and let the
+// memory planner pack each space into one flat arena. The result is a
+// closed-form recipe the planned executor replays: for each step, which
+// kernel, which weights, and the exact arena offsets of its operands. No
+// allocation or precision decisions remain at run time.
 //
-// Precision changes which values are stored as binary16 (and adds staging
-// values), never the step list: the fp16 path stores inter-conv activations
-// as half, the hybrid path stages each fp16 layer's input through a
-// step-local half value, and int8 runs entirely on the fp32 carrier — all
-// mirroring the legacy per-precision upscale paths kernel for kernel.
+// Precision is per-layer plan data, never a step-list change: kFp32 binds
+// every conv to the fp32 kernel, kInt8 every conv to the int8 kernel, kHybrid
+// follows the network's stored hybrid_plan() (so an all-int8 hybrid plan
+// compiles to exactly the kInt8 steps), and kFp16 binds half-space kernels
+// with inter-conv activations stored as binary16. Where a kernel reads a
+// value in the other space, the step carries a staging conversion into a
+// step-local value — all mirroring the direct per-precision upscale paths
+// kernel for kernel.
 //
 // Every value's size is channels x pixels, so the whole plan scales linearly
 // and exactly with the LR pixel count: footprint() returns per-pixel
@@ -45,12 +49,28 @@ struct PlanValue {
   bool external = false;    // the network output: caller's buffer, not arena
 };
 
+// The kernel a conv step runs, bound at compile time from its layer's
+// precision. The name is the operand spaces: input -> output.
+enum class ConvKernel : std::uint8_t {
+  kFp32,         // nn::conv2d_into: float -> float
+  kInt8,         // nn::conv2d_s8_into: float (quantized in the A-pack) -> float
+  kFp16,         // nn::conv2d_fp16_into: half -> half
+  kFp16ToFloat,  // nn::conv2d_fp16_to_float_into: half -> float
+};
+
 // One executor step. The op's input/skip/output fields are rewritten to
-// PlanValue indices (kInputValue still means the caller's input tensor).
+// PlanValue indices naming the buffers the kernel reads and writes, in the
+// kernel's own spaces (kInputValue still means the caller's fp32 input).
 struct PlanStep {
   PlanOp op;
   std::vector<int> temps;  // shuffle-chain intermediates, in chain order
-  int stage = kNoValue;    // hybrid: half staging value for this conv's input
+  ConvKernel kernel = ConvKernel::kFp32;
+  // Before the kernel: convert `stage_from` into `stage` (one value is float,
+  // the other half). kNoValue = no staging.
+  int stage_from = kNoValue;
+  int stage = kNoValue;
+  bool round_output = false;   // round the float output through binary16
+  bool input_residual = false;  // skip broadcasts the (1-channel) input over out_c
 };
 
 // Exact per-LR-pixel arena coefficients of a compiled route.
@@ -73,7 +93,6 @@ class ExecutionPlan {
   const std::vector<PlanValue>& values() const { return values_; }
   std::int64_t lr_h() const { return lr_h_; }
   std::int64_t lr_w() const { return lr_w_; }
-  InferencePrecision precision() const { return precision_; }
 
   // Arena sizes per batch item at the compiled shape.
   std::int64_t float_arena_elements() const { return float_arena_elements_; }
@@ -82,11 +101,6 @@ class ExecutionPlan {
     return float_arena_elements_ * static_cast<std::int64_t>(sizeof(float)) +
            half_arena_elements_ * 2;
   }
-
-  // fp16 only: the rounded input staging value, and (when the input residual
-  // is on) the float scratch its fp32 widening lands in. kNoValue otherwise.
-  int input_half_value() const { return input_half_value_; }
-  int input_float_value() const { return input_float_value_; }
 
   // Per-pixel coefficients; exact because every value size and offset is a
   // multiple of the LR pixel count (throws if that invariant ever breaks).
@@ -99,9 +113,6 @@ class ExecutionPlan {
   std::int64_t half_arena_elements_ = 0;
   std::int64_t lr_h_ = 0;
   std::int64_t lr_w_ = 0;
-  InferencePrecision precision_ = InferencePrecision::kFp32;
-  int input_half_value_ = kNoValue;
-  int input_float_value_ = kNoValue;
 };
 
 }  // namespace sesr::core::plan

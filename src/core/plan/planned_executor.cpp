@@ -14,15 +14,12 @@ namespace {
 // A handful of shapes covers full frames plus the serve layer's tile sizes.
 constexpr std::size_t kMaxCachedPlans = 8;
 
-const Tensor* bias_ptr(const CollapsedConv& c) { return c.bias ? &*c.bias : nullptr; }
-
 }  // namespace
 
 const ExecutionPlan& PlannedExecutor::plan_for(const SesrInference& net, std::int64_t lr_h,
                                                std::int64_t lr_w) {
   for (CachedPlan& cached : plans_) {
-    if (cached.plan.lr_h() == lr_h && cached.plan.lr_w() == lr_w &&
-        cached.plan.precision() == net.precision()) {
+    if (cached.plan.lr_h() == lr_h && cached.plan.lr_w() == lr_w) {
       cached.stamp = ++stamp_;
       return cached.plan;
     }
@@ -71,17 +68,6 @@ void PlannedExecutor::trim(const SesrInference& net, std::int64_t lr_pixels) {
 
 void PlannedExecutor::invalidate() { plans_.clear(); }
 
-float* PlannedExecutor::float_ptr(const ExecutionPlan& p, int value, std::int64_t batch,
-                                  Tensor& output) {
-  const PlanValue& v = p.values()[static_cast<std::size_t>(value)];
-  if (v.external) return output.raw();
-  return float_arena_.data() + v.offset * batch;
-}
-
-fp16::Half* PlannedExecutor::half_ptr(const ExecutionPlan& p, int value, std::int64_t batch) {
-  return half_arena_.data() + p.values()[static_cast<std::size_t>(value)].offset * batch;
-}
-
 void PlannedExecutor::run(const SesrInference& net, const Tensor& input, Tensor& output) {
   const Shape& in_shape = input.shape();
   const ExecutionPlan& p = plan_for(net, in_shape.h(), in_shape.w());
@@ -95,163 +81,83 @@ void PlannedExecutor::run(const SesrInference& net, const Tensor& input, Tensor&
   if (float_arena_.size() < f_need) float_arena_.resize(f_need);
   if (half_arena_.size() < h_need) half_arena_.resize(h_need);
 
-  switch (p.precision()) {
-    case InferencePrecision::kFp32:
-      run_fp32(p, net, input, output);
-      break;
-    case InferencePrecision::kFp16:
-      run_fp16(p, net, input, output);
-      break;
-    case InferencePrecision::kInt8:
-    case InferencePrecision::kHybrid:
-      run_mixed(p, net, input, output);
-      break;
-  }
-}
+  // Operand addresses. Plan sizes and offsets are per batch item, so both
+  // scale by the batch; kInputValue is the caller's input, the external value
+  // the caller's output.
+  const auto value = [&](int v) -> const PlanValue& {
+    return p.values()[static_cast<std::size_t>(v)];
+  };
+  const auto float_ptr = [&](int v) {
+    return value(v).external ? output.raw() : float_arena_.data() + value(v).offset * batch;
+  };
+  const auto float_src = [&](int v) -> const float* {
+    return v == kInputValue ? input.raw() : float_ptr(v);
+  };
+  const auto half_ptr = [&](int v) { return half_arena_.data() + value(v).offset * batch; };
 
-void PlannedExecutor::run_shuffle(const ExecutionPlan& p, const PlanStep& step, const float* in,
-                                  std::int64_t batch, Tensor& output) {
-  const PlanOp& op = step.op;
-  const float* cur = in;
-  Shape shape(batch, op.in_h, op.in_w, op.in_c);
-  for (std::size_t k = 0; k < op.blocks.size(); ++k) {
-    const std::int64_t b = op.blocks[k];
-    float* dst = k + 1 == op.blocks.size() ? float_ptr(p, op.output, batch, output)
-                                           : float_ptr(p, step.temps[k], batch, output);
-    nn::depth_to_space_into(cur, shape, b, dst);
-    shape = Shape(batch, shape.h() * b, shape.w() * b, shape.c() / (b * b));
-    cur = dst;
-  }
-}
-
-void PlannedExecutor::run_fp32(const ExecutionPlan& p, const SesrInference& net,
-                               const Tensor& input, Tensor& output) {
-  const std::int64_t batch = input.shape().n();
   for (const PlanStep& step : p.steps()) {
     const PlanOp& op = step.op;
-    const float* in =
-        op.input == kInputValue ? input.raw() : float_ptr(p, op.input, batch, output);
-    if (op.kind == hw::OpKind::kDepthToSpace) {
-      run_shuffle(p, step, in, batch, output);
-      continue;
-    }
-    if (op.kind != hw::OpKind::kConv) {
-      throw std::logic_error("PlannedExecutor: unfused op survived the pass pipeline");
-    }
-    const CollapsedConv& c = net.convolutions()[static_cast<std::size_t>(op.conv_index)];
-    const Shape in_shape(batch, op.in_h, op.in_w, op.in_c);
-    float* out = float_ptr(p, op.output, batch, output);
-    if (op.act_index >= 0) {
-      const nn::Epilogue epi = net.activation_epilogue(static_cast<std::size_t>(op.act_index));
-      nn::conv2d_into(in, in_shape, c.weight, bias_ptr(c), &epi, nn::Padding::kSame, out);
-    } else {
-      // The legacy path's conv2d_bias / conv2d dispatch, bit for bit.
-      nn::conv2d_into(in, in_shape, c.weight, bias_ptr(c), nullptr, nn::Padding::kSame, out);
-    }
-    if (op.skip != kNoValue) {
-      const std::int64_t elems = op.output_elements() * batch;
-      if (op.skip == kInputValue) {
-        add_input_residual(out, input.raw(), elems / op.out_c, op.out_c);
+    if (step.stage != kNoValue) {
+      const std::int64_t n = value(step.stage).elements * batch;
+      if (value(step.stage).space == ValueSpace::kHalf) {
+        fp16::convert_to_half(float_src(step.stage_from), half_ptr(step.stage), n);
       } else {
-        add_inplace(out, float_ptr(p, op.skip, batch, output), elems);
+        fp16::convert_to_float(half_ptr(step.stage_from), float_ptr(step.stage), n);
       }
     }
-  }
-}
-
-void PlannedExecutor::run_fp16(const ExecutionPlan& p, const SesrInference& net,
-                               const Tensor& input, Tensor& output) {
-  const std::int64_t batch = input.shape().n();
-  fp16::Half* x_half = half_ptr(p, p.input_half_value(), batch);
-  fp16::convert_to_half(input.raw(), x_half, input.numel());
-  for (const PlanStep& step : p.steps()) {
-    const PlanOp& op = step.op;
     if (op.kind == hw::OpKind::kDepthToSpace) {
-      run_shuffle(p, step, float_ptr(p, op.input, batch, output), batch, output);
+      // Chained shuffles (scale 4) pass through step-local temps.
+      const float* cur = float_src(op.input);
+      Shape shape(batch, op.in_h, op.in_w, op.in_c);
+      for (std::size_t k = 0; k < op.blocks.size(); ++k) {
+        const std::int64_t b = op.blocks[k];
+        float* dst = float_ptr(k + 1 == op.blocks.size() ? op.output : step.temps[k]);
+        nn::depth_to_space_into(cur, shape, b, dst);
+        shape = Shape(batch, shape.h() * b, shape.w() * b, shape.c() / (b * b));
+        cur = dst;
+      }
       continue;
     }
     if (op.kind != hw::OpKind::kConv) {
       throw std::logic_error("PlannedExecutor: unfused op survived the pass pipeline");
     }
-    const CollapsedConv& c = net.convolutions()[static_cast<std::size_t>(op.conv_index)];
-    const fp16::HalfTensor& w = net.fp16_weights()[static_cast<std::size_t>(op.conv_index)];
-    const Shape in_shape(batch, op.in_h, op.in_w, op.in_c);
-    const fp16::Half* in = op.input == kInputValue ? x_half : half_ptr(p, op.input, batch);
+    const auto conv = static_cast<std::size_t>(op.conv_index);
+    const CollapsedConv& c = net.convolutions()[conv];
+    const Tensor* bias = c.bias ? &*c.bias : nullptr;
+    const Shape conv_in(batch, op.in_h, op.in_w, op.in_c);
     const nn::Epilogue epi = op.act_index >= 0
                                  ? net.activation_epilogue(static_cast<std::size_t>(op.act_index))
                                  : nn::Epilogue{};
-    const std::int64_t elems = op.output_elements() * batch;
-    if (p.values()[static_cast<std::size_t>(op.output)].space == ValueSpace::kHalf) {
-      fp16::Half* out = half_ptr(p, op.output, batch);
-      nn::conv2d_fp16_into(in, in_shape, w, bias_ptr(c), epi, nn::Padding::kSame, out);
-      if (op.skip != kNoValue) {
-        const fp16::Half* skip =
-            op.skip == kInputValue ? x_half : half_ptr(p, op.skip, batch);
-        fp16::add_inplace(out, skip, elems);
-      }
+    switch (step.kernel) {
+      case ConvKernel::kFp32:
+        // No epilogue at all without an activation: conv2d / conv2d_bias.
+        nn::conv2d_into(float_src(op.input), conv_in, c.weight, bias,
+                        op.act_index >= 0 ? &epi : nullptr, nn::Padding::kSame,
+                        float_ptr(op.output));
+        break;
+      case ConvKernel::kInt8:
+        nn::conv2d_s8_into(float_src(op.input), conv_in, net.activation_scales()[conv],
+                           net.s8_weights()[conv], bias, epi, nn::Padding::kSame,
+                           float_ptr(op.output));
+        break;
+      case ConvKernel::kFp16:
+        nn::conv2d_fp16_into(half_ptr(op.input), conv_in, net.fp16_weights()[conv], bias, epi,
+                             nn::Padding::kSame, half_ptr(op.output));
+        break;
+      case ConvKernel::kFp16ToFloat:
+        nn::conv2d_fp16_to_float_into(half_ptr(op.input), conv_in, net.fp16_weights()[conv], bias,
+                                      epi, nn::Padding::kSame, float_ptr(op.output));
+        break;
+    }
+    const std::int64_t n = op.output_elements() * batch;
+    if (step.round_output) fp16::round_through_half(float_ptr(op.output), n);
+    if (op.skip == kNoValue) continue;
+    if (value(op.output).space == ValueSpace::kHalf) {
+      fp16::add_inplace(half_ptr(op.output), half_ptr(op.skip), n);
+    } else if (step.input_residual) {
+      add_input_residual(float_ptr(op.output), float_src(op.skip), n / op.out_c, op.out_c);
     } else {
-      // The last conv: fp32 accumulator output, residual added in fp32 on the
-      // once-rounded input (exactly upscale_fp16's tail).
-      float* out = float_ptr(p, op.output, batch, output);
-      nn::conv2d_fp16_to_float_into(in, in_shape, w, bias_ptr(c), epi, nn::Padding::kSame, out);
-      if (op.skip == kInputValue) {
-        float* x_float = float_ptr(p, p.input_float_value(), batch, output);
-        fp16::convert_to_float(x_half, x_float, input.numel());
-        add_input_residual(out, x_float, elems / op.out_c, op.out_c);
-      } else if (op.skip != kNoValue) {
-        add_inplace(out, float_ptr(p, op.skip, batch, output), elems);
-      }
-    }
-  }
-}
-
-void PlannedExecutor::run_mixed(const ExecutionPlan& p, const SesrInference& net,
-                                const Tensor& input, Tensor& output) {
-  const std::int64_t batch = input.shape().n();
-  const bool pure_int8 = p.precision() == InferencePrecision::kInt8;
-  const auto n_convs = static_cast<int>(net.convolutions().size());
-  for (const PlanStep& step : p.steps()) {
-    const PlanOp& op = step.op;
-    const float* in =
-        op.input == kInputValue ? input.raw() : float_ptr(p, op.input, batch, output);
-    if (op.kind == hw::OpKind::kDepthToSpace) {
-      run_shuffle(p, step, in, batch, output);
-      continue;
-    }
-    if (op.kind != hw::OpKind::kConv) {
-      throw std::logic_error("PlannedExecutor: unfused op survived the pass pipeline");
-    }
-    const CollapsedConv& c = net.convolutions()[static_cast<std::size_t>(op.conv_index)];
-    const Shape in_shape(batch, op.in_h, op.in_w, op.in_c);
-    float* out = float_ptr(p, op.output, batch, output);
-    const nn::Epilogue epi = op.act_index >= 0
-                                 ? net.activation_epilogue(static_cast<std::size_t>(op.act_index))
-                                 : nn::Epilogue{};
-    const bool is_int8 =
-        pure_int8 ||
-        net.hybrid_plan()[static_cast<std::size_t>(op.conv_index)] == LayerPrecision::kInt8;
-    if (is_int8) {
-      nn::conv2d_s8_into(in, in_shape, net.activation_scales()[static_cast<std::size_t>(
-                                           op.conv_index)],
-                         net.s8_weights()[static_cast<std::size_t>(op.conv_index)], bias_ptr(c),
-                         epi, nn::Padding::kSame, out);
-    } else {
-      fp16::Half* stage = half_ptr(p, step.stage, batch);
-      fp16::convert_to_half(in, stage, op.input_elements() * batch);
-      nn::conv2d_fp16_to_float_into(stage, in_shape,
-                                    net.fp16_weights()[static_cast<std::size_t>(op.conv_index)],
-                                    bias_ptr(c), epi, nn::Padding::kSame, out);
-      if (op.conv_index + 1 < n_convs) {
-        fp16::round_through_half(out, op.output_elements() * batch);
-      }
-    }
-    if (op.skip != kNoValue) {
-      const std::int64_t elems = op.output_elements() * batch;
-      if (op.skip == kInputValue) {
-        add_input_residual(out, input.raw(), elems / op.out_c, op.out_c);
-      } else {
-        add_inplace(out, float_ptr(p, op.skip, batch, output), elems);
-      }
+      add_inplace(float_ptr(op.output), float_src(op.skip), n);
     }
   }
 }

@@ -13,10 +13,13 @@
 // slices disjoint because disjointness is preserved under a common positive
 // scale factor.
 //
-// The interpreters mirror the legacy upscale / upscale_fp16 / upscale_mixed
-// paths kernel for kernel (same entry points, same epilogues, same rounding
-// steps, same op order), so planned output is bit-identical to direct output
-// in every precision — the plan changes where bytes live, never arithmetic.
+// One step loop serves every precision: each conv step runs the kernel the
+// plan bound for its layer (plus the step's staging conversion and rounding),
+// so nothing here branches on the network's precision. Those bindings mirror
+// the direct upscale_direct paths kernel for kernel (same entry points, same
+// epilogues, same rounding steps, same op order), so planned output is
+// bit-identical to direct output in every precision — the plan changes where
+// bytes live, never arithmetic.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +58,9 @@ class PlannedExecutor {
   // oversized frame inflated them).
   void trim(const SesrInference& net, std::int64_t lr_pixels);
 
-  // Drop cached plans (precision or hybrid assignment changed). Arenas keep
-  // their memory.
+  // Drop cached plans. The network calls this whenever its precision or
+  // hybrid assignment changes, which is what keeps the shape-keyed cache
+  // valid. Arenas keep their memory.
   void invalidate();
 
  private:
@@ -64,17 +68,6 @@ class PlannedExecutor {
     ExecutionPlan plan;
     std::uint64_t stamp = 0;  // LRU clock
   };
-
-  void run_fp32(const ExecutionPlan& p, const SesrInference& net, const Tensor& input,
-                Tensor& output);
-  void run_fp16(const ExecutionPlan& p, const SesrInference& net, const Tensor& input,
-                Tensor& output);
-  void run_mixed(const ExecutionPlan& p, const SesrInference& net, const Tensor& input,
-                 Tensor& output);
-  void run_shuffle(const ExecutionPlan& p, const PlanStep& step, const float* in,
-                   std::int64_t batch, Tensor& output);
-  float* float_ptr(const ExecutionPlan& p, int value, std::int64_t batch, Tensor& output);
-  fp16::Half* half_ptr(const ExecutionPlan& p, int value, std::int64_t batch);
 
   std::vector<CachedPlan> plans_;
   std::uint64_t stamp_ = 0;

@@ -1,6 +1,8 @@
 #include "core/sesr_inference.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/plan/execution_plan.hpp"
@@ -34,17 +36,44 @@ Tensor encode_config(const SesrConfig& c) {
   return t;
 }
 
+// Upper bounds a loaded checkpoint may claim. Far above any SESR the paper
+// trains (SESR-XL: f=32, m=11), far below anything that overflows sizes.
+constexpr std::int64_t kMaxFeatures = 1024;
+constexpr std::int64_t kMaxBlocks = 1024;
+
+// A config field stored as float: must be finite, integral and in [lo, hi]
+// before it is cast (a float outside int64 range makes the cast UB).
+std::int64_t config_int(const Tensor& t, std::int64_t index, const char* field, std::int64_t lo,
+                        std::int64_t hi) {
+  const float v = t.raw()[index];
+  if (!std::isfinite(v) || std::trunc(v) != v || v < static_cast<float>(lo) ||
+      v > static_cast<float>(hi)) {
+    throw std::runtime_error(std::string("SesrInference: checkpoint config field '") + field +
+                             "' out of range");
+  }
+  return static_cast<std::int64_t>(v);
+}
+
 SesrConfig decode_config(const Tensor& t) {
   if (t.numel() < 7) throw std::runtime_error("SesrInference: malformed config tensor");
   SesrConfig c;
-  c.f = static_cast<std::int64_t>(t.raw()[0]);
-  c.m = static_cast<std::int64_t>(t.raw()[1]);
-  c.scale = static_cast<std::int64_t>(t.raw()[2]);
-  c.expand = static_cast<std::int64_t>(t.raw()[3]);
-  c.prelu = t.raw()[4] != 0.0F;
-  c.input_residual = t.raw()[5] != 0.0F;
-  c.with_bias = t.raw()[6] != 0.0F;
+  c.f = config_int(t, 0, "f", 1, kMaxFeatures);
+  c.m = config_int(t, 1, "m", 0, kMaxBlocks);
+  c.scale = config_int(t, 2, "scale", 2, 4);
+  if (c.scale == 3) throw std::runtime_error("SesrInference: checkpoint scale must be 2 or 4");
+  c.expand = config_int(t, 3, "expand", 0, std::numeric_limits<std::int32_t>::max());
+  c.prelu = config_int(t, 4, "prelu", 0, 1) != 0;
+  c.input_residual = config_int(t, 5, "input_residual", 0, 1) != 0;
+  c.with_bias = config_int(t, 6, "with_bias", 0, 1) != 0;
   return c;
+}
+
+// Throws unless `t` has exactly the expected dims.
+void expect_shape(const Tensor& t, const Shape& want, const std::string& name) {
+  if (!(t.shape() == want)) {
+    throw std::runtime_error("SesrInference: checkpoint tensor '" + name + "' has shape " +
+                             t.shape().to_string() + ", config implies " + want.to_string());
+  }
 }
 
 const Tensor* bias_ptr(const CollapsedConv& c) { return c.bias ? &*c.bias : nullptr; }
@@ -75,19 +104,36 @@ SesrInference::SesrInference(const TensorMap& map) {
   if (cfg_it == map.end()) throw std::runtime_error("SesrInference: checkpoint missing config");
   config_ = decode_config(cfg_it->second);
   const std::int64_t n_convs = config_.m + 2;
+  const std::int64_t f = config_.f;
   for (std::int64_t i = 0; i < n_convs; ++i) {
+    // Collapsed HWIO kernels: 5x5 1->f, m x 3x3 f->f, 5x5 f->scale^2.
+    const bool first = i == 0;
+    const bool last = i == n_convs - 1;
+    const std::int64_t k = first || last ? 5 : 3;
+    const std::int64_t out_c = last ? config_.output_channels() : f;
     CollapsedConv conv;
-    const auto w_it = map.find("conv" + std::to_string(i) + ".weight");
+    const std::string w_name = "conv" + std::to_string(i) + ".weight";
+    const auto w_it = map.find(w_name);
     if (w_it == map.end()) throw std::runtime_error("SesrInference: checkpoint missing conv weight");
+    expect_shape(w_it->second, Shape(k, k, first ? 1 : f, out_c), w_name);
     conv.weight = w_it->second;
-    const auto b_it = map.find("conv" + std::to_string(i) + ".bias");
-    if (b_it != map.end()) conv.bias = b_it->second;
+    const std::string b_name = "conv" + std::to_string(i) + ".bias";
+    const auto b_it = map.find(b_name);
+    if (b_it != map.end()) {
+      expect_shape(b_it->second, Shape(1, 1, 1, out_c), b_name);
+      conv.bias = b_it->second;
+    }
     convs_.push_back(std::move(conv));
   }
   for (std::int64_t i = 0; i < config_.m + 1; ++i) {
-    const auto a_it = map.find("act" + std::to_string(i) + ".alpha");
+    const std::string a_name = "act" + std::to_string(i) + ".alpha";
+    const auto a_it = map.find(a_name);
     if (config_.prelu) {
       if (a_it == map.end()) throw std::runtime_error("SesrInference: checkpoint missing alpha");
+      if (a_it->second.numel() != f) {
+        throw std::runtime_error("SesrInference: checkpoint tensor '" + a_name +
+                                 "' must hold f slopes");
+      }
       prelu_alpha_.push_back(a_it->second);
     } else {
       prelu_alpha_.emplace_back();
@@ -223,10 +269,15 @@ Tensor SesrInference::upscale_direct(const Tensor& input) const {
   if (precision_ == InferencePrecision::kInt8 || precision_ == InferencePrecision::kHybrid) {
     return upscale_mixed(input);
   }
+  return upscale_direct(input, nullptr);
+}
+
+Tensor SesrInference::upscale_direct(const Tensor& input, const LayerObserver& observe) const {
   // Every conv except the last fuses its activation into the GEMM store
   // (bit-identical to conv + a separate activate() pass, one less full
   // sweep over the feature maps).
-  auto run_act_conv = [this](std::size_t i, const Tensor& x) {
+  auto run_act_conv = [&](std::size_t i, const Tensor& x) {
+    if (observe) observe(i, x);
     const CollapsedConv& c = convs_[i];
     return nn::conv2d_fused(x, c.weight, bias_ptr(c), activation_epilogue(i),
                             nn::Padding::kSame);
@@ -237,6 +288,7 @@ Tensor SesrInference::upscale_direct(const Tensor& input) const {
     feat = run_act_conv(i, feat);
   }
   add_inplace(feat, skip);
+  if (observe) observe(convs_.size() - 1, feat);
   const CollapsedConv& last = convs_.back();
   Tensor out = last.bias ? nn::conv2d_bias(feat, last.weight, *last.bias, nn::Padding::kSame)
                          : nn::conv2d(feat, last.weight, nn::Padding::kSame);
@@ -312,36 +364,6 @@ void SesrInference::set_hybrid_plan(std::vector<LayerPrecision> plan) {
   if (exec_) exec_->invalidate();
 }
 
-Tensor SesrInference::replay_fp32(
-    const Tensor& input, const std::function<void(std::size_t, const Tensor&)>& observe) const {
-  // Mirrors upscale()'s fp32 dataflow (bias included) with an observer hook
-  // before each conv; calibration sees exactly what the quantized layers will
-  // consume at serve time, up to quantization error itself.
-  auto run_act_conv = [this](std::size_t i, const Tensor& x) {
-    return nn::conv2d_fused(x, convs_[i].weight, bias_ptr(convs_[i]), activation_epilogue(i),
-                            nn::Padding::kSame);
-  };
-  observe(0, input);
-  Tensor feat = run_act_conv(0, input);
-  Tensor skip = feat;
-  for (std::size_t i = 1; i + 1 < convs_.size(); ++i) {
-    observe(i, feat);
-    feat = run_act_conv(i, feat);
-  }
-  add_inplace(feat, skip);
-  observe(convs_.size() - 1, feat);
-  const CollapsedConv& last = convs_.back();
-  Tensor out = last.bias ? nn::conv2d_bias(feat, last.weight, *last.bias, nn::Padding::kSame)
-                         : nn::conv2d(feat, last.weight, nn::Padding::kSame);
-  if (config_.input_residual) {
-    const std::int64_t oc = config_.output_channels();
-    add_input_residual(out.raw(), input.raw(), out.numel() / oc, oc);
-  }
-  Tensor y = nn::depth_to_space(out, 2);
-  if (config_.scale == 4) y = nn::depth_to_space(y, 2);
-  return y;
-}
-
 void SesrInference::calibrate_int8(const std::vector<Tensor>& frames) {
   if (frames.empty()) {
     throw std::invalid_argument("SesrInference::calibrate_int8: no calibration frames");
@@ -355,7 +377,7 @@ void SesrInference::calibrate_int8(const std::vector<Tensor>& frames) {
       throw std::invalid_argument(
           "SesrInference::calibrate_int8: calibration frames must be Y-channel");
     }
-    replay_fp32(frame, [&](std::size_t layer, const Tensor& x) {
+    upscale_direct(frame, [&](std::size_t layer, const Tensor& x) {
       scales[layer] = std::max(scales[layer], max_abs(x) / 127.0F);
     });
   }

@@ -151,10 +151,11 @@ class SesrInference {
   Tensor upscale_fp16(const Tensor& input) const;
   // kInt8 / kHybrid forward on the fp32 carrier (quantize-in-pack per layer).
   Tensor upscale_mixed(const Tensor& input) const;
-  // Replays the fused fp32 dataflow, calling observe(layer, input) just
-  // before each conv — the calibration observer hook.
-  Tensor replay_fp32(const Tensor& input,
-                     const std::function<void(std::size_t, const Tensor&)>& observe) const;
+  // The fp32 direct forward, calling observe(layer, input) (when set) just
+  // before each conv — the calibration observer hook. The public
+  // upscale_direct runs it without an observer at kFp32.
+  using LayerObserver = std::function<void(std::size_t, const Tensor&)>;
+  Tensor upscale_direct(const Tensor& input, const LayerObserver& observe) const;
   void ensure_fp16_weights();
 
   SesrConfig config_;

@@ -3,8 +3,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "tensor/tensor_ops.hpp"
-
 namespace sesr::core {
 
 DeltaPlan plan_tile_delta(const Tensor& prev, const Tensor& next,
@@ -56,32 +54,19 @@ void splice_clean_tiles(Tensor& output, const Tensor& prev_hr, const DeltaPlan& 
   }
 }
 
-Tensor upscale_tile_streaming(StreamingUpscaler& streamer, const Tensor& input,
-                              const TileTask& task) {
-  const std::int64_t scale = streamer.network().config().scale;
-  Tensor tile = crop_spatial(input, task.hy0, task.hx0, task.hh, task.hw);
-  Tensor up = streamer.upscale(tile);
-  return crop_spatial(up, (task.y0 - task.hy0) * scale, (task.x0 - task.hx0) * scale,
-                      task.th * scale, task.tw * scale);
-}
-
 Tensor upscale_video_delta(const SesrInference& network, const Tensor& prev_lr,
                            const Tensor& prev_hr, const Tensor& next_lr,
-                           const TilingOptions& options, std::int64_t halo, bool streaming,
+                           const TilingOptions& options, std::int64_t halo,
                            std::size_t* dirty_out) {
   const DeltaPlan plan = plan_tile_delta(prev_lr, next_lr, options, halo);
   if (dirty_out != nullptr) *dirty_out = plan.dirty_count;
   const std::int64_t scale = network.config().scale;
   Tensor output(1, next_lr.shape().h() * scale, next_lr.shape().w() * scale, 1);
   splice_clean_tiles(output, prev_hr, plan, scale);
-  std::optional<StreamingUpscaler> streamer;
-  if (streaming && plan.dirty_count > 0) streamer.emplace(network);
   for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
     if (!plan.dirty[i]) continue;
     const TileTask& task = plan.tasks[i];
-    const Tensor roi = streaming ? upscale_tile_streaming(*streamer, next_lr, task)
-                                 : upscale_tile(network, next_lr, task);
-    paste_tile(output, roi, task, scale);
+    paste_tile(output, upscale_tile(network, next_lr, task), task, scale);
   }
   return output;
 }

@@ -10,23 +10,17 @@
 // tiles *dirty*, never wrong) and the caller re-upscales only the dirty tiles,
 // splicing the clean regions from the previous HR output.
 //
-// The bit-exactness contract holds per execution path:
-//   * full-frame / tiled: upscale_tile on the same grid + halo reproduces the
-//     full output bitwise for any halo >= the one the full pass used (exact
-//     halo for full-frame; the executed grid's own halo for tiled).
-//   * streaming: upscale_tile_streaming (a StreamingUpscaler over the haloed
-//     crop) reproduces the full streaming output bitwise at exact halo. The
-//     row pipeline is position-deterministic for every precision — fp32
-//     summation order within a row window does not depend on the crop origin.
-// The zero-tolerance audit pair `video_delta_vs_full` sweeps all four serve
-// modes x all four precisions against this promise.
+// The bit-exactness contract: upscale_tile on the same grid + halo
+// reproduces the full output bitwise for any halo >= the one the full pass
+// used (exact halo for full-frame; the executed grid's own halo for tiled).
+// The zero-tolerance audit pair `video_delta_vs_full` sweeps every serve mode
+// x all four precisions against this promise.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "core/streaming.hpp"
 #include "core/tiled_inference.hpp"
 #include "tensor/tensor.hpp"
 
@@ -51,22 +45,14 @@ DeltaPlan plan_tile_delta(const Tensor& prev, const Tensor& next,
 void splice_clean_tiles(Tensor& output, const Tensor& prev_hr, const DeltaPlan& plan,
                         std::int64_t scale);
 
-// Streaming-path tile recompute: run `streamer` over the task's haloed crop
-// and return the HR region of interest, exactly as upscale_tile does through
-// the full-frame path. Bit-identical to the corresponding region of a full
-// streaming upscale when the halo is exact.
-Tensor upscale_tile_streaming(StreamingUpscaler& streamer, const Tensor& input,
-                              const TileTask& task);
-
 // Sequential reference for the delta path: given the previous frame's (LR,
-// HR) pair and the next LR frame, recompute dirty tiles (streaming == true
-// routes them through a StreamingUpscaler) and splice the rest. Bit-identical
-// to upscaling `next_lr` from scratch through the same path whenever
-// `prev_hr` is the from-scratch output of `prev_lr`. `dirty_out`, when given,
-// receives the number of recomputed tiles.
+// HR) pair and the next LR frame, recompute dirty tiles and splice the rest.
+// Bit-identical to upscaling `next_lr` from scratch whenever `prev_hr` is the
+// from-scratch output of `prev_lr`. `dirty_out`, when given, receives the
+// number of recomputed tiles.
 Tensor upscale_video_delta(const SesrInference& network, const Tensor& prev_lr,
                            const Tensor& prev_hr, const Tensor& next_lr,
-                           const TilingOptions& options, std::int64_t halo, bool streaming,
+                           const TilingOptions& options, std::int64_t halo,
                            std::size_t* dirty_out = nullptr);
 
 }  // namespace sesr::core

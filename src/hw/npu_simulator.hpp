@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "hw/network_ir.hpp"
+#include "core/plan/network_ir.hpp"
 
 namespace sesr::hw {
 

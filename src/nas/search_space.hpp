@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "hw/network_ir.hpp"
+#include "core/plan/network_ir.hpp"
 #include "tensor/rng.hpp"
 
 namespace sesr::nas {

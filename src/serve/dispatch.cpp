@@ -161,12 +161,7 @@ void run_batch(WorkerSession& session, BatchUnit& unit, StatsRecorder& stats) {
   std::vector<Tensor> outputs;
   try {
     outputs.reserve(unit.requests.size());
-    if (unit.mode == ExecMode::kStreaming) {
-      if (!session.streamer) session.streamer.emplace(session.network);
-      for (const FrameRequest& r : unit.requests) {
-        outputs.push_back(session.streamer->upscale(r.frame));
-      }
-    } else if (unit.requests.size() == 1) {
+    if (unit.requests.size() == 1) {
       outputs.push_back(session.network.upscale(unit.requests.front().frame));
     } else {
       // The whole micro-batch in one stacked upscale. Per-sample results are
@@ -192,13 +187,7 @@ void run_tiles(WorkerSession& session, TileUnit& unit, StatsRecorder& stats) {
   for (std::size_t t = unit.first_task; t < unit.first_task + unit.task_count; ++t) {
     const core::TileTask& task = job.tasks[t];
     try {
-      Tensor roi;
-      if (job.mode == ExecMode::kStreaming) {
-        if (!session.streamer) session.streamer.emplace(session.network);
-        roi = core::upscale_tile_streaming(*session.streamer, job.request.frame, task);
-      } else {
-        roi = core::upscale_tile(session.network, job.request.frame, task);
-      }
+      const Tensor roi = core::upscale_tile(session.network, job.request.frame, task);
       core::paste_tile(job.output, roi, task, session.network.config().scale);
       stats.on_tile();
     } catch (...) {

@@ -33,14 +33,12 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <variant>
 #include <vector>
 
 #include "core/sesr_inference.hpp"
-#include "core/streaming.hpp"
 #include "core/tiled_inference.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/serve_options.hpp"
@@ -51,7 +49,6 @@ namespace sesr::serve {
 // One micro-batch of same-shape requests executed by a single worker.
 struct BatchUnit {
   std::vector<FrameRequest> requests;
-  ExecMode mode = ExecMode::kFullFrame;  // resolved (never kAuto)
 };
 
 // One frame being tiled across a shard's workers; the last tile fulfils the
@@ -62,12 +59,6 @@ struct TiledJob {
   std::vector<core::TileTask> tasks;
   std::atomic<std::int64_t> remaining{0};  // tiles left, counts down to 0
   std::atomic<bool> failed{false};
-  // Which execution path recomputes each tile. kTiled/kFullFrame both run
-  // upscale_tile; kStreaming (a video-session delta job on a streaming-mode
-  // server) runs the worker's StreamingUpscaler over the haloed crop so the
-  // recomputed tiles land bit-identical to the session's full streaming
-  // frames.
-  ExecMode mode = ExecMode::kTiled;
 };
 
 // A contiguous run of a TiledJob's tasks (ServeOptions::tiles_per_unit wide).
@@ -124,11 +115,10 @@ class FairDispatchQueue {
 };
 
 // One worker's private execution context: a bit-exact network replica
-// (reconstructed from the registry checkpoint) and its lazily-built streamer.
+// (reconstructed from the registry checkpoint).
 struct WorkerSession {
   explicit WorkerSession(const TensorMap& checkpoint) : network(checkpoint) {}
   core::SesrInference network;
-  std::optional<core::StreamingUpscaler> streamer;  // built on first use
   std::thread thread;
   // Serializes unit execution against reload_routes' replica rebuild. The
   // request's inflight token is released when its promise is fulfilled

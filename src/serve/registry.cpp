@@ -84,10 +84,6 @@ void NetworkRegistry::add(const RouteKey& key, const core::SesrInference& networ
   entry.config = network.config();
   entry.checkpoint = network.to_tensor_map();
   entry.exact_halo = core::receptive_field_radius(network);
-  entry.biased = false;
-  for (const core::CollapsedConv& conv : network.convolutions()) {
-    if (conv.bias) entry.biased = true;
-  }
   // Record the route's exact peak activation footprint: compile the plan for
   // a probe copy pinned to the route precision (the caller's instance may be
   // at a different one) and keep the per-pixel coefficients. Shards pre-size

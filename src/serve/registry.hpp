@@ -53,7 +53,6 @@ struct RegisteredNetwork {
   core::SesrConfig config;
   TensorMap checkpoint;      // bit-exact round trip (SesrInference(TensorMap))
   std::int64_t exact_halo;   // receptive_field_radius of the collapsed net
-  bool biased;               // any conv carries a bias (streaming-ineligible)
   // Exact per-LR-pixel activation arena coefficients of the route's compiled
   // execution plan at its registered precision: footprint.bytes(lr_pixels) is
   // the route's peak activation footprint for one frame of that size, and the

@@ -65,7 +65,6 @@ struct RouteCounters;
 struct VideoDeltaPlan {
   std::vector<core::TileTask> dirty_tasks;  // the tiles to recompute
   Tensor output;  // (1, scale*H, scale*W, 1), clean tiles pre-spliced
-  ExecMode mode = ExecMode::kFullFrame;  // resolved exec path (never kAuto)
   std::size_t total_tiles = 0;           // grid size, for reuse accounting
 };
 

@@ -5,7 +5,7 @@
 // worker sessions executes them. ServeOptions decides every trade-off in that
 // pipeline: how large micro-batches may grow, how long the batcher may hold a
 // partial batch, what happens when the queue is full, and which execution
-// path (full-frame / tiled / streaming) each frame takes.
+// path (full-frame / tiled) each frame takes.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +54,8 @@ struct SloOptions {
 // Which execution path a worker session uses for a frame.
 enum class ExecMode {
   kFullFrame,  // SesrInference::upscale on the (possibly batched) frames
-  kTiled,      // cut into TileTasks, fanned out across all workers
-  kStreaming,  // per-worker StreamingUpscaler (line buffers; no biased nets)
+  kTiled,      // cut into TileTasks, fanned out across all workers; the
+               // bounded-memory path (activations scale with the tile)
   kAuto,       // frames >= tiled_threshold_pixels go kTiled, the rest batch
 };
 
@@ -76,8 +76,8 @@ struct ServeOptions {
   core::TilingOptions tiling;                        // kTiled / kAuto tile geometry
   std::int64_t tiled_threshold_pixels = 128 * 128;   // kAuto: LR pixels >= this tile
 
-  // Arithmetic precision of every worker replica (full-frame, tiled and
-  // streaming paths all follow it; see core::InferencePrecision). The
+  // Arithmetic precision of every worker replica (full-frame and tiled
+  // paths both follow it; see core::InferencePrecision). The
   // sharded server overrides this per shard with each route's own precision.
   core::InferencePrecision precision = core::InferencePrecision::kFp32;
 

@@ -12,7 +12,7 @@
 //
 // EvalServer wraps a ShardedServer holding exactly one route ("default", the
 // network's scale, ServeOptions::precision), so every execution property of
-// the sharded path — bit-identical batched/tiled/streaming results, fair
+// the sharded path — bit-identical batched/tiled results, fair
 // round-robin tile scheduling, the optional bit-exact response cache
 // (ServeOptions::cache_entries), drain-on-close shutdown — holds here too.
 //

@@ -29,13 +29,6 @@ void validate(const ServeOptions& o, const NetworkRegistry& registry) {
   if (o.tiles_per_unit < 1) {
     throw std::invalid_argument("EvalServer: tiles_per_unit must be >= 1");
   }
-  if (o.mode == ExecMode::kStreaming) {
-    for (const RegisteredNetwork& entry : registry.entries()) {
-      if (entry.biased) {
-        throw std::invalid_argument("EvalServer: streaming mode cannot serve biased networks");
-      }
-    }
-  }
 }
 
 // Steady-state LR pixel bound of one worker replica: the larger of a full
@@ -344,12 +337,11 @@ AdmitResult ShardedServer::submit_video(const RouteKey& route, Tensor frame,
   if (std::optional<VideoSessionTable::Snapshot> prev =
           sessions_.lookup_prev(shard->index, video.session_id, video.seq)) {
     if (prev->lr.shape() == s) {
-      const ExecMode mode = resolve_mode(s);
       // The recompute halo must match the executed grid for kTiled (bitwise
-      // per-tile equality needs the identical crop function); full-frame and
-      // streaming paths need the exact receptive-field radius.
+      // per-tile equality needs the identical crop function); the full-frame
+      // path needs the exact receptive-field radius.
       const std::int64_t halo =
-          mode == ExecMode::kTiled
+          resolve_mode(s) == ExecMode::kTiled
               ? (options_.tiling.halo >= 0 ? options_.tiling.halo : shard->net.exact_halo)
               : shard->net.exact_halo;
       core::DeltaPlan plan = core::plan_tile_delta(prev->lr, request.frame, options_.tiling, halo);
@@ -372,7 +364,6 @@ AdmitResult ShardedServer::submit_video(const RouteKey& route, Tensor frame,
         return result;
       }
       auto delta = std::make_shared<VideoDeltaPlan>();
-      delta->mode = mode;
       delta->total_tiles = plan.tasks.size();
       const std::int64_t scale = shard->net.config.scale;
       delta->output = Tensor(1, s.h() * scale, s.w() * scale, 1);
@@ -425,8 +416,6 @@ void ShardedServer::enqueue_second_stage(std::size_t shard_index, FrameRequest&&
   stage2.dispatch_time = ServeClock::now();
 
   BatchUnit batch;
-  batch.mode = options_.mode == ExecMode::kStreaming ? ExecMode::kStreaming
-                                                     : ExecMode::kFullFrame;
   const std::uint64_t lane = stage2.id;
   batch.requests.push_back(std::move(stage2));
   stats_.on_batch();
@@ -486,7 +475,7 @@ void ShardedServer::batcher_loop(Shard& shard) {
     for (FrameRequest& request : batch) request.dispatch_time = dispatched;
     // Peel off video tile-delta requests: each becomes its own TiledJob over
     // only the dirty tiles the submit path planned (clean regions are already
-    // spliced into the plan's output), on the plan's resolved exec path.
+    // spliced into the plan's output).
     {
       std::vector<FrameRequest> rest;
       rest.reserve(batch.size());
@@ -499,7 +488,6 @@ void ShardedServer::batcher_loop(Shard& shard) {
         auto job = std::make_shared<TiledJob>();
         job->tasks = std::move(plan->dirty_tasks);
         job->output = std::move(plan->output);
-        job->mode = plan->mode;
         job->remaining.store(static_cast<std::int64_t>(job->tasks.size()),
                              std::memory_order_relaxed);
         job->request = std::move(request);
@@ -519,7 +507,6 @@ void ShardedServer::batcher_loop(Shard& shard) {
         const Shape& s = request.frame.shape();
         job->tasks = core::tile_grid(s.h(), s.w(), options_.tiling, halo);
         job->output = Tensor(1, s.h() * scale, s.w() * scale, 1);
-        job->mode = ExecMode::kTiled;
         job->remaining.store(static_cast<std::int64_t>(job->tasks.size()),
                              std::memory_order_relaxed);
         job->request = std::move(request);
@@ -528,7 +515,7 @@ void ShardedServer::batcher_loop(Shard& shard) {
     } else {
       stats_.on_batch();
       const std::uint64_t lane = batch.front().id;
-      Unit unit = BatchUnit{std::move(batch), mode};
+      Unit unit = BatchUnit{std::move(batch)};
       if (!dispatch_.push(shard.index, lane, std::move(unit))) {
         // Dispatch closed under this batcher (again defensive post-drain):
         // resolve every request in the undelivered batch with a typed error
@@ -615,7 +602,6 @@ void ShardedServer::reload_routes(const NetworkRegistry& registry) {
       session->network = core::SesrInference(entries[i].checkpoint);
       session->network.set_precision(entries[i].key.precision);
       presize_session(*session, options_, entries[i]);
-      session->streamer.reset();
     }
   }
   // Cached responses and video-session snapshots were computed by the old

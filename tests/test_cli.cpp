@@ -140,6 +140,8 @@ TEST(ServeCli, MutuallyExclusiveStopConditionsRaiseUsageError) {
 
 TEST(ServeCli, BadEnumsRaiseUsageError) {
   EXPECT_THROW(parse_serve({"--mode=bogus"}), UsageError);
+  // Streaming is not a serving mode; kTiled is the bounded-memory mode.
+  EXPECT_THROW(parse_serve({"--mode=streaming"}), UsageError);
   EXPECT_THROW(parse_serve({"--policy=maybe"}), UsageError);
   EXPECT_THROW(parse_serve({"--net=m4"}), UsageError);
   EXPECT_THROW(parse_serve({"--scale=3"}), UsageError);

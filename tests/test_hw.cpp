@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/macs.hpp"
-#include "hw/network_ir.hpp"
+#include "core/plan/network_ir.hpp"
 #include "hw/npu_simulator.hpp"
 
 namespace sesr::hw {

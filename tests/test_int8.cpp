@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <vector>
 
@@ -329,6 +331,39 @@ TEST(Int8Network, HybridAllFp16PlanMatchesFp16Path) {
   net.set_precision(core::InferencePrecision::kHybrid);
   const Tensor hybrid = net.upscale(frame);
   EXPECT_EQ(max_abs_diff(hybrid, fp16), 0.0F);
+}
+
+TEST(Int8Network, AllInt8HybridPlanMatchesInt8Bitwise) {
+  // kInt8 and an all-int8 kHybrid plan bind the same kernel to every layer,
+  // so they compile to the same steps and must agree bit for bit.
+  core::SesrInference net = make_inference(9, small_config(/*with_bias=*/true));
+  net.calibrate_int8(make_calibration(90));
+  net.set_hybrid_plan(std::vector<core::LayerPrecision>(net.convolutions().size(),
+                                                        core::LayerPrecision::kInt8));
+  const Tensor frame = make_frame(91, 17, 22);
+  net.set_precision(core::InferencePrecision::kInt8);
+  const Tensor int8 = net.upscale(frame);
+  net.set_precision(core::InferencePrecision::kHybrid);
+  const Tensor hybrid = net.upscale(frame);
+  ASSERT_EQ(hybrid.numel(), int8.numel());
+  EXPECT_EQ(std::memcmp(hybrid.raw(), int8.raw(),
+                        static_cast<std::size_t>(int8.numel()) * sizeof(float)),
+            0);
+}
+
+TEST(Int8Network, CalibrationScalesMatchPinnedValues) {
+  // Activation scales of one seeded biased net, pinned bit for bit. Any
+  // change to the dataflow calibration observes (bias, fused activation, the
+  // long residual before the last conv) shows up here as a changed bit.
+  core::SesrInference net = make_inference(2024, small_config(/*with_bias=*/true));
+  net.calibrate_int8(make_calibration(2025));
+  const std::uint32_t want[] = {0x3C00E4E7U, 0x3B53BB3EU, 0x3B80BD44U, 0x3BDE69F3U};
+  ASSERT_EQ(net.activation_scales().size(), std::size(want));
+  for (std::size_t i = 0; i < std::size(want); ++i) {
+    std::uint32_t got = 0;
+    std::memcpy(&got, &net.activation_scales()[i], sizeof(got));
+    EXPECT_EQ(got, want[i]) << "layer " << i;
+  }
 }
 
 TEST(Int8Network, CheckpointRoundTripBitExact) {

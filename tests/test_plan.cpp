@@ -10,11 +10,11 @@
 
 #include "core/plan/execution_plan.hpp"
 #include "core/plan/memory_planner.hpp"
+#include "core/plan/network_ir.hpp"
 #include "core/plan/passes.hpp"
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
 #include "core/tiled_inference.hpp"
-#include "hw/network_ir.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/scratch.hpp"
 #include "tensor/tensor.hpp"
@@ -222,6 +222,105 @@ TEST(ExecutionPlan, PlannedArenaBeatsSumOfLayerOutputs) {
   std::int64_t direct_sum = 0;
   for (const PlanStep& step : plan.steps()) direct_sum += step.op.output_elements();
   EXPECT_LE(plan.float_arena_elements() * 2, direct_sum);
+}
+
+TEST(ExecutionPlan, EveryConvStepCarriesItsPrecisionsKernel) {
+  // Precision is bound per conv step at compile time; the executor reads
+  // nothing else. Check each precision's binding, staging and rounding.
+  SesrInference net = make_inference(make_config(2, 2, true, true, true), 13);
+  const std::vector<LayerPrecision>& layers = net.hybrid_plan();
+  for (const InferencePrecision precision : kAllPrecisions) {
+    SCOPED_TRACE("precision " + std::to_string(static_cast<int>(precision)));
+    net.set_precision(precision);
+    const ExecutionPlan plan = ExecutionPlan::compile(net, 9, 11);
+    const auto space = [&](int v) { return plan.values()[static_cast<std::size_t>(v)].space; };
+    const int n_convs = static_cast<int>(net.convolutions().size());
+    int convs_seen = 0;
+    for (const PlanStep& step : plan.steps()) {
+      if (step.op.kind != hw::OpKind::kConv) {
+        EXPECT_EQ(step.stage, kNoValue);
+        continue;
+      }
+      const int i = step.op.conv_index;
+      const bool last = i == n_convs - 1;
+      ++convs_seen;
+      switch (precision) {
+        case InferencePrecision::kFp32:
+        case InferencePrecision::kInt8:
+          EXPECT_EQ(step.kernel, precision == InferencePrecision::kFp32 ? ConvKernel::kFp32
+                                                                      : ConvKernel::kInt8);
+          EXPECT_EQ(step.stage, kNoValue);
+          EXPECT_FALSE(step.round_output);
+          EXPECT_EQ(space(step.op.output), ValueSpace::kFloat);
+          break;
+        case InferencePrecision::kFp16:
+          EXPECT_EQ(step.kernel, last ? ConvKernel::kFp16ToFloat : ConvKernel::kFp16);
+          EXPECT_EQ(space(step.op.input), ValueSpace::kHalf);
+          EXPECT_EQ(space(step.op.output), last ? ValueSpace::kFloat : ValueSpace::kHalf);
+          EXPECT_FALSE(step.round_output);
+          if (i == 0) {
+            // The input is rounded to binary16 once, at the first conv.
+            EXPECT_EQ(step.stage_from, kInputValue);
+            EXPECT_EQ(step.stage, step.op.input);
+          } else if (last) {
+            // The input residual adds the rounded input, widened to float.
+            ASSERT_TRUE(step.input_residual);
+            EXPECT_EQ(step.stage, step.op.skip);
+            EXPECT_EQ(space(step.stage_from), ValueSpace::kHalf);
+            EXPECT_EQ(space(step.stage), ValueSpace::kFloat);
+          } else {
+            EXPECT_EQ(step.stage, kNoValue);
+          }
+          break;
+        case InferencePrecision::kHybrid:
+          if (layers[static_cast<std::size_t>(i)] == LayerPrecision::kInt8) {
+            EXPECT_EQ(step.kernel, ConvKernel::kInt8);
+            EXPECT_EQ(step.stage, kNoValue);
+            EXPECT_FALSE(step.round_output);
+          } else {
+            // fp16 layers stage the fp32 carrier through binary16 and round
+            // their stored output once (all but the last conv).
+            EXPECT_EQ(step.kernel, ConvKernel::kFp16ToFloat);
+            ASSERT_NE(step.stage, kNoValue);
+            EXPECT_EQ(step.op.input, step.stage);
+            EXPECT_EQ(space(step.stage), ValueSpace::kHalf);
+            EXPECT_EQ(step.round_output, !last);
+          }
+          EXPECT_EQ(space(step.op.output), ValueSpace::kFloat);
+          break;
+      }
+    }
+    EXPECT_EQ(convs_seen, n_convs);
+  }
+}
+
+TEST(ExecutionPlan, AllInt8HybridCompilesToTheInt8Steps) {
+  SesrInference net = make_inference(make_config(2, 4, true, true, true), 17);
+  net.set_precision(InferencePrecision::kInt8);
+  const ExecutionPlan int8 = ExecutionPlan::compile(net, 8, 12);
+  net.set_hybrid_plan(std::vector<LayerPrecision>(net.convolutions().size(),
+                                                  LayerPrecision::kInt8));
+  net.set_precision(InferencePrecision::kHybrid);
+  const ExecutionPlan hybrid = ExecutionPlan::compile(net, 8, 12);
+  ASSERT_EQ(hybrid.steps().size(), int8.steps().size());
+  for (std::size_t s = 0; s < int8.steps().size(); ++s) {
+    const PlanStep& a = int8.steps()[s];
+    const PlanStep& b = hybrid.steps()[s];
+    EXPECT_EQ(a.kernel, b.kernel);
+    EXPECT_EQ(a.op.input, b.op.input);
+    EXPECT_EQ(a.op.skip, b.op.skip);
+    EXPECT_EQ(a.op.output, b.op.output);
+    EXPECT_EQ(a.stage, b.stage);
+    EXPECT_EQ(a.round_output, b.round_output);
+    EXPECT_EQ(a.temps, b.temps);
+  }
+  ASSERT_EQ(hybrid.values().size(), int8.values().size());
+  for (std::size_t v = 0; v < int8.values().size(); ++v) {
+    EXPECT_EQ(hybrid.values()[v].offset, int8.values()[v].offset);
+    EXPECT_EQ(hybrid.values()[v].space, int8.values()[v].space);
+  }
+  EXPECT_EQ(hybrid.float_arena_elements(), int8.float_arena_elements());
+  EXPECT_EQ(hybrid.half_arena_elements(), 0);
 }
 
 // ---------------------------------------------------------- planned executor

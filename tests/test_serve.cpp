@@ -24,7 +24,6 @@
 
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
-#include "core/streaming.hpp"
 #include "core/tiled_inference.hpp"
 #include "serve/admission.hpp"
 #include "serve/clock.hpp"
@@ -209,13 +208,6 @@ TEST(EvalServer, SubmitAfterShutdownFailsWithServerClosed) {
   EXPECT_THROW(server.submit(make_frame(6, 8, 8)).get(), ServerClosedError);
 }
 
-TEST(EvalServer, StreamingModeRejectsBiasedNetworks) {
-  const core::SesrInference inference = make_inference(24, small_config(/*with_bias=*/true));
-  ServeOptions options;
-  options.mode = ExecMode::kStreaming;
-  EXPECT_THROW(EvalServer(inference, options), std::invalid_argument);
-}
-
 TEST(EvalServer, TiledFanOutBitIdenticalToUpscaleTiled) {
   const core::SesrInference inference = make_inference(25, small_config());
   ServeOptions options;
@@ -330,10 +322,10 @@ struct StressShape {
 // future must complete bit-identically to the single-threaded reference for
 // the mode's execution path.
 void run_stress_iteration(std::uint64_t seed) {
-  const ExecMode modes[] = {ExecMode::kFullFrame, ExecMode::kTiled, ExecMode::kStreaming,
-                            ExecMode::kAuto};
-  const ExecMode mode = modes[seed % 4];
-  const core::SesrConfig config = small_config(/*with_bias=*/false, /*prelu=*/seed % 2 == 0);
+  const ExecMode modes[] = {ExecMode::kFullFrame, ExecMode::kTiled, ExecMode::kAuto};
+  const ExecMode mode = modes[seed % 3];
+  const core::SesrConfig config =
+      small_config(/*with_bias=*/(seed / 3) % 2 == 1, /*prelu=*/seed % 2 == 0);
   const core::SesrInference inference = make_inference(1000 + seed, config);
 
   ServeOptions options;
@@ -373,7 +365,6 @@ void run_stress_iteration(std::uint64_t seed) {
   for (auto& p : producers) p.join();
 
   // Single-threaded references for the path each frame actually took.
-  core::StreamingUpscaler reference_streamer(inference);
   auto reference = [&](const Tensor& frame) -> Tensor {
     ExecMode resolved = mode;
     if (mode == ExecMode::kAuto) {
@@ -381,14 +372,8 @@ void run_stress_iteration(std::uint64_t seed) {
                      ? ExecMode::kTiled
                      : ExecMode::kFullFrame;
     }
-    switch (resolved) {
-      case ExecMode::kTiled:
-        return core::upscale_tiled(inference, frame, options.tiling);
-      case ExecMode::kStreaming:
-        return reference_streamer.upscale(frame);
-      default:
-        return inference.upscale(frame);
-    }
+    if (resolved == ExecMode::kTiled) return core::upscale_tiled(inference, frame, options.tiling);
+    return inference.upscale(frame);
   };
   for (int t = 0; t < kProducers; ++t) {
     for (int i = 0; i < kFramesPerProducer; ++i) {
@@ -876,17 +861,16 @@ TEST(ShardedServerStress, SeededMixedNetworkBitIdentical) {
 }
 
 // One calibrated + hybrid-planned network served under all four precisions at
-// once, with the execution mode (full-frame / tiled / streaming / auto)
-// rotating per seed. Every result must be bit-identical to the same-mode
-// single-threaded reference — the scales and the plan travel inside the
-// checkpoint, so shard replicas must reproduce them exactly. The pure-int8
-// route carries a stronger promise (integer accumulation, fixed scales,
-// elementwise quantization): its tiled and streaming outputs must ALSO match
-// the full-frame pass bitwise, which the test asserts cross-mode.
+// once, with the execution mode (full-frame / tiled / auto) rotating per
+// seed. Every result must be bit-identical to the same-mode single-threaded
+// reference — the scales and the plan travel inside the checkpoint, so shard
+// replicas must reproduce them exactly. The pure-int8 route carries a
+// stronger promise (integer accumulation, fixed scales, elementwise
+// quantization): its tiled outputs must ALSO match the full-frame pass
+// bitwise, which the test asserts cross-mode.
 void run_mixed_precision_stress_iteration(std::uint64_t seed) {
-  const ExecMode modes[] = {ExecMode::kFullFrame, ExecMode::kTiled, ExecMode::kStreaming,
-                            ExecMode::kAuto};
-  const ExecMode mode = modes[seed % 4];
+  const ExecMode modes[] = {ExecMode::kFullFrame, ExecMode::kTiled, ExecMode::kAuto};
+  const ExecMode mode = modes[seed % 3];
   core::SesrInference net = make_inference(7000 + seed, small_config());
   Rng calib_rng(seed ^ 0xABCD17ULL);
   std::vector<Tensor> calib;
@@ -961,10 +945,6 @@ void run_mixed_precision_stress_iteration(std::uint64_t seed) {
                      ? ExecMode::kTiled
                      : ExecMode::kFullFrame;
     }
-    if (resolved == ExecMode::kStreaming) {
-      core::StreamingUpscaler streamer(net);
-      return streamer.upscale(frame);
-    }
     if (resolved == ExecMode::kTiled) return core::upscale_tiled(net, frame, options.tiling);
     return net.upscale(frame);
   };
@@ -1025,8 +1005,7 @@ ServeOptions video_serve_options(ExecMode mode, int workers = 2) {
 // bit-identical to the full re-upscale of the same frame, in every execution
 // mode, and the delta path actually engages from frame 2 on.
 TEST(VideoSession, DeltaBitIdenticalAllModes) {
-  const ExecMode modes[] = {ExecMode::kFullFrame, ExecMode::kTiled, ExecMode::kStreaming,
-                            ExecMode::kAuto};
+  const ExecMode modes[] = {ExecMode::kFullFrame, ExecMode::kTiled, ExecMode::kAuto};
   const core::SesrInference net = make_inference(501, small_config());
   const RouteKey key{"m", 2, core::InferencePrecision::kFp32};
   data::VideoSequenceOptions vopts;
@@ -1216,9 +1195,8 @@ TEST(VideoSession, DisabledTableServesFullPath) {
 // post-first frame required to take the delta path (closed-loop submission
 // guarantees the predecessor is published before the next lookup).
 void run_video_session_stress_iteration(std::uint64_t seed) {
-  const ExecMode modes[] = {ExecMode::kFullFrame, ExecMode::kTiled, ExecMode::kStreaming,
-                            ExecMode::kAuto};
-  const ExecMode mode = modes[seed % 4];
+  const ExecMode modes[] = {ExecMode::kFullFrame, ExecMode::kTiled, ExecMode::kAuto};
+  const ExecMode mode = modes[seed % 3];
   core::SesrInference net = make_inference(9000 + seed, small_config());
   Rng calib_rng(seed ^ 0x51DE0ULL);
   std::vector<Tensor> calib;
@@ -1303,10 +1281,6 @@ void run_video_session_stress_iteration(std::uint64_t seed) {
       resolved = frame.shape().h() * frame.shape().w() >= options.tiled_threshold_pixels
                      ? ExecMode::kTiled
                      : ExecMode::kFullFrame;
-    }
-    if (resolved == ExecMode::kStreaming) {
-      core::StreamingUpscaler streamer(net);
-      return streamer.upscale(frame);
     }
     if (resolved == ExecMode::kTiled) return core::upscale_tiled(net, frame, options.tiling);
     return net.upscale(frame);

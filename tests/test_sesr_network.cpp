@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
@@ -281,6 +284,69 @@ TEST(TwoStageX4, TrainsWithSharedHarness) {
 TEST(SesrInference, MissingConfigThrows) {
   TensorMap empty;
   EXPECT_THROW(SesrInference{empty}, std::runtime_error);
+}
+
+// A valid checkpoint of a small net, for the loader's fail-closed tests.
+TensorMap small_checkpoint() {
+  Rng rng(91);
+  SesrNetwork net(tiny_config(2, BlockMode::kCollapsedForward), rng);
+  return SesrInference(net).to_tensor_map();
+}
+
+TEST(SesrInference, BadCheckpointConfigFailsClosed) {
+  ASSERT_NO_THROW(SesrInference{small_checkpoint()});
+  // Config slots: 0 f, 1 m, 2 scale, 3 expand, 4 prelu, 5 input_residual,
+  // 6 with_bias.
+  const std::pair<int, float> bad[] = {
+      {2, 3.0F},    // scale 3 used to load, then fail in upscale
+      {1, -2.0F},   // m = -2 used to load with zero convs
+      {2, 1e30F},   // float -> int64 cast out of range is UB
+      {2, std::numeric_limits<float>::quiet_NaN()},
+      {0, 0.0F},    // f must be >= 1
+      {0, 6.5F},    // non-integral
+      {1, 1e6F},    // absurd depth
+      {3, -1.0F},   // negative expand
+      {4, 2.0F},    // flags are 0 or 1
+  };
+  for (const auto& [slot, value] : bad) {
+    SCOPED_TRACE("slot " + std::to_string(slot) + " = " + std::to_string(value));
+    TensorMap map = small_checkpoint();
+    map.at("__config").raw()[slot] = value;
+    EXPECT_THROW(SesrInference{map}, std::runtime_error);
+  }
+}
+
+TEST(SesrInference, MisShapedCheckpointTensorsFailClosed) {
+  {
+    // A middle conv whose kernel disagrees with the config (f=6, 3x3).
+    TensorMap map = small_checkpoint();
+    map.at("conv1.weight") = Tensor(3, 3, 6, 5);
+    EXPECT_THROW(SesrInference{map}, std::runtime_error);
+  }
+  {
+    // Right element count, wrong layout.
+    TensorMap map = small_checkpoint();
+    map.at("conv0.weight") = Tensor(5, 5, 6, 1);
+    EXPECT_THROW(SesrInference{map}, std::runtime_error);
+  }
+  {
+    // The last conv must produce scale^2 channels.
+    TensorMap map = small_checkpoint();
+    map.at("conv3.weight") = Tensor(5, 5, 6, 16);
+    EXPECT_THROW(SesrInference{map}, std::runtime_error);
+  }
+  {
+    // A PReLU slope vector shorter than f.
+    TensorMap map = small_checkpoint();
+    map.at("act1.alpha") = Tensor(1, 1, 1, 5);
+    EXPECT_THROW(SesrInference{map}, std::runtime_error);
+  }
+  {
+    // A config claiming one more block than the tensors hold.
+    TensorMap map = small_checkpoint();
+    map.at("__config").raw()[1] = 3.0F;
+    EXPECT_THROW(SesrInference{map}, std::runtime_error);
+  }
 }
 
 }  // namespace

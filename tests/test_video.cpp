@@ -10,7 +10,7 @@
 //      tile > image, and non-divisible grids.
 //   3. core/video_session::upscale_video_delta — splice + recompute is
 //      bit-identical to upscaling the next frame from scratch through the
-//      same path, for all four precisions and the streaming pipeline.
+//      same path, for all four precisions.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -18,7 +18,6 @@
 
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
-#include "core/streaming.hpp"
 #include "core/tiled_inference.hpp"
 #include "core/video_session.hpp"
 #include "data/video.hpp"
@@ -352,7 +351,7 @@ TEST(VideoDelta, TiledBitIdenticalAllPrecisions) {
       for (std::size_t i = 1; i < frames.size(); ++i) {
         std::size_t dirty = 0;
         const Tensor got = core::upscale_video_delta(net, frames[i - 1], prev_hr, frames[i],
-                                                     options, halo, /*streaming=*/false, &dirty);
+                                                     options, halo, &dirty);
         const Tensor want = core::upscale_tiled(net, frames[i], options);
         ASSERT_EQ(max_abs_diff(got, want), 0.0F) << "frame " << i;
         ASSERT_TRUE(bitwise_equal(got, want)) << "frame " << i;
@@ -360,38 +359,6 @@ TEST(VideoDelta, TiledBitIdenticalAllPrecisions) {
         ASSERT_LT(dirty, core::tile_grid(18, 22, options, halo).size()) << "frame " << i;
         prev_hr = got;  // chain: reuse the delta output as the next prior
       }
-    }
-  }
-}
-
-// Same promise through the streaming pipeline (unbiased networks only — the
-// line-buffer pipeline rejects biases by contract).
-TEST(VideoDelta, StreamingBitIdenticalAllPrecisions) {
-  const core::InferencePrecision precisions[] = {
-      core::InferencePrecision::kFp32, core::InferencePrecision::kFp16,
-      core::InferencePrecision::kInt8, core::InferencePrecision::kHybrid};
-  core::SesrInference net = make_network(79, /*with_bias=*/false);
-  core::TilingOptions options;
-  options.tile_h = 6;
-  options.tile_w = 5;
-  const std::int64_t halo = core::receptive_field_radius(net);
-  data::VideoSequenceOptions vopts;
-  vopts.pattern = data::VideoPattern::kMixed;
-  vopts.frames = 5;
-  vopts.h = 17;
-  vopts.w = 19;
-  const std::vector<Tensor> frames = data::synthesize_video(vopts, 83);
-  for (const core::InferencePrecision precision : precisions) {
-    SCOPED_TRACE("precision=" + std::to_string(static_cast<int>(precision)));
-    net.set_precision(precision);
-    core::StreamingUpscaler streamer(net);
-    Tensor prev_hr = streamer.upscale(frames[0]);
-    for (std::size_t i = 1; i < frames.size(); ++i) {
-      const Tensor got = core::upscale_video_delta(net, frames[i - 1], prev_hr, frames[i],
-                                                   options, halo, /*streaming=*/true);
-      const Tensor want = streamer.upscale(frames[i]);
-      ASSERT_TRUE(bitwise_equal(got, want)) << "frame " << i;
-      prev_hr = got;
     }
   }
 }
@@ -413,8 +380,8 @@ TEST(VideoDelta, StaleSnapshotRecomputesNeverSplicesWrong) {
   for (std::int64_t i = 0; i < stale_prev.numel(); i += 7) stale_prev.raw()[i] += 0.1F;
   const Tensor prev_hr = core::upscale_tiled(net, truth_prev, options);
   std::size_t dirty = 0;
-  const Tensor got = core::upscale_video_delta(net, stale_prev, prev_hr, next, options, halo,
-                                               /*streaming=*/false, &dirty);
+  const Tensor got =
+      core::upscale_video_delta(net, stale_prev, prev_hr, next, options, halo, &dirty);
   const Tensor want = core::upscale_tiled(net, next, options);
   EXPECT_TRUE(bitwise_equal(got, want));
   EXPECT_EQ(dirty, core::tile_grid(12, 12, options, halo).size());  // all dirty

@@ -71,7 +71,7 @@ inline std::vector<Args::Option> serve_cli_options() {
       {"max-delay-us", "2000", "batcher flush deadline in microseconds"},
       {"queue-capacity", "64", "bounded submission queue depth"},
       {"policy", "block", "overload policy: block|reject"},
-      {"mode", "full", "execution: full|tiled|streaming|auto"},
+      {"mode", "full", "execution: full|tiled|auto"},
       {"precision", "fp32", "worker arithmetic: fp32|fp16|int8|hybrid"},
       {"tile", "64", "LR tile edge for tiled/auto modes"},
       {"qps", "0", "open-loop Poisson arrival rate; 0 = closed loop"},
@@ -187,9 +187,8 @@ inline ServeCliConfig parse_serve_cli(const Args& args) {
   const std::string mode = args.get("mode");
   if (mode == "full") config.serve.mode = serve::ExecMode::kFullFrame;
   else if (mode == "tiled") config.serve.mode = serve::ExecMode::kTiled;
-  else if (mode == "streaming") config.serve.mode = serve::ExecMode::kStreaming;
   else if (mode == "auto") config.serve.mode = serve::ExecMode::kAuto;
-  else throw UsageError("unknown --mode '" + mode + "' (expected full|tiled|streaming|auto)");
+  else throw UsageError("unknown --mode '" + mode + "' (expected full|tiled|auto)");
 
   const std::string precision = args.get("precision");
   if (precision == "fp32") config.serve.precision = core::InferencePrecision::kFp32;

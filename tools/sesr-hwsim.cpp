@@ -8,8 +8,8 @@
 #include <stdexcept>
 
 #include "cli_args.hpp"
+#include "core/plan/network_ir.hpp"
 #include "core/sesr_network.hpp"
-#include "hw/network_ir.hpp"
 #include "hw/npu_simulator.hpp"
 
 using namespace sesr;
