@@ -38,11 +38,8 @@ void BM_AuditTrial_Conv2dStriped(benchmark::State& state) {
 void BM_AuditTrial_Winograd(benchmark::State& state) {
   run_pair_trials(state, "conv2d_winograd");
 }
-void BM_AuditTrial_Int8Conv(benchmark::State& state) {
-  run_pair_trials(state, "conv2d_int8");
-}
-void BM_AuditTrial_QuantizedSesr(benchmark::State& state) {
-  run_pair_trials(state, "quantized_sesr");
+void BM_AuditTrial_Int8NetworkReplay(benchmark::State& state) {
+  run_pair_trials(state, "int8_network_vs_replay");
 }
 void BM_AuditTrial_ResizeBicubic(benchmark::State& state) {
   run_pair_trials(state, "resize_bicubic");
@@ -51,8 +48,7 @@ void BM_AuditTrial_ResizeBicubic(benchmark::State& state) {
 BENCHMARK(BM_AuditTrial_GemmScalar)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AuditTrial_Conv2dStriped)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AuditTrial_Winograd)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AuditTrial_Int8Conv)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AuditTrial_QuantizedSesr)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AuditTrial_Int8NetworkReplay)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AuditTrial_ResizeBicubic)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -2,8 +2,9 @@
 //
 // Extends the paper's Table 3 premise (the Ethos-N78 executes int8) with the
 // functional counterparts the paper does not spell out:
-//   1. post-training int8 quantization of the collapsed SESR — PSNR loss vs
-//      the float network;
+//   1. post-training int8 quantization of the collapsed SESR (the served
+//      kInt8 path: per-channel s8 weights, calibrated activation scales) —
+//      PSNR loss vs the float network;
 //   2. functional tiling (Section 5.6): exactness with a full halo, the
 //      compute overhead of that halo, and quality with truncated halos;
 //   3. the Winograd 3x3 fast path as a CPU deployment option.
@@ -12,7 +13,6 @@
 
 #include "bench_common.hpp"
 #include "core/hybrid_plan.hpp"
-#include "core/quantize.hpp"
 #include "core/sesr_inference.hpp"
 #include "core/tiled_inference.hpp"
 #include "data/synthetic.hpp"
@@ -60,11 +60,18 @@ int main() {
   auto [lr_img, hr_img] = corpus.image_pair(0);
 
   // --- int8 ------------------------------------------------------------------
-  core::QuantizedSesr quant(deployed, calib);
   const Tensor float_out = deployed.upscale(lr_img);
-  const Tensor int8_out = quant.upscale(lr_img);
-  std::printf("int8 weights: %lld bytes (float: %lld)\n",
-              static_cast<long long>(quant.weight_bytes()),
+  deployed.calibrate_int8(calib);
+  deployed.set_precision(core::InferencePrecision::kInt8);
+  const Tensor int8_out = deployed.upscale(lr_img);
+  deployed.set_precision(core::InferencePrecision::kFp32);
+  // What ships: one s8 value per weight plus one fp32 scale per output channel.
+  std::int64_t int8_bytes = 0;
+  for (const nn::S8ConvWeights& w : deployed.s8_weights()) {
+    int8_bytes += static_cast<std::int64_t>(w.values.size() + w.scale.size() * sizeof(float));
+  }
+  std::printf("int8 weights: %lld bytes incl. per-channel scales (float: %lld)\n",
+              static_cast<long long>(int8_bytes),
               static_cast<long long>(deployed.parameter_count() * 4));
   std::printf("PSNR vs ground truth:  float %.2f dB   int8 %.2f dB   (delta %+.3f dB)\n",
               metrics::psnr_shaved(float_out, hr_img, 2),
@@ -87,15 +94,12 @@ int main() {
               metrics::psnr_shaved(fp16_out, hr_img, 2), fp16_delta);
   std::printf("fp16-vs-float agreement: %.1f dB\n\n", metrics::psnr(fp16_out, float_out));
 
-  // --- native int8 / hybrid serving path -------------------------------------
-  // The serving-path counterpart of the legacy QuantizedSesr study above:
-  // calibrated per-tensor activation scales, per-channel s8 weights, and the
-  // packed u8 x s8 GEMM behind SesrInference::set_precision. Two bars ride in
-  // the JSON rows:
+  // --- int8 / hybrid speed ---------------------------------------------------
+  // The packed u8 x s8 GEMM behind SesrInference::set_precision, calibrated
+  // above. Two bars ride in the JSON rows:
   //   int8  — full-frame single-thread SESR-M5 x2 >= 1.8x fp32;
   //   hybrid — planner-reported Y-PSNR drop <= 0.3 dB at the default budget.
   bench::BenchJson json("deployment_int8");
-  deployed.calibrate_int8(calib);
   std::vector<Tensor> plan_lr;
   std::vector<Tensor> plan_hr;
   for (std::size_t i = 0; i < std::min<std::size_t>(3, corpus.size()); ++i) {

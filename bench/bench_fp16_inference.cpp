@@ -6,9 +6,8 @@
 // The deployment claim under test (docs/PERFORMANCE.md, "Precision"): halving
 // the activation/weight bytes moves the memory-bound collapsed convs enough
 // that fp16 full-frame single-thread SESR-M5 x2 runs >= 1.3x fp32. The
-// headline line prints that ratio explicitly. int8 rides along as the other
-// deployment precision (full-frame only; the quantized path has no tiled
-// driver).
+// headline line prints that ratio explicitly. int8 (the served kInt8 path,
+// calibrated once per net) rides along as the other deployment precision.
 //
 // Knobs: SESR_BENCH_FAST=1 shrinks the frame and iteration budget;
 // SESR_BENCH_JSON=<dir> writes BENCH_fp16_inference.json.
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/quantize.hpp"
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
 #include "core/tiled_inference.hpp"
@@ -74,32 +72,27 @@ int main() {
     Rng rng(41);
     core::SesrNetwork network(config, rng);
     core::SesrInference inference(network);
-    const core::QuantizedSesr quant(inference, calib);
+    inference.calibrate_int8(calib);
     for (const char* mode : {"full", "tiled"}) {
       const bool tiled = std::string(mode) == "tiled";
       for (const int threads : {1, 4}) {
         ThreadPool::set_global_threads(static_cast<unsigned>(threads));
         double fp32_ms = 0.0;
         for (const char* prec : {"fp32", "fp16", "int8"}) {
-          if (tiled && std::string(prec) == "int8") continue;  // no tiled int8 driver
-          double ms = 0.0;
-          if (std::string(prec) == "int8") {
-            ms = best_ms(iters, [&] { volatile float v = quant.upscale(frame).raw()[0]; (void)v; });
-          } else {
-            inference.set_precision(std::string(prec) == "fp16"
-                                        ? core::InferencePrecision::kFp16
-                                        : core::InferencePrecision::kFp32);
-            ms = best_ms(iters, [&] {
-              volatile float v = (tiled ? core::upscale_tiled(inference, frame, tiling)
-                                        : inference.upscale(frame))
-                                     .raw()[0];
-              (void)v;
-            });
-          }
-          if (std::string(prec) == "fp32") fp32_ms = ms;
+          const std::string p(prec);
+          inference.set_precision(p == "fp16"   ? core::InferencePrecision::kFp16
+                                  : p == "int8" ? core::InferencePrecision::kInt8
+                                                : core::InferencePrecision::kFp32);
+          const double ms = best_ms(iters, [&] {
+            volatile float v = (tiled ? core::upscale_tiled(inference, frame, tiling)
+                                      : inference.upscale(frame))
+                                   .raw()[0];
+            (void)v;
+          });
+          if (p == "fp32") fp32_ms = ms;
           if (std::string(net_name) == "m5" && !tiled && threads == 1) {
-            if (std::string(prec) == "fp32") m5_fp32_t1 = ms;
-            if (std::string(prec) == "fp16") m5_fp16_t1 = ms;
+            if (p == "fp32") m5_fp32_t1 = ms;
+            if (p == "fp16") m5_fp16_t1 = ms;
           }
           std::printf("%-6s %-7s %-6s %8d %10.2f %8.2fx\n", net_name, prec, mode, threads, ms,
                       fp32_ms / ms);

@@ -18,7 +18,6 @@
 #include "check/compare.hpp"
 #include "check/reference.hpp"
 #include "core/collapse.hpp"
-#include "core/quantize.hpp"
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
 #include "core/streaming.hpp"
@@ -327,43 +326,6 @@ TrialResult collapse_trial(std::uint64_t seed) {
   return r;
 }
 
-// ---------------------------------------------------------------- int8 pairs
-
-TrialResult conv2d_int8_trial(std::uint64_t seed) {
-  TrialResult r;
-  Rng rng(seed);
-  const std::int64_t kk = 2 * rng.uniform_int(1, 2) + 1;  // 3, 5
-  const std::int64_t h = rng.uniform_int(4, 24);
-  const std::int64_t w = rng.uniform_int(4, 24);
-  const std::int64_t in_c = rng.uniform_int(1, 8);
-  const std::int64_t out_c = rng.uniform_int(1, 8);
-  // Every few trials hit the degenerate-range convention: all-zero or
-  // near-zero inputs must quantize with scale kDegenerateQuantScale and
-  // dequantize exactly (the unified convention of src/core/quantize.hpp).
-  const std::int64_t mode = rng.uniform_int(0, 3);
-  Tensor input(1, h, w, in_c);
-  const char* regime = "dense";
-  if (mode == 0) {
-    regime = "zero";
-  } else if (mode == 1) {
-    input.fill_uniform(rng, -1e-20F, 1e-20F);
-    regime = "near-zero";
-  } else {
-    input.fill_uniform(rng, -1.0F, 1.0F);
-  }
-  const Tensor weight = random_tensor(rng, kk, kk, in_c, out_c);
-  const core::QuantizedTensor qi = core::quantize_symmetric(input);
-  const core::QuantizedTensor qw = core::quantize_symmetric(weight);
-  const Tensor got = core::conv2d_int8(qi, qw);
-  const DTensor want = ref_conv2d_int8(qi, qw);
-  r.stats = compare_f32(got.data(), want.data);
-  r.output_hash = hash_bits(got.data());
-  std::ostringstream os;
-  os << "in=" << shape_str(input.shape()) << " k=" << kk << " " << regime;
-  r.detail = os.str();
-  return r;
-}
-
 // ----------------------------------------------------------- network pairs
 
 core::SesrConfig small_config(Rng& rng) {
@@ -376,33 +338,6 @@ core::SesrConfig small_config(Rng& rng) {
   config.input_residual = rng.bernoulli(0.5);
   config.with_bias = false;
   return config;
-}
-
-TrialResult quantized_sesr_trial(std::uint64_t seed) {
-  TrialResult r;
-  Rng rng(seed);
-  const core::SesrConfig config = small_config(rng);
-  Rng init = rng.fork();
-  const core::SesrNetwork network(config, init);
-  const core::SesrInference inference(network);
-  std::vector<Tensor> calibration;
-  const std::int64_t n_cal = rng.uniform_int(1, 2);
-  for (std::int64_t i = 0; i < n_cal; ++i) {
-    calibration.push_back(random_tensor(rng, 1, 12, 12, 1, 0.0F, 1.0F));
-  }
-  const core::QuantizedSesr quantized(inference, calibration);
-  const std::int64_t h = rng.uniform_int(6, 16);
-  const std::int64_t w = rng.uniform_int(6, 16);
-  const Tensor input = random_tensor(rng, 1, h, w, 1, 0.0F, 1.0F);
-  const Tensor got = quantized.upscale(input);
-  const Tensor want = ref_quantized_upscale(quantized, input);
-  const DTensor want_d = to_dtensor(want);
-  r.stats = compare_f32(got.data(), want_d.data);
-  r.output_hash = hash_bits(got.data());
-  std::ostringstream os;
-  os << "in=" << shape_str(input.shape()) << " " << config.describe();
-  r.detail = os.str();
-  return r;
 }
 
 TrialResult tiled_trial(std::uint64_t seed) {
@@ -875,7 +810,20 @@ TrialResult conv2d_s8_vs_ref_trial(std::uint64_t seed) {
   const std::int64_t w = rng.uniform_int(4, 24);
   const std::int64_t in_c = rng.uniform_int(1, 8);
   const std::int64_t out_c = rng.uniform_int(1, 8);
-  const Tensor input = random_tensor(rng, rng.uniform_int(1, 2), h, w, in_c);
+  // Every few trials hit the degenerate-range convention: an all-zero input
+  // quantizes at kDegenerateQuantScale, a near-zero one at a tiny but normal
+  // scale; both must still match the reference bit for bit.
+  const std::int64_t mode = rng.uniform_int(0, 3);
+  Tensor input(rng.uniform_int(1, 2), h, w, in_c);
+  const char* regime = "dense";
+  if (mode == 0) {
+    regime = "zero";
+  } else if (mode == 1) {
+    input.fill_uniform(rng, -1e-20F, 1e-20F);
+    regime = "near-zero";
+  } else {
+    input.fill_uniform(rng, -1.0F, 1.0F);
+  }
   Tensor wt = random_tensor(rng, kk, kk, in_c, out_c);
   if (rng.bernoulli(0.1)) {
     // Degenerate channel: all-zero kernel exercises the scale floor.
@@ -903,7 +851,7 @@ TrialResult conv2d_s8_vs_ref_trial(std::uint64_t seed) {
   r.output_hash = hash_bits(got.data());
   std::ostringstream os;
   os << "in=" << shape_str(input.shape()) << " k=" << kk << " act=" << act
-     << (bias ? " bias" : "");
+     << (bias ? " bias" : "") << " " << regime;
   r.detail = os.str();
   return r;
 }
@@ -940,6 +888,46 @@ TrialResult collapsed_int8_trial(std::uint64_t seed) {
   std::ostringstream os;
   os << "in=" << shape_str(input.shape()) << " " << config.describe() << " cal=" << n_cal
      << " psnr=" << psnr;
+  r.detail = os.str();
+  return r;
+}
+
+// End-to-end served int8 network vs ref_int8_upscale: the same calibrated
+// state replayed layer by layer through the int64-accumulating conv
+// reference with the same float glue. Zero tolerance: any difference means
+// the planned int8 path (packing, fused epilogue, arena reuse, residual and
+// shuffle steps) drifted from the per-layer int8 semantics.
+TrialResult int8_network_vs_replay_trial(std::uint64_t seed) {
+  TrialResult r;
+  Rng rng(seed);
+  core::SesrConfig config = small_config(rng);
+  config.with_bias = rng.bernoulli(0.5);
+  Rng init = rng.fork();
+  TensorMap map = core::SesrInference(core::SesrNetwork(config, init)).to_tensor_map();
+  // Collapsed biases start at zero and PReLU slopes at one constant; random
+  // values make the per-channel bias and alpha of the fused store matter.
+  for (auto& [name, t] : map) {
+    if (name.ends_with(".bias")) t.fill_uniform(rng, -0.2F, 0.2F);
+    if (name.ends_with(".alpha")) t.fill_uniform(rng, 0.01F, 0.5F);
+  }
+  core::SesrInference net(map);
+  std::vector<Tensor> calibration;
+  const std::int64_t n_cal = rng.uniform_int(1, 2);
+  for (std::int64_t i = 0; i < n_cal; ++i) {
+    calibration.push_back(random_tensor(rng, 1, 12, 12, 1, 0.0F, 1.0F));
+  }
+  net.calibrate_int8(calibration);
+  net.set_precision(core::InferencePrecision::kInt8);
+  const Tensor input = random_tensor(rng, rng.uniform_int(1, 2), rng.uniform_int(4, 16),
+                                     rng.uniform_int(4, 16), 1, 0.0F, 1.0F);
+  const Tensor got = net.upscale(input);
+  const Tensor want = ref_int8_upscale(net, input);
+  r.stats = compare_f32(got.data(), to_dtensor(want).data);
+  r.output_hash = hash_bits(got.data());
+  std::ostringstream os;
+  os << "in=" << shape_str(input.shape()) << " " << config.describe()
+     << " prelu=" << config.prelu << " residual=" << config.input_residual
+     << " bias=" << config.with_bias << " cal=" << n_cal;
   r.detail = os.str();
   return r;
 }
@@ -1067,13 +1055,6 @@ std::vector<AuditPair> make_builtin_pairs() {
   pairs.push_back({"collapse_linear_block",
                    "collapsed kernel vs expanded chain run in double (Algorithm 1)", 5e-4, 512.0,
                    collapse_trial});
-  pairs.push_back({"conv2d_int8",
-                   "int8 conv, int32 accumulation, vs exact int64 reference (incl. "
-                   "zero/near-zero calibration)",
-                   1e-6, 4.0, conv2d_int8_trial});
-  pairs.push_back({"quantized_sesr",
-                   "full quantized pipeline vs bit-accurate int64-accumulated replay", 0.0, 0.0,
-                   quantized_sesr_trial});
   pairs.push_back({"gemm_s8_generic",
                    "packed u8 x s8 GEMM, scalar micro-kernel, vs exact int64 reference", 0.0, 0.0,
                    [](std::uint64_t s) {
@@ -1096,6 +1077,10 @@ std::vector<AuditPair> make_builtin_pairs() {
   pairs.push_back({"collapsed_int8_vs_fp32",
                    "collapsed network pure-int8 upscale vs fp32 upscale, PSNR-gated (>= 35 dB)",
                    1.0, 0.0, collapsed_int8_trial});
+  pairs.push_back({"int8_network_vs_replay",
+                   "served kInt8 network vs per-layer int64 conv replay with the same float "
+                   "glue (random bias/PReLU, x2/x4; must be bit-exact)",
+                   0.0, 0.0, int8_network_vs_replay_trial});
   pairs.push_back({"tiled_inference", "exact-halo tiled upscale vs full-frame upscale", 1e-5, 0.0,
                    tiled_trial});
   pairs.push_back({"streaming_inference", "line-buffer streaming upscale vs full-frame upscale",

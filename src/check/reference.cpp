@@ -271,119 +271,6 @@ double ref_ssim(const Tensor& a, const Tensor& b) {
 
 namespace {
 
-// Shared int64-accumulating core for the int8 references. Returns the raw
-// integer accumulators; throws if any exceeds int32 range.
-std::vector<std::int64_t> int8_accumulate(const core::QuantizedTensor& input,
-                                          const core::QuantizedTensor& weight) {
-  const Shape& is = input.shape;
-  const Shape& ws = weight.shape;
-  if (is.c() != ws.dim(2)) throw std::invalid_argument("ref_conv2d_int8: channel mismatch");
-  const nn::ConvGeometry g = nn::same_geometry(is.h(), is.w(), is.c(), ws.dim(0), ws.dim(1));
-  const std::int64_t out_c = ws.dim(3);
-  std::vector<std::int64_t> acc(
-      static_cast<std::size_t>(is.n() * g.out_h * g.out_w * out_c), 0);
-  std::size_t idx = 0;
-  for (std::int64_t n = 0; n < is.n(); ++n) {
-    for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::int64_t ox = 0; ox < g.out_w; ++ox) {
-        for (std::int64_t oc = 0; oc < out_c; ++oc, ++idx) {
-          std::int64_t sum = 0;
-          for (std::int64_t ky = 0; ky < g.kh; ++ky) {
-            const std::int64_t iy = oy - g.pad_top + ky;
-            if (iy < 0 || iy >= is.h()) continue;
-            for (std::int64_t kx = 0; kx < g.kw; ++kx) {
-              const std::int64_t ix = ox - g.pad_left + kx;
-              if (ix < 0 || ix >= is.w()) continue;
-              for (std::int64_t ic = 0; ic < is.c(); ++ic) {
-                const std::int64_t xv =
-                    input.values[static_cast<std::size_t>(is.offset(n, iy, ix, ic))];
-                const std::int64_t wv =
-                    weight.values[static_cast<std::size_t>(ws.offset(ky, kx, ic, oc))];
-                sum += xv * wv;
-              }
-            }
-          }
-          if (sum > std::numeric_limits<std::int32_t>::max() ||
-              sum < std::numeric_limits<std::int32_t>::min()) {
-            throw std::overflow_error(
-                "ref_conv2d_int8: exact accumulation exceeds int32 — the optimized "
-                "conv2d_int8 accumulator is too narrow for this shape");
-          }
-          acc[idx] = sum;
-        }
-      }
-    }
-  }
-  return acc;
-}
-
-}  // namespace
-
-DTensor ref_conv2d_int8(const core::QuantizedTensor& input, const core::QuantizedTensor& weight) {
-  const Shape& is = input.shape;
-  const Shape& ws = weight.shape;
-  const nn::ConvGeometry g = nn::same_geometry(is.h(), is.w(), is.c(), ws.dim(0), ws.dim(1));
-  const std::vector<std::int64_t> acc = int8_accumulate(input, weight);
-  DTensor out(Shape(is.n(), g.out_h, g.out_w, ws.dim(3)));
-  const double out_scale = static_cast<double>(input.scale) * static_cast<double>(weight.scale);
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    out.data[i] = static_cast<double>(acc[i]) * out_scale;
-  }
-  return out;
-}
-
-namespace {
-
-// The optimized dequantization, replayed exactly: float(acc32) * float scale
-// product. Only the accumulation differs (int64 with a range check).
-Tensor int8_conv_exact(const core::QuantizedTensor& input, const core::QuantizedTensor& weight) {
-  const Shape& is = input.shape;
-  const Shape& ws = weight.shape;
-  const nn::ConvGeometry g = nn::same_geometry(is.h(), is.w(), is.c(), ws.dim(0), ws.dim(1));
-  const std::vector<std::int64_t> acc = int8_accumulate(input, weight);
-  Tensor out(is.n(), g.out_h, g.out_w, ws.dim(3));
-  const float out_scale = input.scale * weight.scale;
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    out.raw()[i] = static_cast<float>(static_cast<std::int32_t>(acc[i])) * out_scale;
-  }
-  return out;
-}
-
-core::QuantizedTensor quantize_fixed_scale(const Tensor& t, float scale) {
-  core::QuantizedTensor q;
-  q.shape = t.shape();
-  q.scale = scale;
-  q.values.resize(static_cast<std::size_t>(t.numel()));
-  const float inv = 1.0F / scale;
-  for (std::int64_t i = 0; i < t.numel(); ++i) {
-    const float v = std::round(t.raw()[i] * inv);
-    q.values[static_cast<std::size_t>(i)] =
-        static_cast<std::int8_t>(std::clamp(v, -127.0F, 127.0F));
-  }
-  return q;
-}
-
-Tensor ref_activation(const Tensor& alpha, const Tensor& x) {
-  Tensor out(x.shape());
-  const float* pi = x.raw();
-  float* po = out.raw();
-  const std::int64_t n = x.numel();
-  if (alpha.empty()) {
-    for (std::int64_t i = 0; i < n; ++i) po[i] = pi[i] > 0.0F ? pi[i] : 0.0F;
-    return out;
-  }
-  const std::int64_t c = x.shape().c();
-  const float* pa = alpha.raw();
-  const std::int64_t pixels = n / c;
-  for (std::int64_t i = 0; i < pixels; ++i) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float v = pi[i * c + ch];
-      po[i * c + ch] = v > 0.0F ? v : pa[ch] * v;
-    }
-  }
-  return out;
-}
-
 Tensor ref_shuffle_f32(const Tensor& input, std::int64_t block) {
   const Shape& s = input.shape();
   const std::int64_t out_c = s.c() / (block * block);
@@ -406,37 +293,6 @@ Tensor ref_shuffle_f32(const Tensor& input, std::int64_t block) {
 }
 
 }  // namespace
-
-Tensor ref_quantized_upscale(const core::QuantizedSesr& q, const Tensor& input) {
-  if (input.shape().c() != 1) {
-    throw std::invalid_argument("ref_quantized_upscale expects a single (Y) channel");
-  }
-  const auto& weights = q.weights();
-  const auto& scales = q.activation_scales();
-  const auto& alphas = q.prelu_alphas();
-  auto qconv = [&](std::size_t layer, const Tensor& x) {
-    return int8_conv_exact(quantize_fixed_scale(x, scales[layer]), weights[layer]);
-  };
-  Tensor feat = ref_activation(alphas.at(0), qconv(0, input));
-  Tensor skip = feat;
-  for (std::size_t i = 1; i + 1 < weights.size(); ++i) {
-    feat = ref_activation(alphas.at(i), qconv(i, feat));
-  }
-  for (std::int64_t i = 0; i < feat.numel(); ++i) feat.raw()[i] += skip.raw()[i];
-  Tensor out = qconv(weights.size() - 1, feat);
-  if (q.config().input_residual) {
-    const std::int64_t oc = q.config().output_channels();
-    float* po = out.raw();
-    const float* pi = input.raw();
-    const std::int64_t pixels = out.numel() / oc;
-    for (std::int64_t p = 0; p < pixels; ++p) {
-      for (std::int64_t c = 0; c < oc; ++c) po[p * oc + c] += pi[p];
-    }
-  }
-  Tensor y = ref_shuffle_f32(out, 2);
-  if (q.config().scale == 4) y = ref_shuffle_f32(y, 2);
-  return y;
-}
 
 std::vector<std::int32_t> ref_gemm_s8_i32(std::span<const std::uint8_t> a,
                                           std::span<const std::int8_t> b, std::int64_t m,
@@ -512,6 +368,36 @@ Tensor ref_conv2d_s8(const Tensor& input, float act_scale, const nn::S8ConvWeigh
     }
   }
   return out;
+}
+
+Tensor ref_int8_upscale(const core::SesrInference& net, const Tensor& input) {
+  if (input.shape().c() != 1) {
+    throw std::invalid_argument("ref_int8_upscale expects a single (Y) channel");
+  }
+  if (!net.int8_calibrated()) throw std::invalid_argument("ref_int8_upscale: uncalibrated net");
+  const auto& convs = net.convolutions();
+  auto qconv = [&](std::size_t layer, const Tensor& x, const nn::Epilogue& epilogue) {
+    const auto& bias = convs[layer].bias;
+    return ref_conv2d_s8(x, net.activation_scales()[layer], net.s8_weights()[layer],
+                         bias ? &*bias : nullptr, epilogue);
+  };
+  Tensor feat = qconv(0, input, net.activation_epilogue(0));
+  const Tensor skip = feat;
+  for (std::size_t i = 1; i + 1 < convs.size(); ++i) {
+    feat = qconv(i, feat, net.activation_epilogue(i));
+  }
+  for (std::int64_t i = 0; i < feat.numel(); ++i) feat.raw()[i] += skip.raw()[i];
+  Tensor out = qconv(convs.size() - 1, feat, nn::Epilogue{});
+  if (net.config().input_residual) {
+    const std::int64_t oc = out.shape().c();
+    const std::int64_t pixels = out.numel() / oc;
+    for (std::int64_t p = 0; p < pixels; ++p) {
+      for (std::int64_t c = 0; c < oc; ++c) out.raw()[p * oc + c] += input.raw()[p];
+    }
+  }
+  Tensor y = ref_shuffle_f32(out, 2);
+  if (net.config().scale == 4) y = ref_shuffle_f32(y, 2);
+  return y;
 }
 
 }  // namespace sesr::check

@@ -12,7 +12,7 @@
 #include <span>
 #include <vector>
 
-#include "core/quantize.hpp"
+#include "core/sesr_inference.hpp"
 #include "nn/conv2d_s8.hpp"
 #include "nn/im2col.hpp"
 #include "tensor/shape.hpp"
@@ -67,19 +67,6 @@ double ref_psnr(const Tensor& a, const Tensor& b);
 // Matches metrics::ssim's window (11x11 gaussian, sigma 1.5, k1/k2 .01/.03).
 double ref_ssim(const Tensor& a, const Tensor& b);
 
-// int8 convolution with exact 64-bit integer accumulation (SAME, stride 1).
-// Throws std::overflow_error if any accumulator exceeds int32 range — the
-// width the optimized conv2d_int8 uses — so the audit distinguishes "rounding
-// drift" from "the fast path's accumulator is too narrow for this shape".
-DTensor ref_conv2d_int8(const core::QuantizedTensor& input, const core::QuantizedTensor& weight);
-
-// Bit-accurate replay of QuantizedSesr::upscale built from the quantizer's
-// public state (weights(), activation_scales(), prelu_alphas()): identical
-// float glue in identical order, but every int8 convolution accumulates in
-// int64 with an int32-range check. Expected to match the optimized pipeline
-// bit for bit — any difference means the fast path's integer core is wrong.
-Tensor ref_quantized_upscale(const core::QuantizedSesr& q, const Tensor& input);
-
 // u8 (offset-binary, zero point 128) x s8 GEMM reference: exact int64
 // accumulation of (a - 128) * b, row-major. Throws std::overflow_error when
 // any accumulator leaves int32 range — the width the packed gemm_s8 kernels
@@ -97,5 +84,12 @@ std::vector<std::int32_t> ref_gemm_s8_i32(std::span<const std::uint8_t> a,
 // int64 reference at the int32-accumulator level.
 Tensor ref_conv2d_s8(const Tensor& input, float act_scale, const nn::S8ConvWeights& weight,
                      const Tensor* bias, const nn::Epilogue& epilogue);
+
+// Bit-accurate replay of a calibrated SesrInference at kInt8, built from its
+// public state (s8_weights(), activation_scales(), convolutions() biases,
+// activation_epilogue()): every layer runs ref_conv2d_s8, and the float glue
+// (long skip add, input residual, pixel shuffle) is recomputed in the same
+// order as the served path. Expected to match upscale() at kInt8 bit for bit.
+Tensor ref_int8_upscale(const core::SesrInference& net, const Tensor& input);
 
 }  // namespace sesr::check

@@ -144,6 +144,15 @@ SesrInference::SesrInference(const TensorMap& map) {
     if (scale_it->second.numel() != n_convs) {
       throw std::runtime_error("SesrInference: malformed int8 activation scales");
     }
+    // A zero or NaN scale makes quantize_value cast NaN to int8 (undefined
+    // behaviour); a negative or infinite one quantizes every activation wrong.
+    for (std::int64_t i = 0; i < n_convs; ++i) {
+      const float s = scale_it->second.raw()[i];
+      if (!std::isfinite(s) || s <= 0.0F) {
+        throw std::runtime_error("SesrInference: int8 activation scale " + std::to_string(i) +
+                                 " must be finite and > 0");
+      }
+    }
     act_scales_.assign(scale_it->second.raw(), scale_it->second.raw() + n_convs);
     s8_weights_.reserve(convs_.size());
     for (const CollapsedConv& c : convs_) s8_weights_.push_back(nn::quantize_conv_weights(c.weight));
@@ -155,8 +164,12 @@ SesrInference::SesrInference(const TensorMap& map) {
     }
     plan_.reserve(static_cast<std::size_t>(n_convs));
     for (std::int64_t i = 0; i < n_convs; ++i) {
-      plan_.push_back(plan_it->second.raw()[i] != 0.0F ? LayerPrecision::kInt8
-                                                       : LayerPrecision::kFp16);
+      const float v = plan_it->second.raw()[i];
+      if (v != 0.0F && v != 1.0F) {
+        throw std::runtime_error("SesrInference: hybrid plan entry " + std::to_string(i) +
+                                 " must be 0 or 1");
+      }
+      plan_.push_back(v == 1.0F ? LayerPrecision::kInt8 : LayerPrecision::kFp16);
     }
   }
 }
@@ -192,8 +205,8 @@ SesrInference& SesrInference::operator=(SesrInference&&) noexcept = default;
 SesrInference::~SesrInference() = default;
 
 // Fused-epilogue descriptor for the activation after conv `index`: ReLU when
-// the stored alpha tensor is empty, per-channel PReLU otherwise. Applies the
-// exact same expressions as activate(), just inside the GEMM write-back.
+// the stored alpha tensor is empty, per-channel PReLU otherwise
+// (f > 0 ? f : alpha * f), applied inside the GEMM write-back.
 nn::Epilogue SesrInference::activation_epilogue(std::size_t index) const {
   const Tensor& alpha = prelu_alpha_.at(index);
   nn::Epilogue e;
@@ -207,29 +220,6 @@ nn::Epilogue SesrInference::activation_epilogue(std::size_t index) const {
   e.act = nn::Epilogue::Act::kPRelu;
   e.prelu_alpha = alpha.raw();
   return e;
-}
-
-Tensor SesrInference::activate(std::size_t index, const Tensor& x) const {
-  const Tensor& alpha = prelu_alpha_.at(index);
-  Tensor out(x.shape());
-  const float* pi = x.raw();
-  float* po = out.raw();
-  const std::int64_t n = x.numel();
-  if (alpha.empty()) {
-    for (std::int64_t i = 0; i < n; ++i) po[i] = pi[i] > 0.0F ? pi[i] : 0.0F;
-    return out;
-  }
-  const std::int64_t c = x.shape().c();
-  if (alpha.numel() != c) throw std::runtime_error("SesrInference: alpha/channel mismatch");
-  const float* pa = alpha.raw();
-  const std::int64_t pixels = n / c;
-  for (std::int64_t i = 0; i < pixels; ++i) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float v = pi[i * c + ch];
-      po[i * c + ch] = v > 0.0F ? v : pa[ch] * v;
-    }
-  }
-  return out;
 }
 
 Tensor SesrInference::upscale(const Tensor& input) const {
@@ -274,8 +264,7 @@ Tensor SesrInference::upscale_direct(const Tensor& input) const {
 
 Tensor SesrInference::upscale_direct(const Tensor& input, const LayerObserver& observe) const {
   // Every conv except the last fuses its activation into the GEMM store
-  // (bit-identical to conv + a separate activate() pass, one less full
-  // sweep over the feature maps).
+  // (one less full sweep over the feature maps than a separate pass).
   auto run_act_conv = [&](std::size_t i, const Tensor& x) {
     if (observe) observe(i, x);
     const CollapsedConv& c = convs_[i];

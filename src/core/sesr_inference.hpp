@@ -132,16 +132,13 @@ class SesrInference {
 
   const std::vector<CollapsedConv>& convolutions() const { return convs_; }
 
-  // Activation following conv `index` (0 = first conv, ..., m = last middle
-  // conv); PReLU with the stored per-channel slopes, or ReLU for the hardware
-  // variant. Exposed so derived pipelines (e.g. the int8 path) can mirror the
-  // exact float dataflow.
-  Tensor activate(std::size_t index, const Tensor& x) const;
   // Per-activation PReLU slopes; empty tensors mean ReLU.
   const std::vector<Tensor>& prelu_alphas() const { return prelu_alpha_; }
 
-  // Fused-epilogue descriptor of activation `index` (ReLU, or PReLU with the
-  // stored slopes). The returned epilogue borrows the alpha tensor's storage.
+  // Fused-epilogue descriptor of the activation following conv `index`
+  // (0 = first conv, ..., m = last middle conv): PReLU with the stored
+  // per-channel slopes, or ReLU for the hardware variant. The returned
+  // epilogue borrows the alpha tensor's storage.
   nn::Epilogue activation_epilogue(std::size_t index) const;
 
   // Binary16 conv kernels; populated by set_precision(kFp16/kHybrid).

@@ -61,7 +61,7 @@ struct S8Epilogue {
 
 // The canonical scalar quantizer: round-half-away-from-zero, clamp to
 // [-127, 127]. Every producer of int8 data in the repo (weight quantization,
-// the implicit im2col row source, the streaming row path, core/quantize.cpp)
+// the implicit im2col row source, the streaming row path, src/check)
 // must funnel through this exact expression; divergent rounding was the
 // "reference drift" failure mode the audit pairs exist to catch. The
 // trunc(r + 0.5) form equals std::round for every float with |r| <= 127

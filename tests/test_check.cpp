@@ -121,15 +121,13 @@ TEST(Reference, Int8ConvOverflowGuard) {
   // 1x1 spatial, huge channel count with worst-case codes: |acc| would be
   // 127 * 127 * c. Pick c so it exceeds int32 range and expect the guard.
   const std::int64_t c = 140000;  // 127^2 * 140000 ~ 2.26e9 > 2^31 - 1
-  core::QuantizedTensor x;
-  x.shape = Shape(1, 1, 1, c);
-  x.scale = 1.0F;
-  x.values.assign(static_cast<std::size_t>(c), 127);
-  core::QuantizedTensor w;
-  w.shape = Shape(1, 1, c, 1);
-  w.scale = 1.0F;
-  w.values.assign(static_cast<std::size_t>(c), 127);
-  EXPECT_THROW(ref_conv2d_int8(x, w), std::overflow_error);
+  Tensor x(1, 1, 1, c);
+  x.fill(1.0F);  // quantizes to 127 at scale 1/127
+  Tensor w(1, 1, c, 1);
+  w.fill(1.0F);  // per-channel max-abs scale 1/127: every code is 127
+  const nn::S8ConvWeights qw = nn::quantize_conv_weights(w);
+  ASSERT_EQ(qw.values.front(), 127);
+  EXPECT_THROW(ref_conv2d_s8(x, 1.0F / 127.0F, qw, nullptr, nn::Epilogue{}), std::overflow_error);
 }
 
 TEST(Audit, TrialSeedsAreStableAndDistinct) {
@@ -145,7 +143,8 @@ TEST(Audit, BuiltinRegistryCoversTheFastPaths) {
   EXPECT_GE(pairs.size(), 8U);
   for (const char* name :
        {"gemm_scalar", "conv2d_striped", "conv2d_winograd", "collapse_linear_block",
-        "conv2d_int8", "quantized_sesr", "tiled_inference", "resize_bicubic", "ssim"}) {
+        "conv2d_int8_vs_ref", "int8_network_vs_replay", "tiled_inference", "resize_bicubic",
+        "ssim"}) {
     EXPECT_NE(find_pair(name), nullptr) << name;
   }
   EXPECT_EQ(find_pair("no_such_pair"), nullptr);

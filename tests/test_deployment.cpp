@@ -1,11 +1,11 @@
 // Tests for the deployment extensions: functional tiled inference
-// (Section 5.6 boundary correctness), int8 post-training quantization
-// (the NPU execution premise), and the Winograd 3x3 fast path.
+// (Section 5.6 boundary correctness), the int8 conv against float (the NPU
+// execution premise; the int8 network is covered in test_int8), and the
+// Winograd 3x3 fast path.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/quantize.hpp"
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
 #include "core/streaming.hpp"
@@ -13,6 +13,7 @@
 #include "data/synthetic.hpp"
 #include "metrics/psnr.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/conv2d_s8.hpp"
 #include "nn/init.hpp"
 #include "nn/winograd.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -201,75 +202,19 @@ TEST(Streaming, RejectsBatchedOrColorInput) {
   EXPECT_THROW(streamer.upscale(rgb), std::invalid_argument);
 }
 
-TEST(Quantize, SymmetricRoundTrip) {
-  Rng rng(11);
-  Tensor t(1, 4, 4, 3);
-  t.fill_uniform(rng, -2.0F, 2.0F);
-  QuantizedTensor q = quantize_symmetric(t);
-  Tensor back = dequantize(q);
-  EXPECT_EQ(back.shape(), t.shape());
-  // Max error bounded by half a quantization step.
-  EXPECT_LT(max_abs_diff(t, back), q.scale * 0.5F + 1e-7F);
-}
-
-TEST(Quantize, ZeroTensorHandled) {
-  // Degenerate ranges use the module-wide convention (scale 1/127), the same
-  // floor the QuantizedSesr activation calibration applies — the two used to
-  // disagree (1.0 vs 1/127).
-  Tensor t(1, 2, 2, 1);
-  QuantizedTensor q = quantize_symmetric(t);
-  EXPECT_EQ(q.scale, kDegenerateQuantScale);
-  EXPECT_EQ(max_abs(dequantize(q)), 0.0F);
-}
-
-TEST(Quantize, ZeroCalibrationImagesUseDegenerateScale) {
-  // An all-zero calibration set must not produce zero (or mismatched)
-  // activation scales: every layer falls back to kDegenerateQuantScale and
-  // inference still runs.
-  Rng rng(43);
-  SesrNetwork net(tiny(2), rng);
-  SesrInference deployed(net);
-  std::vector<Tensor> calib{Tensor(1, 16, 16, 1)};  // zero-filled
-  QuantizedSesr quant(deployed, calib);
-  for (const float s : quant.activation_scales()) {
-    EXPECT_EQ(s, kDegenerateQuantScale);
-  }
-  Tensor zero_img(1, 12, 12, 1);
-  const Tensor out = quant.upscale(zero_img);
-  EXPECT_EQ(out.shape(), Shape(1, 24, 24, 1));
-  for (const float v : out.data()) EXPECT_TRUE(std::isfinite(v));
-}
-
+// The served int8 conv (per-channel s8 weights, max-abs activation scale) is
+// within quantization noise of the float conv.
 TEST(Quantize, Int8ConvMatchesFloatWithinQuantNoise) {
   Rng rng(13);
   Tensor x(1, 8, 8, 4);
   x.fill_uniform(rng, -1.0F, 1.0F);
   Tensor w = nn::glorot_uniform_kernel(3, 3, 4, 6, rng);
   Tensor reference = nn::conv2d(x, w, nn::Padding::kSame);
-  Tensor quantized = conv2d_int8(quantize_symmetric(x), quantize_symmetric(w));
+  Tensor quantized = nn::conv2d_s8(x, max_abs(x) / 127.0F, nn::quantize_conv_weights(w), nullptr,
+                                   nn::Epilogue{}, nn::Padding::kSame);
   EXPECT_EQ(quantized.shape(), reference.shape());
   // Error should be small relative to the signal.
   EXPECT_LT(max_abs_diff(reference, quantized), 0.05F * std::max(1.0F, max_abs(reference)));
-}
-
-TEST(Quantize, QuantizedSesrStaysCloseToFloat) {
-  Rng rng(17);
-  SesrNetwork net(tiny(2), rng);
-  SesrInference deployed(net);
-  Rng irng(19);
-  std::vector<Tensor> calib;
-  for (int i = 0; i < 2; ++i) {
-    calib.push_back(data::synthesize_image(data::ImageFamily::kNatural, 32, 32, irng));
-  }
-  QuantizedSesr quant(deployed, calib);
-  EXPECT_EQ(quant.weight_bytes(), deployed.parameter_count());
-
-  Tensor image = data::synthesize_image(data::ImageFamily::kObjects, 32, 32, irng);
-  Tensor float_out = deployed.upscale(image);
-  Tensor int8_out = quant.upscale(image);
-  EXPECT_EQ(int8_out.shape(), float_out.shape());
-  const double agreement = metrics::psnr(int8_out, float_out);
-  EXPECT_GT(agreement, 35.0) << "int8 output strays too far from float";
 }
 
 TEST(Quantize, WorksOnHardwareVariant) {
@@ -278,11 +223,11 @@ TEST(Quantize, WorksOnHardwareVariant) {
   SesrNetwork net(hardware_variant(tiny(2)), rng);
   SesrInference deployed(net);
   Rng irng(103);
-  std::vector<Tensor> calib{data::synthesize_image(data::ImageFamily::kNatural, 32, 32, irng)};
-  QuantizedSesr quant(deployed, calib);
+  deployed.calibrate_int8({data::synthesize_image(data::ImageFamily::kNatural, 32, 32, irng)});
   Tensor image = data::synthesize_image(data::ImageFamily::kUrban, 32, 32, irng);
   Tensor a = deployed.upscale(image);
-  Tensor b = quant.upscale(image);
+  deployed.set_precision(InferencePrecision::kInt8);
+  Tensor b = deployed.upscale(image);
   EXPECT_EQ(b.shape(), a.shape());
   EXPECT_GT(metrics::psnr(b, a), 30.0);
 }
@@ -292,14 +237,9 @@ TEST(Quantize, ConvRejectsChannelMismatch) {
   Tensor x(1, 4, 4, 3);
   x.fill_uniform(rng, -1.0F, 1.0F);
   Tensor w = nn::glorot_uniform_kernel(3, 3, 2, 2, rng);
-  EXPECT_THROW(conv2d_int8(quantize_symmetric(x), quantize_symmetric(w)), std::invalid_argument);
-}
-
-TEST(Quantize, RequiresCalibration) {
-  Rng rng(23);
-  SesrNetwork net(tiny(2), rng);
-  SesrInference deployed(net);
-  EXPECT_THROW(QuantizedSesr(deployed, {}), std::invalid_argument);
+  EXPECT_THROW(nn::conv2d_s8(x, 1.0F / 127.0F, nn::quantize_conv_weights(w), nullptr,
+                             nn::Epilogue{}, nn::Padding::kSame),
+               std::invalid_argument);
 }
 
 TEST(Winograd, MatchesIm2colConv) {

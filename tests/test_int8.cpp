@@ -314,6 +314,26 @@ TEST(Int8Network, CalibratedInt8StaysCloseToFp32) {
   EXPECT_GT(metrics::psnr(int8, fp32), 40.0);
 }
 
+TEST(Int8Network, ZeroCalibrationFramesGiveDegenerateScales) {
+  // An all-zero calibration set has no range to observe: every layer falls
+  // back to kDegenerateQuantScale instead of a zero scale, and int8 inference
+  // still produces finite output.
+  core::SesrInference net = make_inference(12);
+  net.calibrate_int8({Tensor(1, 16, 16, 1), Tensor(1, 8, 8, 1)});
+  ASSERT_EQ(net.activation_scales().size(), net.convolutions().size());
+  for (const float s : net.activation_scales()) EXPECT_EQ(s, nn::kDegenerateQuantScale);
+  net.set_precision(core::InferencePrecision::kInt8);
+  const Tensor out = net.upscale(make_frame(121, 12, 12));
+  EXPECT_EQ(out.shape(), Shape(1, 24, 24, 1));
+  for (const float v : out.data()) EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST(Int8Network, CalibrateWithoutFramesThrows) {
+  core::SesrInference net = make_inference(13);
+  EXPECT_THROW(net.calibrate_int8({}), std::invalid_argument);
+  EXPECT_FALSE(net.int8_calibrated());
+}
+
 TEST(Int8Network, HybridAllFp16PlanMatchesFp16Path) {
   // A plan with zero int8 layers must reproduce the kFp16 path bit-exactly —
   // the hybrid executor's fp16 arm is the same arithmetic. The input residual

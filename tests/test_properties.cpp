@@ -3,13 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <limits>
 #include <tuple>
 
 #include "core/collapse.hpp"
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
-#include "core/quantize.hpp"
 #include "core/streaming.hpp"
 #include "core/tiled_inference.hpp"
 #include "data/augment.hpp"
@@ -17,6 +18,7 @@
 #include "metrics/psnr.hpp"
 #include "metrics/ssim.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/conv2d_s8.hpp"
 #include "nn/init.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -326,13 +328,29 @@ TEST(TiledEdgeCases, HaloZeroInexactnessConfinedToTileBorders) {
 class QuantError : public ::testing::TestWithParam<int> {};
 
 TEST_P(QuantError, BoundedByHalfStep) {
+  // Per-output-channel weight quantization: each channel has its own range,
+  // so each channel's dequantized error stays under half of its own step.
   Rng rng(400 + static_cast<std::uint64_t>(GetParam()));
-  const float range = rng.uniform(0.1F, 10.0F);
-  Tensor t(1, 6, 6, 3);
-  t.fill_uniform(rng, -range, range);
-  const core::QuantizedTensor q = core::quantize_symmetric(t);
-  EXPECT_LT(max_abs_diff(t, core::dequantize(q)), q.scale * 0.5F + 1e-6F);
-  EXPECT_LE(q.scale, range / 127.0F + 1e-6F);
+  constexpr std::int64_t kOutC = 4;
+  Tensor t(3, 3, 2, kOutC);
+  const std::int64_t k = t.numel() / kOutC;
+  std::array<float, kOutC> range{};
+  for (std::int64_t oc = 0; oc < kOutC; ++oc) {
+    range[oc] = rng.uniform(0.1F, 10.0F);
+    for (std::int64_t i = 0; i < k; ++i) {
+      t.raw()[i * kOutC + oc] = rng.uniform(-range[oc], range[oc]);
+    }
+  }
+  const nn::S8ConvWeights q = nn::quantize_conv_weights(t);
+  for (std::int64_t oc = 0; oc < kOutC; ++oc) {
+    const float step = q.scale[static_cast<std::size_t>(oc)];
+    EXPECT_LE(step, range[oc] / 127.0F + 1e-6F) << "channel " << oc;
+    for (std::int64_t i = 0; i < k; ++i) {
+      const std::size_t at = static_cast<std::size_t>(i * kOutC + oc);
+      const float back = static_cast<float>(q.values[at]) * step;
+      EXPECT_LT(std::fabs(t.raw()[at] - back), step * 0.5F + 1e-6F) << "channel " << oc;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranges, QuantError, ::testing::Range(0, 6));

@@ -349,5 +349,44 @@ TEST(SesrInference, MisShapedCheckpointTensorsFailClosed) {
   }
 }
 
+// small_checkpoint() with int8 state: activation scales and a hybrid plan.
+TensorMap calibrated_checkpoint() {
+  Rng rng(93);
+  SesrInference net(SesrNetwork(tiny_config(2, BlockMode::kCollapsedForward), rng));
+  Tensor frame(1, 10, 10, 1);
+  frame.fill_uniform(rng, 0.0F, 1.0F);
+  net.calibrate_int8({frame});
+  net.set_hybrid_plan(std::vector<LayerPrecision>(net.convolutions().size(),
+                                                  LayerPrecision::kInt8));
+  return net.to_tensor_map();
+}
+
+TEST(SesrInference, BadInt8ActivationScaleFailsClosed) {
+  ASSERT_NO_THROW(SesrInference{calibrated_checkpoint()});
+  // Each of these used to load; a zero or NaN scale then cast NaN to int8
+  // (undefined behaviour) when an int8 frame quantized its activations.
+  const float bad[] = {0.0F, -0.5F, std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity()};
+  for (const float value : bad) {
+    SCOPED_TRACE("scale = " + std::to_string(value));
+    TensorMap map = calibrated_checkpoint();
+    map.at("__int8.act_scale").raw()[1] = value;
+    EXPECT_THROW(SesrInference{map}, std::runtime_error);
+  }
+}
+
+TEST(SesrInference, BadHybridPlanEntryFailsClosed) {
+  ASSERT_NO_THROW(SesrInference{calibrated_checkpoint()});
+  // Plan entries are 0 (fp16) or 1 (int8); anything else used to load as int8.
+  const float bad[] = {2.0F, 0.5F, -1.0F, std::numeric_limits<float>::quiet_NaN()};
+  for (const float value : bad) {
+    SCOPED_TRACE("plan entry = " + std::to_string(value));
+    TensorMap map = calibrated_checkpoint();
+    map.at("__int8.plan").raw()[0] = value;
+    EXPECT_THROW(SesrInference{map}, std::runtime_error);
+  }
+}
+
 }  // namespace
 }  // namespace sesr::core

@@ -1,8 +1,9 @@
 // sesr_eval — evaluate a collapsed SESR checkpoint (or bicubic) on the six
-// synthetic benchmark sets, optionally through the int8 or tiled paths.
+// synthetic benchmark sets, optionally per precision or through the tiled path.
 //
 //   sesr_eval --model=sesr_model.collapsed.ckpt
-//   sesr_eval --model=... --int8 --tiled --tile=64
+//   sesr_eval --model=... --precision=all
+//   sesr_eval --model=... --tiled --tile=64
 //   sesr_eval --bicubic --scale=2
 #include <chrono>
 #include <cstdio>
@@ -12,7 +13,6 @@
 
 #include "cli_args.hpp"
 #include "core/hybrid_plan.hpp"
-#include "core/quantize.hpp"
 #include "core/sesr_inference.hpp"
 #include "core/tiled_inference.hpp"
 #include "data/resize.hpp"
@@ -28,8 +28,6 @@ int main(int argc, char** argv) {
           {"scale", "2", "scale for --bicubic (checkpoints carry their own)"},
           {"image-size", "64", "HR edge length of the synthetic eval sets"},
           {"full", "", "use the larger (non-reduced) set sizes"},
-          {"int8", "", "legacy reference int8 path (QuantizedSesr; the serving "
-                       "path is --precision int8)"},
           {"precision", "", "per-precision summary: fp32|fp16|int8|hybrid|all (full-frame)"},
           {"tiled", "", "run tile-by-tile with an exact halo"},
           {"tile", "32", "tile size for --tiled"},
@@ -62,7 +60,7 @@ int main(int argc, char** argv) {
       if (!precision.empty()) {
         // Per-precision summary: one row per arithmetic mode, quality
         // aggregated over every set (image-weighted) plus mean wall time per
-        // frame. Full-frame path only; --int8/--tiled flags are ignored here.
+        // frame. Full-frame path only; --tiled is ignored here.
         if (precision != "fp32" && precision != "fp16" && precision != "int8" &&
             precision != "hybrid" && precision != "all") {
           throw std::invalid_argument("--precision must be fp32|fp16|int8|hybrid|all");
@@ -129,14 +127,7 @@ int main(int argc, char** argv) {
         net->set_precision(core::InferencePrecision::kFp32);
         return 0;
       }
-      if (args.get_flag("int8")) {
-        std::vector<Tensor> calib(sets.front().hr.begin(), sets.front().hr.end());
-        for (Tensor& t : calib) t = data::downscale_bicubic(t, scale);
-        auto quant = std::make_shared<core::QuantizedSesr>(*net, calib);
-        std::printf("mode: int8 (%lld weight bytes)\n",
-                    static_cast<long long>(quant->weight_bytes()));
-        upscaler = [quant](const Tensor& lr_img) { return quant->upscale(lr_img); };
-      } else if (args.get_flag("tiled")) {
+      if (args.get_flag("tiled")) {
         core::TilingOptions options;
         options.tile_h = options.tile_w = args.get_int("tile");
         std::printf("mode: tiled %lldx%lld, exact halo %lld\n",
