@@ -95,7 +95,7 @@ int main() {
   std::printf("fp16-vs-float agreement: %.1f dB\n\n", metrics::psnr(fp16_out, float_out));
 
   // --- int8 / hybrid speed ---------------------------------------------------
-  // The packed u8 x s8 GEMM behind SesrInference::set_precision, calibrated
+  // The pack-free u8 x s8 conv kernels behind SesrInference::set_precision, calibrated
   // above. Two bars ride in the JSON rows:
   //   int8  — full-frame single-thread SESR-M5 x2 >= 1.8x fp32;
   //   hybrid — planner-reported Y-PSNR drop <= 0.3 dB at the default budget.

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "nn/gemm_s8.hpp"
 #include "tensor/thread_pool.hpp"
 
 namespace sesr::check {
@@ -52,6 +53,7 @@ void run_one_seed(const AuditPair& pair, std::uint64_t seed,
     TrialResult result = pair.trial(seed);
     if (result.skipped) {
       if (t == 0) ++report.trials_skipped;
+      if (report.skip_reason.empty()) report.skip_reason = std::move(result.detail);
       continue;
     }
     if (!have_hash) {
@@ -144,9 +146,18 @@ void print_report(std::ostream& os, const std::vector<PairReport>& reports,
   for (std::size_t i = 0; i < options.thread_counts.size(); ++i) {
     os << (i ? "," : "") << options.thread_counts[i];
   }
-  os << "}, base seed 0x" << std::hex << options.base_seed << std::dec << "\n\n";
+  os << "}, base seed 0x" << std::hex << options.base_seed << std::dec << "\n"
+     << "int8 kernel: " << nn::gemm_s8_kernel_name() << "\n\n";
 
+  std::size_t failed = 0;
+  std::size_t skipped = 0;
   for (const PairReport& r : reports) {
+    if (!r.passed()) ++failed;
+    if (r.skipped()) {
+      ++skipped;
+      os << "SKIP " << r.name << " (" << r.skip_reason << ")\n";
+      continue;
+    }
     os << (r.passed() ? "PASS " : "FAIL ") << std::left << std::setw(24) << r.name
        << std::right << " trials=" << r.trials_run;
     if (r.trials_skipped > 0) os << " skipped=" << r.trials_skipped;
@@ -169,7 +180,9 @@ void print_report(std::ostream& os, const std::vector<PairReport>& reports,
     }
   }
   os << "\n"
-     << (all_passed(reports) ? "audit OK" : "audit FAILED") << "\n";
+     << (all_passed(reports) ? "audit OK" : "audit FAILED") << " (" << reports.size()
+     << " pairs: " << reports.size() - failed - skipped << " passed, " << failed << " failed, "
+     << skipped << " skipped)\n";
 }
 
 }  // namespace sesr::check

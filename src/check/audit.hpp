@@ -29,7 +29,8 @@ struct TrialResult {
   ErrorStats stats;
   std::string detail;             // human-readable configuration, e.g. "m=13 k=64 n=48"
   std::uint64_t output_hash = 0;  // bit hash of the optimized output
-  bool skipped = false;           // pair not applicable (e.g. AVX2 on a non-AVX2 CPU)
+  bool skipped = false;           // pair not applicable (e.g. AVX2 on a non-AVX2 CPU);
+                                  // `detail` then says why
 };
 
 struct AuditPair {
@@ -55,11 +56,15 @@ struct PairReport {
   std::string worst_detail;
   std::int64_t trials_run = 0;
   std::int64_t trials_skipped = 0;
+  std::string skip_reason;        // detail of the first skipped trial
+
   std::vector<TrialRecord> failures;
   // Seeds whose optimized output hashed differently across thread counts.
   std::vector<std::uint64_t> nondeterministic_seeds;
 
   bool passed() const { return failures.empty() && nondeterministic_seeds.empty(); }
+  // Every trial skipped (e.g. the pinned kernel build is absent on this CPU).
+  bool skipped() const { return trials_run == 0 && trials_skipped > 0; }
 };
 
 struct AuditOptions {
@@ -88,6 +93,9 @@ PairReport replay_trial(const AuditPair& pair, std::uint64_t seed,
 
 bool all_passed(const std::vector<PairReport>& reports);
 
+// Header (including the int8 micro-kernel the dispatcher picked), one line
+// per pair — PASS / FAIL, or SKIP <pair> (<reason>) when every trial was
+// skipped — and a summary line counting passed, failed and skipped pairs.
 void print_report(std::ostream& os, const std::vector<PairReport>& reports,
                   const AuditOptions& options);
 

@@ -9,9 +9,11 @@
 // the ULP tolerance.
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/audit.hpp"
@@ -98,15 +100,40 @@ class F16cIsaGuard {
   bool ok_ = false;
 };
 
+// A trial that cannot run because the pinned kernel build is unavailable;
+// the detail becomes the pair's SKIP reason in the report.
+TrialResult skipped_trial(const std::string& isa, const char* disable_env = nullptr) {
+  TrialResult r;
+  r.skipped = true;
+  const char* env = disable_env != nullptr ? std::getenv(disable_env) : nullptr;
+  r.detail = env != nullptr && env[0] != '\0' && std::string_view(env) != "0"
+                 ? isa + " disabled by " + disable_env
+                 : isa + " not available on this CPU";
+  return r;
+}
+
+const char* s8_isa_name(nn::GemmS8Isa isa) {
+  switch (isa) {
+    case nn::GemmS8Isa::kAuto:
+      return "auto";
+    case nn::GemmS8Isa::kGeneric:
+      return "generic";
+    case nn::GemmS8Isa::kAvx2:
+      return "avx2";
+    case nn::GemmS8Isa::kVnni:
+      return "avx-vnni";
+    case nn::GemmS8Isa::kAvx512Vnni:
+      return "avx512-vnni";
+  }
+  return "?";
+}
+
 // ---------------------------------------------------------------- GEMM pairs
 
 TrialResult gemm_trial_with_isa(std::uint64_t seed, nn::GemmIsa isa) {
   TrialResult r;
   GemmIsaGuard guard(isa);
-  if (!guard.ok()) {
-    r.skipped = true;
-    return r;
-  }
+  if (!guard.ok()) return skipped_trial("avx2+fma");
   Rng rng(seed);
   const std::int64_t m = rng.uniform_int(1, 64);
   const std::int64_t k = rng.uniform_int(1, 96);
@@ -149,18 +176,17 @@ TrialResult gemm_zero_skip_trial(std::uint64_t seed) {
   return r;
 }
 
-// Packed u8 x s8 GEMM (raw compensated int32 accumulators, no epilogue) vs
-// the exact int64 reference. Zero tolerance: the integer core must be exact
-// whenever the true dot fits int32, which [-127, 127] operands at these k
-// always do. Shapes deliberately straddle the 6x8 tile and 4-wide k-group
-// boundaries (remainders, k-tails, single rows/cols).
+// u8 x s8 GEMM — a 1x1 conv through the in-place conv micro-kernels (raw
+// compensated int32 accumulators, no epilogue) — vs the exact int64
+// reference. Zero tolerance: the integer core must be exact whenever the true
+// dot fits int32, which [-127, 127] operands at these k always do. Shapes
+// deliberately straddle the 16-pixel tiles and their remainders, the
+// 16-channel blocks, the 4-channel layout (n <= 4) and the 4- and 16-byte
+// k-runs (k-tails, single rows/cols).
 TrialResult gemm_s8_trial_with_isa(std::uint64_t seed, nn::GemmS8Isa isa) {
   TrialResult r;
   S8IsaGuard guard(isa);
-  if (!guard.ok()) {
-    r.skipped = true;
-    return r;
-  }
+  if (!guard.ok()) return skipped_trial(s8_isa_name(isa), "SESR_DISABLE_INT8_SIMD");
   Rng rng(seed);
   const std::int64_t m = rng.uniform_int(1, 40);
   const std::int64_t k = rng.uniform_int(1, 160);
@@ -704,10 +730,7 @@ TrialResult planned_vs_direct_trial(std::uint64_t seed) {
 TrialResult fp16_roundtrip_trial_with_isa(std::uint64_t seed, fp16::F16cIsa isa) {
   TrialResult r;
   F16cIsaGuard guard(isa);
-  if (!guard.ok()) {
-    r.skipped = true;
-    return r;
-  }
+  if (!guard.ok()) return skipped_trial("f16c", "SESR_DISABLE_F16C");
   Rng rng(seed);
   const std::int64_t n = rng.uniform_int(1, 4096);
   std::vector<float> src(static_cast<std::size_t>(n));
@@ -798,18 +821,50 @@ TrialResult collapsed_fp16_trial(std::uint64_t seed) {
   return r;
 }
 
-// Serving-path int8 conv (packed u8 x s8 GEMM, implicit im2col, fused
-// dequant/bias/activation store) vs the int64-accumulated reference applying
-// the identical epilogue expressions. Zero tolerance: any difference means
-// the quantized conv drifted from the int8 reference semantics.
+// Runs `run` (an int8 path returning a Tensor) once under every supported
+// int8 kernel build and folds each output's error against `want` into `r`;
+// the output hash is the first build's, and `os` gets the builds' names.
+template <typename Run>
+void compare_under_every_s8_isa(TrialResult& r, std::ostringstream& os, const DTensor& want,
+                                const Run& run) {
+  for (const nn::GemmS8Isa isa : {nn::GemmS8Isa::kGeneric, nn::GemmS8Isa::kAvx2,
+                                  nn::GemmS8Isa::kVnni, nn::GemmS8Isa::kAvx512Vnni}) {
+    S8IsaGuard guard(isa);
+    if (!guard.ok()) continue;
+    const Tensor got = run();
+    os << (r.stats.count == 0 ? "" : ",") << s8_isa_name(isa);
+    if (r.stats.count == 0) r.output_hash = hash_bits(got.data());
+    r.stats.merge(compare_f32(got.data(), want.data));
+  }
+}
+
+// Serving-path int8 conv (zero-point-padded image read in place by the u8 x
+// s8 micro-kernels, fused dequant/bias/activation store) vs the
+// int64-accumulated reference applying the identical epilogue expressions,
+// under every supported kernel build. Zero tolerance: any difference means
+// the quantized conv drifted from the int8 reference semantics. Half the
+// trials draw the served SESR shapes (3x3/5x5, in_c 1 or 16, out_c 4 or 16)
+// on rows up to 70 pixels, so a row spans several 16-pixel tiles plus a tail.
 TrialResult conv2d_s8_vs_ref_trial(std::uint64_t seed) {
   TrialResult r;
   Rng rng(seed);
-  const std::int64_t kk = rng.bernoulli(0.3) ? 1 : 2 * rng.uniform_int(1, 2) + 1;  // 1, 3, 5
-  const std::int64_t h = rng.uniform_int(4, 24);
-  const std::int64_t w = rng.uniform_int(4, 24);
-  const std::int64_t in_c = rng.uniform_int(1, 8);
-  const std::int64_t out_c = rng.uniform_int(1, 8);
+  const bool served = rng.bernoulli(0.5);
+  std::int64_t kk = 0;
+  std::int64_t in_c = 0;
+  std::int64_t out_c = 0;
+  std::int64_t w = 0;
+  if (served) {
+    kk = rng.bernoulli(0.5) ? 3 : 5;
+    in_c = rng.bernoulli(0.25) ? 1 : 16;
+    out_c = rng.bernoulli(0.5) ? 4 : 16;
+    w = rng.uniform_int(4, 70);
+  } else {
+    kk = rng.bernoulli(0.3) ? 1 : 2 * rng.uniform_int(1, 2) + 1;  // 1, 3, 5
+    in_c = rng.uniform_int(1, 8);
+    out_c = rng.uniform_int(1, 8);
+    w = rng.uniform_int(4, 24);
+  }
+  const std::int64_t h = rng.uniform_int(4, served ? 12 : 24);
   // Every few trials hit the degenerate-range convention: an all-zero input
   // quantizes at kDegenerateQuantScale, a near-zero one at a tiny but normal
   // scale; both must still match the reference bit for bit.
@@ -844,14 +899,15 @@ TrialResult conv2d_s8_vs_ref_trial(std::uint64_t seed) {
     epi.act = nn::Epilogue::Act::kPRelu;
     epi.prelu_alpha = alpha.raw();
   }
-  const Tensor got =
-      nn::conv2d_s8(input, act_scale, qw, bias ? &*bias : nullptr, epi, nn::Padding::kSame);
-  const Tensor want = ref_conv2d_s8(input, act_scale, qw, bias ? &*bias : nullptr, epi);
-  r.stats = compare_f32(got.data(), to_dtensor(want).data);
-  r.output_hash = hash_bits(got.data());
+  const DTensor want =
+      to_dtensor(ref_conv2d_s8(input, act_scale, qw, bias ? &*bias : nullptr, epi));
   std::ostringstream os;
-  os << "in=" << shape_str(input.shape()) << " k=" << kk << " act=" << act
-     << (bias ? " bias" : "") << " " << regime;
+  os << "in=" << shape_str(input.shape()) << " k=" << kk << " out_c=" << out_c
+     << " act=" << act << (bias ? " bias" : "") << " " << regime << " isa=";
+  compare_under_every_s8_isa(r, os, want, [&] {
+    return nn::conv2d_s8(input, act_scale, qw, bias ? &*bias : nullptr, epi,
+                         nn::Padding::kSame);
+  });
   r.detail = os.str();
   return r;
 }
@@ -892,16 +948,18 @@ TrialResult collapsed_int8_trial(std::uint64_t seed) {
   return r;
 }
 
-// End-to-end served int8 network vs ref_int8_upscale: the same calibrated
-// state replayed layer by layer through the int64-accumulating conv
-// reference with the same float glue. Zero tolerance: any difference means
-// the planned int8 path (packing, fused epilogue, arena reuse, residual and
+// End-to-end served int8 network, under every supported kernel build, vs
+// ref_int8_upscale: the same calibrated state replayed layer by layer through
+// the int64-accumulating conv reference with the same float glue. Zero
+// tolerance: any difference means
+// the planned int8 path (padded image, fused epilogue, arena reuse, residual and
 // shuffle steps) drifted from the per-layer int8 semantics.
 TrialResult int8_network_vs_replay_trial(std::uint64_t seed) {
   TrialResult r;
   Rng rng(seed);
   core::SesrConfig config = small_config(rng);
   config.with_bias = rng.bernoulli(0.5);
+  config.f = rng.bernoulli(0.5) ? 8 : 16;  // 16 = the served SESR width
   Rng init = rng.fork();
   TensorMap map = core::SesrInference(core::SesrNetwork(config, init)).to_tensor_map();
   // Collapsed biases start at zero and PReLU slopes at one constant; random
@@ -920,14 +978,12 @@ TrialResult int8_network_vs_replay_trial(std::uint64_t seed) {
   net.set_precision(core::InferencePrecision::kInt8);
   const Tensor input = random_tensor(rng, rng.uniform_int(1, 2), rng.uniform_int(4, 16),
                                      rng.uniform_int(4, 16), 1, 0.0F, 1.0F);
-  const Tensor got = net.upscale(input);
-  const Tensor want = ref_int8_upscale(net, input);
-  r.stats = compare_f32(got.data(), to_dtensor(want).data);
-  r.output_hash = hash_bits(got.data());
+  const DTensor want = to_dtensor(ref_int8_upscale(net, input));
   std::ostringstream os;
   os << "in=" << shape_str(input.shape()) << " " << config.describe()
      << " prelu=" << config.prelu << " residual=" << config.input_residual
-     << " bias=" << config.with_bias << " cal=" << n_cal;
+     << " bias=" << config.with_bias << " cal=" << n_cal << " isa=";
+  compare_under_every_s8_isa(r, os, want, [&] { return net.upscale(input); });
   r.detail = os.str();
   return r;
 }
@@ -1056,30 +1112,39 @@ std::vector<AuditPair> make_builtin_pairs() {
                    "collapsed kernel vs expanded chain run in double (Algorithm 1)", 5e-4, 512.0,
                    collapse_trial});
   pairs.push_back({"gemm_s8_generic",
-                   "packed u8 x s8 GEMM, scalar micro-kernel, vs exact int64 reference", 0.0, 0.0,
-                   [](std::uint64_t s) {
+                   "u8 x s8 GEMM (1x1 conv), scalar micro-kernel, vs exact int64 reference",
+                   0.0, 0.0, [](std::uint64_t s) {
                      return gemm_s8_trial_with_isa(s, nn::GemmS8Isa::kGeneric);
                    }});
   pairs.push_back({"gemm_s8_avx2",
-                   "packed u8 x s8 GEMM, AVX2 madd_epi16 micro-kernel, vs exact int64 reference",
+                   "u8 x s8 GEMM (1x1 conv), AVX2 madd_epi16 micro-kernel, vs exact int64 "
+                   "reference",
                    0.0, 0.0, [](std::uint64_t s) {
                      return gemm_s8_trial_with_isa(s, nn::GemmS8Isa::kAvx2);
                    }});
   pairs.push_back({"gemm_s8_vnni",
-                   "packed u8 x s8 GEMM, AVX-VNNI dpbusd micro-kernel, vs exact int64 reference",
+                   "u8 x s8 GEMM (1x1 conv), AVX-VNNI dpbusd micro-kernel, vs exact int64 "
+                   "reference",
                    0.0, 0.0, [](std::uint64_t s) {
                      return gemm_s8_trial_with_isa(s, nn::GemmS8Isa::kVnni);
                    }});
+  pairs.push_back({"gemm_s8_avx512vnni",
+                   "u8 x s8 GEMM (1x1 conv), AVX-512 VNNI dpbusd micro-kernel, vs exact int64 "
+                   "reference",
+                   0.0, 0.0, [](std::uint64_t s) {
+                     return gemm_s8_trial_with_isa(s, nn::GemmS8Isa::kAvx512Vnni);
+                   }});
   pairs.push_back({"conv2d_int8_vs_ref",
-                   "serving-path int8 conv (fused dequant/bias/act) vs int64 reference with "
-                   "identical epilogue (must be bit-exact)",
+                   "serving-path int8 conv (fused dequant/bias/act) under every supported "
+                   "kernel build vs int64 reference with identical epilogue (must be bit-exact)",
                    0.0, 0.0, conv2d_s8_vs_ref_trial});
   pairs.push_back({"collapsed_int8_vs_fp32",
                    "collapsed network pure-int8 upscale vs fp32 upscale, PSNR-gated (>= 35 dB)",
                    1.0, 0.0, collapsed_int8_trial});
   pairs.push_back({"int8_network_vs_replay",
-                   "served kInt8 network vs per-layer int64 conv replay with the same float "
-                   "glue (random bias/PReLU, x2/x4; must be bit-exact)",
+                   "served kInt8 network under every supported kernel build vs per-layer int64 "
+                   "conv replay with the same float glue (random bias/PReLU, x2/x4, f 8/16; "
+                   "must be bit-exact)",
                    0.0, 0.0, int8_network_vs_replay_trial});
   pairs.push_back({"tiled_inference", "exact-halo tiled upscale vs full-frame upscale", 1e-5, 0.0,
                    tiled_trial});

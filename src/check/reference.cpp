@@ -322,7 +322,7 @@ Tensor ref_conv2d_s8(const Tensor& input, float act_scale, const nn::S8ConvWeigh
   if (is.c() != ws.dim(2)) throw std::invalid_argument("ref_conv2d_s8: channel mismatch");
   const nn::ConvGeometry g = nn::same_geometry(is.h(), is.w(), is.c(), ws.dim(0), ws.dim(1));
   const std::int64_t out_c = ws.dim(3);
-  // Quantize the activations exactly as the serving path's A-pack does.
+  // Quantize the activations exactly as the serving path's padded image does.
   const float inv = 1.0F / act_scale;
   std::vector<std::int8_t> q(static_cast<std::size_t>(input.numel()));
   for (std::int64_t i = 0; i < input.numel(); ++i) {

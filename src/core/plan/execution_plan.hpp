@@ -53,7 +53,7 @@ struct PlanValue {
 // precision. The name is the operand spaces: input -> output.
 enum class ConvKernel : std::uint8_t {
   kFp32,         // nn::conv2d_into: float -> float
-  kInt8,         // nn::conv2d_s8_into: float (quantized in the A-pack) -> float
+  kInt8,         // nn::conv2d_s8_into: float (quantized once per layer) -> float
   kFp16,         // nn::conv2d_fp16_into: half -> half
   kFp16ToFloat,  // nn::conv2d_fp16_to_float_into: half -> float
 };

@@ -377,8 +377,8 @@ void SesrInference::calibrate_int8(const std::vector<Tensor>& frames) {
 }
 
 Tensor SesrInference::upscale_mixed(const Tensor& input) const {
-  // fp32 carrier between layers: int8 layers quantize their input inside the
-  // GEMM's A-pack with the calibrated fixed scale; fp16 layers round the
+  // fp32 carrier between layers: int8 layers quantize their input once into a
+  // zero-point-padded image with the calibrated fixed scale; fp16 layers round the
   // carrier through binary16 on the way in and round their stored output once
   // (so an fp16 layer behaves exactly like one layer of the pure-fp16 path).
   // The residual adds and the tail stay fp32. With a fixed per-layer scale

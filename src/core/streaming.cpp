@@ -47,8 +47,8 @@ void conv_row(const std::vector<const float*>& rows, std::int64_t width, const T
 
 // One output row of the SAME-padded s8 x s8 conv, int32 accumulate. Skipped
 // (out-of-bounds) taps contribute zero, exactly like the u8 zero-point
-// padding in the packed GEMM; since integer sums are order-independent the
-// accumulator equals gemm_s8's compensated accumulator bit for bit.
+// border of conv2d_s8's padded image; since integer sums are order-independent
+// the accumulator equals the int8 kernels' compensated accumulator bit for bit.
 void conv_row_s8(const std::vector<const std::int8_t*>& rows, std::int64_t width,
                  const nn::S8ConvWeights& weight, std::int32_t* acc) {
   const Shape& ws = weight.shape;

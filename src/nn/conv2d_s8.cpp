@@ -16,9 +16,13 @@ namespace {
 // Offset-binary zero point: quantized 0 stored as u8 (0 + 128).
 constexpr std::uint8_t kQuantZero = 128;
 
-// Must match conv2d.cpp so int8 and fp32 layers stripe — and therefore
-// parallelize — identically.
+// Output pixels per parallel task, as in conv2d.cpp; int8 tasks are whole
+// output rows (ceil(kStripePixels / out_w) of them) so every micro-tile runs
+// along one row.
 constexpr std::int64_t kStripePixels = 1024;
+
+// Input elements quantized per parallel task.
+constexpr std::int64_t kQuantChunk = 1 << 16;
 
 ConvGeometry conv_geometry_s8(const Shape& in_s, const Shape& w_s, Padding padding) {
   if (!w_s.valid()) {
@@ -32,56 +36,6 @@ ConvGeometry conv_geometry_s8(const Shape& in_s, const Shape& w_s, Padding paddi
   const std::int64_t kw = w_s.dim(1);
   if (padding == Padding::kSame) return same_geometry(in_s.h(), in_s.w(), in_s.c(), kh, kw, 1);
   return valid_geometry(in_s.h(), in_s.w(), in_s.c(), kh, kw);
-}
-
-// Implicit im2col source for the int8 GEMM, reading from the pre-quantized
-// offset-binary u8 image (the conv entry point quantizes the whole activation
-// tensor exactly once per layer via nn::quantize_u8_run — quantizing inside
-// this row source instead would redo the same pixel kh*kw times and dominate
-// the layer). Structure mirrors Im2colFp16Source (kernel-row-contiguous
-// memcpy runs with horizontal clamps); out-of-bounds taps emit the quantized
-// zero point instead of 0.0f.
-struct Im2colS8Source {
-  const std::uint8_t* img;  // base of quantized batch image n
-  const ConvGeometry* g;
-  std::int64_t row0;        // first image-space im2col row of this stripe
-};
-
-void im2col_s8_row(const void* vctx, std::int64_t row, std::int64_t p0, std::int64_t kc,
-                   std::uint8_t* dst) {
-  const auto& s = *static_cast<const Im2colS8Source*>(vctx);
-  const ConvGeometry& g = *s.g;
-  const std::int64_t c = g.channels;
-  const std::int64_t kwc = g.kw * c;
-  const std::int64_t r = s.row0 + row;
-  const std::int64_t oy = r / g.out_w;
-  const std::int64_t ox = r % g.out_w;
-  const std::int64_t iy0 = oy * g.stride - g.pad_top;
-  const std::int64_t ix0 = ox * g.stride - g.pad_left;
-  const std::int64_t lo = std::max<std::int64_t>(0, -ix0) * c;
-  const std::int64_t hi = (std::min(g.kw, g.in_w - ix0)) * c;
-  std::int64_t q = p0;
-  const std::int64_t q_end = p0 + kc;
-  std::int64_t ky = q / kwc;
-  std::int64_t cell = q - ky * kwc;
-  while (q < q_end) {
-    const std::int64_t len = std::min(kwc - cell, q_end - q);
-    const std::int64_t iy = iy0 + ky;
-    if (iy < 0 || iy >= g.in_h || hi <= lo) {
-      std::fill(dst, dst + len, kQuantZero);
-    } else {
-      const std::int64_t cut0 = std::clamp(lo, cell, cell + len);
-      const std::int64_t cut1 = std::clamp(hi, cell, cell + len);
-      std::fill(dst, dst + (cut0 - cell), kQuantZero);
-      std::memcpy(dst + (cut0 - cell), s.img + (iy * g.in_w + ix0) * c + cut0,
-                  static_cast<std::size_t>(cut1 - cut0));
-      std::fill(dst + (cut1 - cell), dst + len, kQuantZero);
-    }
-    dst += len;
-    q += len;
-    ++ky;
-    cell = 0;
-  }
 }
 
 }  // namespace
@@ -111,6 +65,8 @@ S8ConvWeights quantize_conv_weights(const Tensor& weight) {
     }
   }
   q.colsum = s8_column_sums({q.values.data(), q.values.size()}, k, out_c);
+  q.packed = pack_s8_weights({q.values.data(), q.values.size()}, q.shape.dim(0),
+                             q.shape.dim(1) * q.shape.dim(2), out_c);
   return q;
 }
 
@@ -120,7 +76,6 @@ void conv2d_s8_into(const float* input, const Shape& in_shape, float act_scale,
   const ConvGeometry g = conv_geometry_s8(in_shape, weight.shape, padding);
   const std::int64_t out_c = weight.shape.dim(3);
   const std::int64_t batch = in_shape.n();
-  const std::int64_t numel = in_shape.numel();
   if (bias != nullptr && bias->numel() != out_c) {
     throw std::invalid_argument("conv2d_s8: bias numel must equal out_channels");
   }
@@ -130,10 +85,11 @@ void conv2d_s8_into(const float* input, const Shape& in_shape, float act_scale,
   if (epilogue.act == Epilogue::Act::kPRelu && epilogue.prelu_alpha == nullptr) {
     throw std::invalid_argument("conv2d_s8: PReLU epilogue requires prelu_alpha");
   }
-  const Shape out_shape(batch, g.out_h, g.out_w, out_c);
+  if (batch == 0 || g.out_h <= 0 || g.out_w <= 0) return;
   // Combined dequantization factor per output channel: one single-rounded
   // float product, mirrored exactly by the src/check reference. Scratch-backed
-  // (as is qimg below) so a steady-state layer performs no allocation.
+  // (as is the padded image below) so a steady-state layer performs no
+  // allocation.
   std::span<float> dequant = scratch_floats(ScratchSlot::kS8Dequant,
                                             static_cast<std::size_t>(out_c));
   for (std::int64_t oc = 0; oc < out_c; ++oc) {
@@ -144,32 +100,52 @@ void conv2d_s8_into(const float* input, const Shape& in_shape, float act_scale,
   epi.bias = bias != nullptr ? bias->raw() : nullptr;
   epi.act = epilogue.act;
   epi.prelu_alpha = epilogue.prelu_alpha;
-  const std::span<const std::int8_t> wspan{weight.values.data(), weight.values.size()};
-  const std::span<const std::int32_t> cspan{weight.colsum.data(), weight.colsum.size()};
   const float inv_scale = 1.0F / act_scale;
-  // Quantize the whole activation tensor once (elementwise, so chunk order is
-  // irrelevant); the im2col row source then only copies bytes. Pool workers
+  // Quantize the input once into a zero-point-padded image: the padding
+  // border is 128 (quantized zero), so the micro-kernels read every k-run in
+  // place with no bounds checks. The slack after the last image covers the
+  // part of the last k-run's final dot group past kw * in_c. Pool workers
   // read qimg but never touch the submitting thread's scratch slot, so the
   // span stays valid for both loops.
-  std::span<std::uint8_t> qimg = scratch_bytes(ScratchSlot::kS8Quant,
-                                               static_cast<std::size_t>(numel));
-  constexpr std::int64_t kQuantChunk = 1 << 16;
-  const std::int64_t chunks = (numel + kQuantChunk - 1) / kQuantChunk;
+  const std::int64_t c = g.channels;
+  const std::int64_t pad_w = g.out_w + g.kw - 1;
+  const std::int64_t pad_h = g.out_h + g.kh - 1;
+  const std::int64_t row_bytes = pad_w * c;
+  const std::int64_t image_bytes = pad_h * row_bytes;
+  const std::int64_t slack = weight.packed.run - g.kw * c;
+  std::span<std::uint8_t> qimg = scratch_bytes(
+      ScratchSlot::kS8Quant, static_cast<std::size_t>(batch * image_bytes + slack));
+  std::memset(qimg.data() + batch * image_bytes, kQuantZero, static_cast<std::size_t>(slack));
+  const std::int64_t left = g.pad_left * c;
+  const std::int64_t inner = g.in_w * c;
+  const std::int64_t rows_per_chunk = std::max<std::int64_t>(1, kQuantChunk / row_bytes);
+  const std::int64_t chunks = (batch * pad_h + rows_per_chunk - 1) / rows_per_chunk;
   ThreadPool::global().parallel_for(0, chunks, [&](std::int64_t ci) {
-    const std::int64_t lo = ci * kQuantChunk;
-    const std::int64_t hi = std::min(lo + kQuantChunk, numel);
-    quantize_u8_run(input + lo, qimg.data() + lo, hi - lo, inv_scale);
+    const std::int64_t lo = ci * rows_per_chunk;
+    const std::int64_t hi = std::min(lo + rows_per_chunk, batch * pad_h);
+    for (std::int64_t pr = lo; pr < hi; ++pr) {
+      const std::int64_t n = pr / pad_h;
+      const std::int64_t iy = pr % pad_h - g.pad_top;
+      std::uint8_t* dst = qimg.data() + pr * row_bytes;
+      if (iy < 0 || iy >= g.in_h) {
+        std::memset(dst, kQuantZero, static_cast<std::size_t>(row_bytes));
+        continue;
+      }
+      std::memset(dst, kQuantZero, static_cast<std::size_t>(left));
+      quantize_u8_run(input + in_shape.offset(n, iy, 0, 0), dst + left, inner, inv_scale);
+      std::memset(dst + left + inner, kQuantZero,
+                  static_cast<std::size_t>(row_bytes - left - inner));
+    }
   });
-  const std::int64_t sc = (g.rows() + kStripePixels - 1) / kStripePixels;
+  const std::int64_t stripe_rows = (kStripePixels + g.out_w - 1) / g.out_w;
+  const std::int64_t sc = (g.out_h + stripe_rows - 1) / stripe_rows;
+  const std::span<const std::int32_t> cspan{weight.colsum.data(), weight.colsum.size()};
   ThreadPool::global().parallel_for(0, batch * sc, [&](std::int64_t idx) {
     const std::int64_t n = idx / sc;
-    const std::int64_t r0 = (idx % sc) * kStripePixels;
-    const std::int64_t r1 = std::min(r0 + kStripePixels, g.rows());
-    const std::int64_t rows = r1 - r0;
-    std::span<float> dst(out + out_shape.offset(n, 0, 0, 0) + r0 * out_c,
-                         static_cast<std::size_t>(rows * out_c));
-    const Im2colS8Source src{qimg.data() + in_shape.offset(n, 0, 0, 0), &g, r0};
-    gemm_s8_rows(im2col_s8_row, &src, wspan, cspan, dst, rows, g.cols(), out_c, epi);
+    const std::int64_t r0 = (idx % sc) * stripe_rows;
+    const std::int64_t r1 = std::min(r0 + stripe_rows, g.out_h);
+    const S8Image image{qimg.data() + n * image_bytes, c, row_bytes, g.out_w};
+    conv_s8_rows(image, weight.packed, cspan, r0, r1, out + n * g.out_h * g.out_w * out_c, epi);
   });
 }
 

@@ -1,11 +1,10 @@
-// Packed u8 x s8 GEMM micro-kernels for the int8 serving path. See
-// gemm_s8.hpp for the layout and exactness contract; the structure mirrors
-// gemm.cpp (pack panels, register-tiled micro-kernel, atomic ISA dispatch)
-// with two differences: a single full-k sweep per micro-tile replaces the
-// kKc k-blocking (int8 panels are small enough for L1 at SESR conv sizes),
-// and each micro-kernel build consumes its own A-panel byte layout, so the
-// dispatch hands out a {kernel, layout} descriptor instead of a bare
-// function pointer.
+// Pack-free u8 x s8 conv micro-kernels for the int8 serving path. See
+// gemm_s8.hpp for the in-place A layout, the two packed-B layouts and the
+// exactness contract. Each build computes one output row at a time: the row
+// splits into tiles of consecutive pixels (the widest tile the build keeps in
+// registers, then halving power-of-two tiles for the remainder, so no pixel
+// is computed twice), and a tile reads its A dot groups straight out of the
+// padded image at pixel stride in_c.
 //
 // Accumulator wraparound: the raw offset-binary accumulator (sum of u8*s8
 // plus the 128*colsum compensation term) may not fit int32 for extreme k even
@@ -16,6 +15,7 @@
 // validates (it throws on genuine int32 overflow instead of comparing).
 #include "nn/gemm_s8.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -25,8 +25,6 @@
 #include <cpuid.h>
 #include <immintrin.h>
 #endif
-
-#include "tensor/scratch.hpp"
 
 // The VEX-encoded AVX-VNNI intrinsics (_mm256_dpbusd_avx_epi32) need gcc 11+
 // or clang 14+; older compilers fall back to the AVX2 madd kernel.
@@ -38,42 +36,40 @@
 #define SESR_INT8_VNNI 0
 #endif
 
+// _mm512_dpbusd_epi32 and the avx512vnni cpu-supports string: gcc 9+ or
+// clang 9+.
+#if (defined(__x86_64__) || defined(__i386__)) &&                                        \
+    ((defined(__clang_major__) && __clang_major__ >= 9) ||                               \
+     (!defined(__clang__) && defined(__GNUC__) && __GNUC__ >= 9))
+#define SESR_INT8_AVX512VNNI 1
+#else
+#define SESR_INT8_AVX512VNNI 0
+#endif
+
 namespace sesr::nn {
 
 namespace {
 
-constexpr std::int64_t kMrS8 = 6;  // rows per micro-tile
-constexpr std::int64_t kNrS8 = 8;  // columns per micro-tile (one __m256i of int32)
-constexpr std::int64_t kMcS8 = 96; // rows per packed A block
+constexpr std::int64_t kTile = 16;  // widest pixel tile of any build
 
-// Per-tile write-back context. Exactly one of c / ci32 is set: c gets the
-// fused dequant->bias->activation store, ci32 the raw compensated int32
-// accumulators (audit path). Column-indexed pointers are pre-offset to the
-// tile's first column.
-struct S8TileCtx {
+// One output row: what a build's row function reads and writes.
+struct S8Row {
+  const std::uint8_t* a = nullptr;  // k-run 0 of output pixel 0
+  std::int64_t ps = 0;              // pixel stride
+  std::int64_t rs = 0;              // stride between k-runs (image row stride)
+  std::int64_t width = 0;           // output pixels
+  const S8PackedWeights* w = nullptr;
   const std::int32_t* colsum = nullptr;
-  const float* scale = nullptr;
-  const float* bias = nullptr;
-  Epilogue::Act act = Epilogue::Act::kNone;
-  const float* alpha = nullptr;
-  float* c = nullptr;
+  const S8Epilogue* epi = nullptr;  // null: raw int32 accumulators into ci32
+  float* c = nullptr;               // pixel x, channel j at c[x * n + j]
   std::int32_t* ci32 = nullptr;
-  std::int64_t ldc = 0;
-  std::int64_t mr = 0;
-  std::int64_t nr = 0;
 };
 
-// Packed A is plain row-major: each 6-row tile holds 6 consecutive rows of
-// k4 = 4*kg bytes (k rounded up to the dot-4 group, tail padded with the
-// quantized zero point). Packing a tile is then just one row-source write per
-// row — no byte scatter — which matters because the pack runs once per A
-// element while the kernels amortize it over n. `lda` (= k4) is the row
-// stride inside a tile.
-using S8MicroFn = void (*)(const std::uint8_t* ap, std::int64_t lda, const std::uint8_t* bp,
-                           std::int64_t kg, const S8TileCtx& tile);
+using S8RowFn = void (*)(const S8Row& row);
 
 struct S8Kernel {
-  S8MicroFn fn;
+  const char* name;
+  S8RowFn row;
 };
 
 inline std::int32_t load_le_i32(const std::uint8_t* p) {
@@ -82,177 +78,445 @@ inline std::int32_t load_le_i32(const std::uint8_t* p) {
   return v;
 }
 
-// Offset removal + dequant + bias + activation for one micro-tile of wrapped
-// accumulators. The uint32 -> int32 conversion is modular (C++20), so the
-// result is the exact s8 x s8 accumulator whenever that fits int32. The fmaf
-// keeps the dequant store single-rounded in every kernel build AND in the
-// src/check reference regardless of -ffp-contract, so bit-equality between
-// them is a property of the expression, not of compiler flags.
-inline void s8_store_tile(const std::uint32_t acc[kMrS8][kNrS8], const S8TileCtx& t) {
-  for (std::int64_t i = 0; i < t.mr; ++i) {
-    if (t.ci32 != nullptr) {
-      std::int32_t* out = t.ci32 + i * t.ldc;
-      for (std::int64_t j = 0; j < t.nr; ++j) {
-        out[j] = static_cast<std::int32_t>(acc[i][j] -
-                                           static_cast<std::uint32_t>(t.colsum[j]) * 128U);
+// Byte offset of dot group g, channel j in the packed B layout.
+inline std::int64_t b_offset(const S8PackedWeights& w, std::int64_t g, std::int64_t j) {
+  return w.narrow ? (g / 4) * 64 + j * 16 + (g % 4) * 4 : (g * w.cols + j) * 4;
+}
+
+// Offset removal + dequant + bias + activation for mr pixels x channels
+// [j0, j0 + nr) from pixel x0 on, reading wrapped accumulators acc[i * lda +
+// j]. The uint32 -> int32 conversion is modular (C++20), so the result is the
+// exact s8 x s8 accumulator whenever that fits int32. The fmaf keeps the
+// dequant store single-rounded in every kernel build AND in the src/check
+// reference regardless of -ffp-contract, so bit-equality between them is a
+// property of the expression, not of compiler flags.
+void store_scalar(const std::uint32_t* acc, std::int64_t lda, std::int64_t x0, std::int64_t mr,
+                  std::int64_t j0, std::int64_t nr, const S8Row& r) {
+  const std::int64_t n = r.w->n;
+  const std::int32_t* colsum = r.colsum + j0;
+  for (std::int64_t i = 0; i < mr; ++i) {
+    const std::uint32_t* ai = acc + i * lda;
+    if (r.epi == nullptr) {
+      std::int32_t* out = r.ci32 + (x0 + i) * n + j0;
+      for (std::int64_t j = 0; j < nr; ++j) {
+        out[j] = static_cast<std::int32_t>(ai[j] - static_cast<std::uint32_t>(colsum[j]) * 128U);
       }
       continue;
     }
-    float* out = t.c + i * t.ldc;
-    for (std::int64_t j = 0; j < t.nr; ++j) {
-      const std::int32_t v = static_cast<std::int32_t>(
-          acc[i][j] - static_cast<std::uint32_t>(t.colsum[j]) * 128U);
-      float f = std::fmaf(static_cast<float>(v), t.scale[j],
-                          t.bias != nullptr ? t.bias[j] : 0.0F);
-      if (t.act == Epilogue::Act::kRelu) {
+    const S8Epilogue& e = *r.epi;
+    float* out = r.c + (x0 + i) * n + j0;
+    for (std::int64_t j = 0; j < nr; ++j) {
+      const std::int32_t v =
+          static_cast<std::int32_t>(ai[j] - static_cast<std::uint32_t>(colsum[j]) * 128U);
+      float f = std::fmaf(static_cast<float>(v), e.scale[j0 + j],
+                          e.bias != nullptr ? e.bias[j0 + j] : 0.0F);
+      if (e.act == Epilogue::Act::kRelu) {
         f = f > 0.0F ? f : 0.0F;
-      } else if (t.act == Epilogue::Act::kPRelu) {
-        f = f > 0.0F ? f : t.alpha[j] * f;
+      } else if (e.act == Epilogue::Act::kPRelu) {
+        f = f > 0.0F ? f : e.prelu_alpha[j0 + j] * f;
       }
       out[j] = f;
     }
   }
 }
 
-#if defined(__x86_64__) || defined(__i386__)
-// Vector write-back for full-width fp32 tiles (nr == 8, dequant path). Each
-// lane computes exactly the scalar expression: vcvtdq2ps matches the scalar
-// int->float cast (round-to-nearest), vfmadd matches the single-rounded fmaf,
-// and-with-compare-mask matches `f > 0 ? f : 0` (false lanes become +0.0f,
-// same as the scalar 0.0F arm, including for f = -0.0 and NaN), blendv
-// matches the PReLU ternary. Partial tiles and the i32 audit path fall back
-// to the scalar store.
-__attribute__((target("avx2,fma"))) void s8_store_tile_avx2(
-    const __m256i acc[kMrS8], const S8TileCtx& t) {
-  const __m256i comp = _mm256_mullo_epi32(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t.colsum)), _mm256_set1_epi32(128));
-  const __m256 scale = _mm256_loadu_ps(t.scale);
-  const __m256 bias = t.bias != nullptr ? _mm256_loadu_ps(t.bias) : _mm256_setzero_ps();
-  const __m256 zero = _mm256_setzero_ps();
-  for (std::int64_t i = 0; i < t.mr; ++i) {
-    const __m256 v = _mm256_cvtepi32_ps(_mm256_sub_epi32(acc[i], comp));
-    __m256 f = _mm256_fmadd_ps(v, scale, bias);
-    if (t.act == Epilogue::Act::kRelu) {
-      f = _mm256_and_ps(f, _mm256_cmp_ps(f, zero, _CMP_GT_OQ));
-    } else if (t.act == Epilogue::Act::kPRelu) {
-      const __m256 neg = _mm256_mul_ps(_mm256_loadu_ps(t.alpha), f);
-      f = _mm256_blendv_ps(neg, f, _mm256_cmp_ps(f, zero, _CMP_GT_OQ));
-    }
-    _mm256_storeu_ps(t.c + i * t.ldc, f);
-  }
-}
-
-// Dispatches a vector-kernel tile store: vector write-back when the tile is
-// full width on the fused float path, scalar otherwise.
-__attribute__((target("avx2,fma"))) inline void s8_store_tile_vec(const __m256i vacc[kMrS8],
-                                                                  const S8TileCtx& t) {
-  if (t.nr == kNrS8 && t.ci32 == nullptr) {
-    s8_store_tile_avx2(vacc, t);
-    return;
-  }
-  alignas(32) std::uint32_t acc[kMrS8][kNrS8];
-  for (std::int64_t i = 0; i < kMrS8; ++i) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[i]), vacc[i]);
-  }
-  s8_store_tile(acc, t);
-}
-#endif  // x86
-
-// Portable scalar kernel.
-void s8_micro_generic(const std::uint8_t* ap, std::int64_t lda, const std::uint8_t* bp,
-                      std::int64_t kg, const S8TileCtx& tile) {
-  std::uint32_t acc[kMrS8][kNrS8] = {};
-  for (std::int64_t g = 0; g < kg; ++g) {
-    const std::uint8_t* b = bp + g * kNrS8 * 4;
-    for (std::int64_t i = 0; i < kMrS8; ++i) {
-      const std::uint8_t* a = ap + i * lda + g * 4;
-      for (std::int64_t j = 0; j < kNrS8; ++j) {
-        std::int32_t s = 0;
-        for (int t = 0; t < 4; ++t) {
-          s += static_cast<std::int32_t>(a[t]) *
-               static_cast<std::int32_t>(static_cast<std::int8_t>(b[j * 4 + t]));
+// Portable scalar build: tiles of up to 16 pixels x 16 channels.
+void row_generic(const S8Row& r) {
+  const S8PackedWeights& w = *r.w;
+  const std::int64_t gr = w.run / 4;  // dot groups per k-run
+  for (std::int64_t j0 = 0; j0 < w.n; j0 += 16) {
+    const std::int64_t nr = std::min<std::int64_t>(16, w.n - j0);
+    for (std::int64_t x0 = 0; x0 < r.width; x0 += kTile) {
+      const std::int64_t mr = std::min(kTile, r.width - x0);
+      std::uint32_t acc[kTile][16] = {};
+      for (std::int64_t ky = 0; ky < w.kh; ++ky) {
+        for (std::int64_t gg = 0; gg < gr; ++gg) {
+          const std::int64_t g = ky * gr + gg;
+          for (std::int64_t i = 0; i < mr; ++i) {
+            const std::uint8_t* a = r.a + ky * r.rs + (x0 + i) * r.ps + gg * 4;
+            for (std::int64_t j = 0; j < nr; ++j) {
+              const std::uint8_t* b = w.data.data() + b_offset(w, g, j0 + j);
+              std::int32_t s = 0;
+              for (int t = 0; t < 4; ++t) {
+                s += static_cast<std::int32_t>(a[t]) *
+                     static_cast<std::int32_t>(static_cast<std::int8_t>(b[t]));
+              }
+              acc[i][j] += static_cast<std::uint32_t>(s);
+            }
+          }
         }
-        acc[i][j] += static_cast<std::uint32_t>(s);
       }
+      store_scalar(&acc[0][0], 16, x0, mr, j0, nr, r);
     }
   }
-  s8_store_tile(acc, tile);
+}
+
+// Runs tile.template operator()<M>(x0, j0) over pixels [x0, width): whole MR
+// tiles, then the remainder in halving power-of-two tiles.
+template <int MR, typename Tile>
+void pixel_tiles(const Tile& tile, std::int64_t x0, std::int64_t width, std::int64_t j0) {
+  for (; width - x0 >= MR; x0 += MR) tile.template operator()<MR>(x0, j0);
+  if constexpr (MR > 1) pixel_tiles<MR / 2>(tile, x0, width, j0);
+}
+
+// One output row as 16-channel blocks (a single block when narrow, n <= 4)
+// of pixel tiles up to MaxMr wide, so no pixel is computed twice.
+template <int MaxMr, typename Tile>
+void row_tiles(const S8Row& r, const Tile& tile) {
+  for (std::int64_t j0 = 0; j0 < r.w->n; j0 += 16) pixel_tiles<MaxMr>(tile, 0, r.width, j0);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
 
-// AVX2 kernel. maddubs_epi16's intermediate s16 pair-sum saturates at
-// 255*127*2 > 32767, so exactness forces the widening route instead: the
-// B panel is split into even/odd k-positions as sign-extended s16 lanes
+constexpr int kTileAvx2 = 4;  // pixels per AVX2 / AVX-VNNI tile (x 16 channels)
+
+// Write-back of an AVX2-family wide tile (acc[i][h] = pixel i, channels
+// j0 + 8h .. j0 + 8h + 7). Full 8-channel halves on the float path store
+// from registers; each lane computes exactly the scalar expression:
+// vcvtdq2ps matches the scalar int->float cast (round-to-nearest), vfmadd
+// matches the single-rounded fmaf, and-with-compare-mask matches
+// `f > 0 ? f : 0` (false lanes become +0.0f, same as the scalar 0.0F arm,
+// including for f = -0.0 and NaN), blendv matches the PReLU ternary. Partial
+// halves and the i32 audit path go through the scalar store.
+template <int MR>
+__attribute__((target("avx2,fma"))) void store_wide_avx2(const __m256i (&acc)[MR][2],
+                                                         const S8Row& r, std::int64_t x0,
+                                                         std::int64_t j0) {
+  const std::int64_t n = r.w->n;
+  for (int h = 0; h < 2; ++h) {
+    const std::int64_t jh = j0 + 8 * h;
+    const std::int64_t nr = std::min<std::int64_t>(8, n - jh);
+    if (nr <= 0) return;
+    if (nr < 8 || r.epi == nullptr) {
+      alignas(32) std::uint32_t buf[MR][8];
+      for (int i = 0; i < MR; ++i) {
+        _mm256_store_si256(reinterpret_cast<__m256i*>(buf[i]), acc[i][h]);
+      }
+      store_scalar(&buf[0][0], 8, x0, MR, jh, nr, r);
+      continue;
+    }
+    const S8Epilogue& e = *r.epi;
+    const __m256i comp = _mm256_mullo_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r.colsum + jh)),
+        _mm256_set1_epi32(128));
+    const __m256 scale = _mm256_loadu_ps(e.scale + jh);
+    const __m256 bias = e.bias != nullptr ? _mm256_loadu_ps(e.bias + jh) : _mm256_setzero_ps();
+    const __m256 zero = _mm256_setzero_ps();
+    for (int i = 0; i < MR; ++i) {
+      const __m256 v = _mm256_cvtepi32_ps(_mm256_sub_epi32(acc[i][h], comp));
+      __m256 f = _mm256_fmadd_ps(v, scale, bias);
+      if (e.act == Epilogue::Act::kRelu) {
+        f = _mm256_and_ps(f, _mm256_cmp_ps(f, zero, _CMP_GT_OQ));
+      } else if (e.act == Epilogue::Act::kPRelu) {
+        const __m256 neg = _mm256_mul_ps(_mm256_loadu_ps(e.prelu_alpha + jh), f);
+        f = _mm256_blendv_ps(neg, f, _mm256_cmp_ps(f, zero, _CMP_GT_OQ));
+      }
+      _mm256_storeu_ps(r.c + (x0 + i) * n + jh, f);
+    }
+  }
+}
+
+// Write-back of an AVX2-family narrow tile: acc[i][0] holds channels 0-1 and
+// acc[i][1] channels 2-3 of pixel i, four k-group lanes per channel. Two
+// wrapping hadds sum each channel's lanes; the scalar store finishes.
+template <int MR>
+__attribute__((target("avx2,fma"))) void store_narrow_avx2(const __m256i (&acc)[MR][2],
+                                                           const S8Row& r, std::int64_t x0) {
+  std::uint32_t buf[MR][4];
+  for (int i = 0; i < MR; ++i) {
+    __m256i h = _mm256_hadd_epi32(acc[i][0], acc[i][1]);  // c0 c0 c2 c2 | c1 c1 c3 c3
+    h = _mm256_hadd_epi32(h, h);                          // c0 c2 c0 c2 | c1 c3 c1 c3
+    alignas(32) std::uint32_t t[8];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(t), h);
+    buf[i][0] = t[0];
+    buf[i][1] = t[4];
+    buf[i][2] = t[1];
+    buf[i][3] = t[5];
+  }
+  store_scalar(&buf[0][0], 4, x0, MR, 0, r.w->n, r);
+}
+
+// AVX2 builds. maddubs_epi16's intermediate s16 pair-sum saturates at
+// 255*127*2 > 32767, so exactness forces the widening route instead: each B
+// vector is split into even/odd k-positions as sign-extended s16 lanes
 // (shift tricks, no extra tables), and each broadcast A dword (a0 a1 a2 a3)
 // splits the same way in-register — mask the odd bytes for the (a0, a2) u16
 // lanes, shift right 8 for (a1, a3). madd_epi16 then gives the exact int32
 // pair-dot: u8 operands are 0..255 as s16, products <= 255*127 per lane,
 // pair sums fit int32.
-__attribute__((target("avx2,fma"))) void s8_micro_avx2(const std::uint8_t* ap, std::int64_t lda,
-                                                   const std::uint8_t* bp, std::int64_t kg,
-                                                   const S8TileCtx& tile) {
-  __m256i acc0 = _mm256_setzero_si256();
-  __m256i acc1 = _mm256_setzero_si256();
-  __m256i acc2 = _mm256_setzero_si256();
-  __m256i acc3 = _mm256_setzero_si256();
-  __m256i acc4 = _mm256_setzero_si256();
-  __m256i acc5 = _mm256_setzero_si256();
+struct SplitB {
+  __m256i even;
+  __m256i odd;
+};
+
+__attribute__((target("avx2,fma"))) inline SplitB split_b(const std::uint8_t* p) {
+  const __m256i raw = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  return {_mm256_srai_epi16(_mm256_slli_epi16(raw, 8), 8), _mm256_srai_epi16(raw, 8)};
+}
+
+__attribute__((target("avx2,fma"))) inline __m256i madd_dot(__m256i acc, __m256i ae, __m256i ao,
+                                                            const SplitB& b) {
+  return _mm256_add_epi32(
+      acc, _mm256_add_epi32(_mm256_madd_epi16(ae, b.even), _mm256_madd_epi16(ao, b.odd)));
+}
+
+// The A operand of one pixel: a wide tile broadcasts one 4-byte dot group to
+// every lane, a narrow tile one 16-byte block (4 dot groups) to both halves,
+// matching the narrow B layout's lane order (channel-major, 4 groups each).
+template <bool kNarrow>
+__attribute__((target("avx2,fma"))) inline __m256i a_operand_avx2(const std::uint8_t* p) {
+  if constexpr (kNarrow) {
+    return _mm256_broadcastsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  } else {
+    return _mm256_set1_epi32(load_le_i32(p));
+  }
+}
+
+// A wide tile (MR pixels x channels j0..j0+15) steps through one dot group
+// and one B row at a time; a narrow tile (MR pixels x 4 channels, j0 = 0)
+// through one 16-byte A block and 64 bytes of B.
+struct TileSteps {
+  std::int64_t count;  // per k-run
+  std::int64_t a;      // bytes
+  std::int64_t b;      // bytes
+};
+
+template <bool kNarrow>
+inline TileSteps tile_steps(const S8PackedWeights& w) {
+  return kNarrow ? TileSteps{w.run / 16, 16, 64} : TileSteps{w.run / 4, 4, w.cols * 4};
+}
+
+template <int MR, bool kNarrow>
+__attribute__((target("avx2,fma"))) void tile_avx2(const S8Row& r, std::int64_t x0,
+                                                   std::int64_t j0) {
+  const S8PackedWeights& w = *r.w;
+  const TileSteps st = tile_steps<kNarrow>(w);
   const __m256i lo_mask = _mm256_set1_epi16(0x00FF);
-  for (std::int64_t g = 0; g < kg; ++g) {
-    const __m256i braw = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp + g * 32));
-    const __m256i beven = _mm256_srai_epi16(_mm256_slli_epi16(braw, 8), 8);  // k-pos 0, 2
-    const __m256i bodd = _mm256_srai_epi16(braw, 8);                         // k-pos 1, 3
-    const std::uint8_t* a = ap + g * 4;
-#define SESR_S8_ROW(accr, idx)                                                          \
-  {                                                                                     \
-    const __m256i araw = _mm256_set1_epi32(load_le_i32(a + (idx) * lda));               \
-    const __m256i ae = _mm256_and_si256(araw, lo_mask);                                 \
-    const __m256i ao = _mm256_srli_epi16(araw, 8);                                      \
-    accr = _mm256_add_epi32(accr, _mm256_add_epi32(_mm256_madd_epi16(ae, beven),        \
-                                                   _mm256_madd_epi16(ao, bodd)));       \
+  __m256i acc[MR][2];
+  for (int i = 0; i < MR; ++i) acc[i][0] = acc[i][1] = _mm256_setzero_si256();
+  const std::uint8_t* b = w.data.data() + j0 * 4;
+  for (std::int64_t ky = 0; ky < w.kh; ++ky) {
+    const std::uint8_t* a = r.a + ky * r.rs + x0 * r.ps;
+    for (std::int64_t s = 0; s < st.count; ++s, a += st.a, b += st.b) {
+      const SplitB b0 = split_b(b);
+      const SplitB b1 = split_b(b + 32);
+      for (int i = 0; i < MR; ++i) {
+        const __m256i araw = a_operand_avx2<kNarrow>(a + i * r.ps);
+        const __m256i ae = _mm256_and_si256(araw, lo_mask);
+        const __m256i ao = _mm256_srli_epi16(araw, 8);
+        acc[i][0] = madd_dot(acc[i][0], ae, ao, b0);
+        acc[i][1] = madd_dot(acc[i][1], ae, ao, b1);
+      }
+    }
   }
-    SESR_S8_ROW(acc0, 0)
-    SESR_S8_ROW(acc1, 1)
-    SESR_S8_ROW(acc2, 2)
-    SESR_S8_ROW(acc3, 3)
-    SESR_S8_ROW(acc4, 4)
-    SESR_S8_ROW(acc5, 5)
-#undef SESR_S8_ROW
+  if constexpr (kNarrow) {
+    store_narrow_avx2<MR>(acc, r, x0);
+  } else {
+    store_wide_avx2<MR>(acc, r, x0, j0);
   }
-  const __m256i acc[kMrS8] = {acc0, acc1, acc2, acc3, acc4, acc5};
-  s8_store_tile_vec(acc, tile);
+}
+
+void row_avx2(const S8Row& r) {
+  row_tiles<kTileAvx2>(r, [&]<int M>(std::int64_t x0, std::int64_t j0) {
+    if (r.w->narrow) {
+      tile_avx2<M, true>(r, x0, j0);
+    } else {
+      tile_avx2<M, false>(r, x0, j0);
+    }
+  });
 }
 
 #if SESR_INT8_VNNI
-// AVX-VNNI kernel: one dpbusd per (row, 4-k group) replaces the broadcast +
-// 2x madd + 2x add sequence. VPDPBUSD wraps (no saturation; that is the
-// VPDPBUSDS variant), so it is exact under the same modular contract.
-__attribute__((target("avx2,fma,avxvnni"))) void s8_micro_vnni(const std::uint8_t* ap,
-                                                           std::int64_t lda,
-                                                           const std::uint8_t* bp,
-                                                           std::int64_t kg,
-                                                           const S8TileCtx& tile) {
-  __m256i acc0 = _mm256_setzero_si256();
-  __m256i acc1 = _mm256_setzero_si256();
-  __m256i acc2 = _mm256_setzero_si256();
-  __m256i acc3 = _mm256_setzero_si256();
-  __m256i acc4 = _mm256_setzero_si256();
-  __m256i acc5 = _mm256_setzero_si256();
-  for (std::int64_t g = 0; g < kg; ++g) {
-    const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp + g * 32));
-    const std::uint8_t* a = ap + g * 4;
-    acc0 = _mm256_dpbusd_avx_epi32(acc0, _mm256_set1_epi32(load_le_i32(a + 0 * lda)), b);
-    acc1 = _mm256_dpbusd_avx_epi32(acc1, _mm256_set1_epi32(load_le_i32(a + 1 * lda)), b);
-    acc2 = _mm256_dpbusd_avx_epi32(acc2, _mm256_set1_epi32(load_le_i32(a + 2 * lda)), b);
-    acc3 = _mm256_dpbusd_avx_epi32(acc3, _mm256_set1_epi32(load_le_i32(a + 3 * lda)), b);
-    acc4 = _mm256_dpbusd_avx_epi32(acc4, _mm256_set1_epi32(load_le_i32(a + 4 * lda)), b);
-    acc5 = _mm256_dpbusd_avx_epi32(acc5, _mm256_set1_epi32(load_le_i32(a + 5 * lda)), b);
+// AVX-VNNI build: one dpbusd per (pixel, dot group, 8 channels) replaces the
+// split + 2x madd + 2x add sequence. VPDPBUSD wraps (no saturation; that is
+// the VPDPBUSDS variant), so it is exact under the same modular contract.
+template <int MR, bool kNarrow>
+__attribute__((target("avx2,fma,avxvnni"))) void tile_vnni(const S8Row& r, std::int64_t x0,
+                                                           std::int64_t j0) {
+  const S8PackedWeights& w = *r.w;
+  const TileSteps st = tile_steps<kNarrow>(w);
+  __m256i acc[MR][2];
+  for (int i = 0; i < MR; ++i) acc[i][0] = acc[i][1] = _mm256_setzero_si256();
+  const std::uint8_t* b = w.data.data() + j0 * 4;
+  for (std::int64_t ky = 0; ky < w.kh; ++ky) {
+    const std::uint8_t* a = r.a + ky * r.rs + x0 * r.ps;
+    for (std::int64_t s = 0; s < st.count; ++s, a += st.a, b += st.b) {
+      const __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b));
+      const __m256i b1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + 32));
+      for (int i = 0; i < MR; ++i) {
+        const __m256i av = a_operand_avx2<kNarrow>(a + i * r.ps);
+        acc[i][0] = _mm256_dpbusd_avx_epi32(acc[i][0], av, b0);
+        acc[i][1] = _mm256_dpbusd_avx_epi32(acc[i][1], av, b1);
+      }
+    }
   }
-  const __m256i acc[kMrS8] = {acc0, acc1, acc2, acc3, acc4, acc5};
-  s8_store_tile_vec(acc, tile);
+  if constexpr (kNarrow) {
+    store_narrow_avx2<MR>(acc, r, x0);
+  } else {
+    store_wide_avx2<MR>(acc, r, x0, j0);
+  }
+}
+
+void row_vnni(const S8Row& r) {
+  row_tiles<kTileAvx2>(r, [&]<int M>(std::int64_t x0, std::int64_t j0) {
+    if (r.w->narrow) {
+      tile_vnni<M, true>(r, x0, j0);
+    } else {
+      tile_vnni<M, false>(r, x0, j0);
+    }
+  });
 }
 #endif  // SESR_INT8_VNNI
+
+#if SESR_INT8_AVX512VNNI
+// gcc 12's avx512fintrin.h builds pass-through operands from a
+// self-initialized _mm512_undefined_* value, which trips -Wuninitialized at
+// every instantiation; the operands are never read.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#define SESR_AVX512_TARGET __attribute__((target("avx512f,avx512bw,avx512vnni,fma")))
+
+// Epilogue on 16 lanes of int32 accumulators, lane-for-lane the scalar
+// expression (see store_wide_avx2; the mask compare-and-zero matches the
+// ReLU arm, the mask blend the PReLU ternary). `mask` selects the lanes
+// stored.
+SESR_AVX512_TARGET inline void store16_avx512(__m512i acc, __m512i comp, __m512 scale,
+                                              __m512 bias, __m512 alpha, __mmask16 mask,
+                                              const S8Row& r, std::int64_t offset) {
+  const __m512i v = _mm512_sub_epi32(acc, comp);
+  if (r.epi == nullptr) {
+    _mm512_mask_storeu_epi32(r.ci32 + offset, mask, v);
+    return;
+  }
+  __m512 f = _mm512_fmadd_ps(_mm512_cvtepi32_ps(v), scale, bias);
+  if (r.epi->act != Epilogue::Act::kNone) {
+    const __mmask16 pos = _mm512_cmp_ps_mask(f, _mm512_setzero_ps(), _CMP_GT_OQ);
+    f = r.epi->act == Epilogue::Act::kRelu
+            ? _mm512_maskz_mov_ps(pos, f)
+            : _mm512_mask_blend_ps(pos, _mm512_mul_ps(alpha, f), f);
+  }
+  _mm512_mask_storeu_ps(r.c + offset, mask, f);
+}
+
+// AVX-512 VNNI wide store: acc[i] holds channels j0..j0+15 of pixel i.
+template <int MR>
+SESR_AVX512_TARGET void store_wide_avx512(const __m512i* acc, const S8Row& r, std::int64_t x0,
+                                          std::int64_t j0) {
+  const std::int64_t n = r.w->n;
+  const __mmask16 mask =
+      static_cast<__mmask16>((1U << std::min<std::int64_t>(16, n - j0)) - 1U);
+  const __m512i comp = _mm512_mullo_epi32(_mm512_maskz_loadu_epi32(mask, r.colsum + j0),
+                                          _mm512_set1_epi32(128));
+  __m512 scale = _mm512_setzero_ps();
+  __m512 bias = _mm512_setzero_ps();
+  __m512 alpha = _mm512_setzero_ps();
+  if (r.epi != nullptr) {
+    scale = _mm512_maskz_loadu_ps(mask, r.epi->scale + j0);
+    if (r.epi->bias != nullptr) bias = _mm512_maskz_loadu_ps(mask, r.epi->bias + j0);
+    if (r.epi->act == Epilogue::Act::kPRelu) {
+      alpha = _mm512_maskz_loadu_ps(mask, r.epi->prelu_alpha + j0);
+    }
+  }
+  for (int i = 0; i < MR; ++i) {
+    store16_avx512(acc[i], comp, scale, bias, alpha, mask, r, (x0 + i) * n + j0);
+  }
+}
+
+// AVX-512 VNNI narrow store (n <= 4): acc[i] holds 4 channels x 4 k-group
+// partial sums of pixel i. Each channel's four lanes are summed for four
+// pixels at a time (an unpack/add transpose within each 128-bit lane, then
+// one permute to pixel-major order), so a 4-channel output stores 4 pixels
+// per vector. acc has room for MR rounded up to 4 pixels; the extra ones are
+// zero.
+template <int MR>
+SESR_AVX512_TARGET void store_narrow_avx512(const __m512i* acc, const S8Row& r,
+                                            std::int64_t x0) {
+  const std::int64_t n = r.w->n;
+  const bool full = n == 4;
+  __m512i comp = _mm512_setzero_si512();
+  __m512 scale = _mm512_setzero_ps();
+  __m512 bias = _mm512_setzero_ps();
+  __m512 alpha = _mm512_setzero_ps();
+  if (full) {
+    comp = _mm512_mullo_epi32(
+        _mm512_broadcast_i32x4(_mm_loadu_si128(reinterpret_cast<const __m128i*>(r.colsum))),
+        _mm512_set1_epi32(128));
+    if (r.epi != nullptr) {
+      scale = _mm512_broadcast_f32x4(_mm_loadu_ps(r.epi->scale));
+      if (r.epi->bias != nullptr) bias = _mm512_broadcast_f32x4(_mm_loadu_ps(r.epi->bias));
+      if (r.epi->act == Epilogue::Act::kPRelu) {
+        alpha = _mm512_broadcast_f32x4(_mm_loadu_ps(r.epi->prelu_alpha));
+      }
+    }
+  }
+  const __m512i to_pixel_major =
+      _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
+  for (int q = 0; q < MR; q += 4) {
+    // Within 128-bit lane c: acc[q + p] = [g0 g1 g2 g3] of channel c.
+    const __m512i s01 = _mm512_add_epi32(_mm512_unpacklo_epi32(acc[q], acc[q + 1]),
+                                         _mm512_unpackhi_epi32(acc[q], acc[q + 1]));
+    const __m512i s23 = _mm512_add_epi32(_mm512_unpacklo_epi32(acc[q + 2], acc[q + 3]),
+                                         _mm512_unpackhi_epi32(acc[q + 2], acc[q + 3]));
+    const __m512i sums = _mm512_add_epi32(_mm512_unpacklo_epi64(s01, s23),
+                                          _mm512_unpackhi_epi64(s01, s23));  // lane 4c + p
+    const __m512i px = _mm512_permutexvar_epi32(to_pixel_major, sums);      // lane 4p + c
+    const int count = MR - q < 4 ? MR - q : 4;
+    if (full) {
+      const auto mask = static_cast<__mmask16>((1U << (4 * count)) - 1U);
+      store16_avx512(px, comp, scale, bias, alpha, mask, r, (x0 + q) * 4);
+    } else {
+      alignas(64) std::uint32_t buf[16];
+      _mm512_store_si512(buf, px);
+      store_scalar(buf, 4, x0 + q, count, 0, n, r);
+    }
+  }
+}
+
+// AVX-512 VNNI tile, one zmm accumulator per pixel. Wide: per dot group one
+// 64-byte B load (16 channels) feeds MR dpbusd whose A operand is a 4-byte
+// embedded broadcast straight from the padded image. Narrow: per 16-byte A
+// block one 64-byte B load (4 channels x 4 groups) feeds MR dpbusd whose A
+// operand is the block broadcast to all four 128-bit lanes.
+template <int MR, bool kNarrow>
+SESR_AVX512_TARGET void tile_avx512(const S8Row& r, std::int64_t x0, std::int64_t j0) {
+  const S8PackedWeights& w = *r.w;
+  const TileSteps st = tile_steps<kNarrow>(w);
+  __m512i acc[(MR + 3) / 4 * 4];
+  for (__m512i& v : acc) v = _mm512_setzero_si512();
+  const std::uint8_t* b = w.data.data() + j0 * 4;
+  for (std::int64_t ky = 0; ky < w.kh; ++ky) {
+    const std::uint8_t* a = r.a + ky * r.rs + x0 * r.ps;
+    for (std::int64_t s = 0; s < st.count; ++s, a += st.a, b += st.b) {
+      const __m512i bv = _mm512_loadu_si512(b);
+      for (int i = 0; i < MR; ++i) {
+        const std::uint8_t* ai = a + i * r.ps;
+        const __m512i av = kNarrow ? _mm512_broadcast_i32x4(_mm_loadu_si128(
+                                         reinterpret_cast<const __m128i*>(ai)))
+                                   : _mm512_set1_epi32(load_le_i32(ai));
+        acc[i] = _mm512_dpbusd_epi32(acc[i], av, bv);
+      }
+    }
+  }
+  if constexpr (kNarrow) {
+    store_narrow_avx512<MR>(acc, r, x0);
+  } else {
+    store_wide_avx512<MR>(acc, r, x0, j0);
+  }
+}
+
+void row_avx512(const S8Row& r) {
+  row_tiles<kTile>(r, [&]<int M>(std::int64_t x0, std::int64_t j0) {
+    if (r.w->narrow) {
+      tile_avx512<M, true>(r, x0, j0);
+    } else {
+      tile_avx512<M, false>(r, x0, j0);
+    }
+  });
+}
+#undef SESR_AVX512_TARGET
+#pragma GCC diagnostic pop
+#endif  // SESR_INT8_AVX512VNNI
 
 // AVX-VNNI (VEX) is CPUID.(EAX=7, ECX=1):EAX[4]. Raw cpuid instead of
 // __builtin_cpu_supports("avxvnni") because older clang rejects the feature
@@ -276,23 +540,26 @@ bool int8_simd_disabled() {
   return disabled;
 }
 
-constexpr S8Kernel kKernelGeneric{s8_micro_generic};
+constexpr S8Kernel kKernelGeneric{"generic", row_generic};
 #if defined(__x86_64__) || defined(__i386__)
-constexpr S8Kernel kKernelAvx2{s8_micro_avx2};
+constexpr S8Kernel kKernelAvx2{"avx2", row_avx2};
 #if SESR_INT8_VNNI
-constexpr S8Kernel kKernelVnni{s8_micro_vnni};
+constexpr S8Kernel kKernelVnni{"vnni", row_vnni};
+#endif
+#if SESR_INT8_AVX512VNNI
+constexpr S8Kernel kKernelAvx512Vnni{"avx512vnni", row_avx512};
 #endif
 #endif
 
 const S8Kernel* pick_s8_kernel() {
-#if defined(__x86_64__) || defined(__i386__)
-  if (!int8_simd_disabled() && __builtin_cpu_supports("avx2") &&
-      __builtin_cpu_supports("fma")) {
-#if SESR_INT8_VNNI
-    if (cpu_has_avxvnni()) return &kKernelVnni;
+#if SESR_INT8_AVX512VNNI
+  if (gemm_s8_avx512vnni_supported()) return &kKernelAvx512Vnni;
 #endif
-    return &kKernelAvx2;
-  }
+#if SESR_INT8_VNNI
+  if (gemm_s8_vnni_supported()) return &kKernelVnni;
+#endif
+#if defined(__x86_64__) || defined(__i386__)
+  if (gemm_s8_avx2_supported()) return &kKernelAvx2;
 #endif
   return &kKernelGeneric;
 }
@@ -301,113 +568,34 @@ const S8Kernel* pick_s8_kernel() {
 // the dispatch between sweeps while pool workers may be reading it.
 std::atomic<const S8Kernel*> g_s8_kernel{pick_s8_kernel()};
 
-// Packs B columns [0, n) into ceil(n/8) panels of kg groups; each group holds
-// 8 columns x 4 consecutive k values (the dot-4 unit every kernel consumes).
-// Out-of-range k and columns pad with 0, which keeps both the accumulator and
-// the column sums unchanged.
-void pack_b_s8(const std::int8_t* b, std::int64_t k, std::int64_t n, std::int64_t kg,
-               std::uint8_t* bp) {
-  for (std::int64_t jt = 0; jt * kNrS8 < n; ++jt) {
-    std::uint8_t* panel = bp + jt * kg * kNrS8 * 4;
-    for (std::int64_t g = 0; g < kg; ++g) {
-      for (std::int64_t j = 0; j < kNrS8; ++j) {
-        const std::int64_t col = jt * kNrS8 + j;
-        std::uint8_t* dst = panel + g * kNrS8 * 4 + j * 4;
-        for (std::int64_t t = 0; t < 4; ++t) {
-          const std::int64_t kk = g * 4 + t;
-          dst[t] = (col < n && kk < k) ? static_cast<std::uint8_t>(b[kk * n + col])
-                                       : static_cast<std::uint8_t>(0);
-        }
-      }
-    }
-  }
-}
-
-// Packs rows [i0, i0 + mc) generated by `src` into row-major 6-row tiles:
-// tile row i occupies bytes [i * k4, i * k4 + k4). The row source writes
-// straight into its destination row — packing costs exactly one pass over
-// the A bytes. Padding (k tail, missing tile rows) is 128 — quantized zero —
-// and only ever multiplies zero B padding, so any value would do; 128 keeps
-// panels deterministic.
-void pack_a_s8(S8RowSource src, const void* ctx, std::int64_t i0, std::int64_t mc,
-               std::int64_t k, std::int64_t kg, std::uint8_t* ap) {
-  const std::int64_t k4 = kg * 4;
-  for (std::int64_t ii = 0; ii < mc; ii += kMrS8) {
-    std::uint8_t* tile = ap + (ii / kMrS8) * kMrS8 * k4;
-    for (std::int64_t i = 0; i < kMrS8; ++i) {
-      std::uint8_t* row = tile + i * k4;
-      if (ii + i < mc) {
-        src(ctx, i0 + ii + i, 0, k, row);
-        std::memset(row + k, 128, static_cast<std::size_t>(k4 - k));
-      } else {
-        std::memset(row, 128, static_cast<std::size_t>(k4));
-      }
-    }
-  }
-}
-
-// Macro-kernel: packs all of B once (int8 weight panels are k*n bytes — L2
-// resident for every SESR conv), then walks kMcS8-row A blocks; the inner
-// tile loop keeps one B panel hot across all row tiles.
-void gemm_s8_driver(S8RowSource src, const void* ctx, const std::int8_t* b,
-                    const std::int32_t* colsum, float* c, std::int32_t* ci32, std::int64_t m,
-                    std::int64_t k, std::int64_t n, const S8Epilogue* epi) {
-  if (m <= 0 || n <= 0) return;
+void conv_rows_impl(const S8Image& a, const S8PackedWeights& w, const std::int32_t* colsum,
+                    std::int64_t row0, std::int64_t row1, float* c, std::int32_t* ci32,
+                    const S8Epilogue* epi) {
   const S8Kernel& kern = *g_s8_kernel.load(std::memory_order_relaxed);
-  const std::int64_t kg = (k + 3) / 4;
-  const std::int64_t n_tiles = (n + kNrS8 - 1) / kNrS8;
-  const std::int64_t b_panel = kg * kNrS8 * 4;
-  const std::int64_t k4 = kg * 4;
-  const std::int64_t a_panel = kMrS8 * k4;
-  std::span<std::uint8_t> bp =
-      scratch_bytes(ScratchSlot::kS8PackB, static_cast<std::size_t>(n_tiles * b_panel));
-  pack_b_s8(b, k, n, kg, bp.data());
-  for (std::int64_t i0 = 0; i0 < m; i0 += kMcS8) {
-    const std::int64_t mc = std::min(kMcS8, m - i0);
-    const std::int64_t m_tiles = (mc + kMrS8 - 1) / kMrS8;
-    std::span<std::uint8_t> ap =
-        scratch_bytes(ScratchSlot::kS8PackA, static_cast<std::size_t>(m_tiles * a_panel));
-    pack_a_s8(src, ctx, i0, mc, k, kg, ap.data());
-    for (std::int64_t jt = 0; jt < n_tiles; ++jt) {
-      const std::int64_t j0 = jt * kNrS8;
-      for (std::int64_t it = 0; it < m_tiles; ++it) {
-        const std::int64_t ii = it * kMrS8;
-        S8TileCtx tile;
-        tile.colsum = colsum + j0;
-        tile.ldc = n;
-        tile.mr = std::min(kMrS8, mc - ii);
-        tile.nr = std::min(kNrS8, n - j0);
-        if (ci32 != nullptr) {
-          tile.ci32 = ci32 + (i0 + ii) * n + j0;
-        } else {
-          tile.c = c + (i0 + ii) * n + j0;
-          tile.scale = epi->scale + j0;
-          tile.bias = epi->bias != nullptr ? epi->bias + j0 : nullptr;
-          tile.act = epi->act;
-          tile.alpha = epi->prelu_alpha != nullptr ? epi->prelu_alpha + j0 : nullptr;
-        }
-        kern.fn(ap.data() + it * a_panel, k4, bp.data() + jt * b_panel, kg, tile);
-      }
+  S8Row r;
+  r.ps = a.pixel_stride;
+  r.rs = a.row_stride;
+  r.width = a.width;
+  r.w = &w;
+  r.colsum = colsum;
+  r.epi = epi;
+  const std::int64_t row_out = a.width * w.n;
+  for (std::int64_t row = row0; row < row1; ++row) {
+    r.a = a.data + row * a.row_stride;
+    if (c != nullptr) {
+      r.c = c + row * row_out;
+    } else {
+      r.ci32 = ci32 + row * row_out;
     }
+    kern.row(r);
   }
-}
-
-struct ContigS8 {
-  const std::uint8_t* a;
-  std::int64_t k;
-};
-
-void contig_s8_row(const void* ctx, std::int64_t row, std::int64_t p0, std::int64_t kc,
-                   std::uint8_t* dst) {
-  const auto* src = static_cast<const ContigS8*>(ctx);
-  std::memcpy(dst, src->a + row * src->k + p0, static_cast<std::size_t>(kc));
 }
 
 void check_s8_sizes(std::size_t a_size, std::span<const std::int8_t> b,
                     std::span<const std::int32_t> colsum, std::size_t c_size, std::int64_t m,
-                    std::int64_t k, std::int64_t n, bool has_a) {
+                    std::int64_t k, std::int64_t n) {
   if (m < 0 || k < 0 || n < 0) throw std::invalid_argument("gemm_s8: negative dimension");
-  if (has_a && a_size < static_cast<std::size_t>(m * k)) {
+  if (a_size < static_cast<std::size_t>(m * k)) {
     throw std::invalid_argument("gemm_s8: A span too small");
   }
   if (b.size() < static_cast<std::size_t>(k * n)) {
@@ -428,6 +616,19 @@ void check_s8_epilogue(const S8Epilogue& epi) {
   }
 }
 
+// The GEMM as a 1x1 conv: one image row of m pixels, in_c = k. A is copied so
+// the last pixel's k-run may read its run - k bytes of slack.
+void gemm_s8_impl(std::span<const std::uint8_t> a, std::span<const std::int8_t> b,
+                  std::span<const std::int32_t> colsum, float* c, std::int32_t* ci32,
+                  std::int64_t m, std::int64_t k, std::int64_t n, const S8Epilogue* epi) {
+  if (m <= 0 || n <= 0) return;
+  const S8PackedWeights w = pack_s8_weights(b, 1, k, n);
+  std::vector<std::uint8_t> img(static_cast<std::size_t>(m * k + w.run - k), 128);
+  std::copy(a.begin(), a.begin() + m * k, img.begin());
+  const S8Image view{img.data(), k, m * k, m};
+  conv_rows_impl(view, w, colsum.data(), 0, 1, c, ci32, epi);
+}
+
 void quantize_u8_scalar(const float* src, std::uint8_t* dst, std::int64_t n, float inv) {
   for (std::int64_t i = 0; i < n; ++i) {
     dst[i] = static_cast<std::uint8_t>(static_cast<std::int32_t>(quantize_value(src[i], inv)) +
@@ -437,11 +638,12 @@ void quantize_u8_scalar(const float* src, std::uint8_t* dst, std::int64_t n, flo
 
 #if defined(__x86_64__) || defined(__i386__)
 // Vectorized quantize_value + 128. Exactness is an expression-level mirror of
-// the scalar form: clamp to [-127, 127] first, add copysign(0.5, r) (equal to
-// the r >= 0 ternary for every non-NaN input including -0.0, where both sides
-// round to 0), then truncate — cvttps is the C cast. Values land in [1, 255],
-// so the signed i32->i16 and unsigned i16->u8 packs never saturate; the final
-// 32-bit permute undoes the packs' 128-bit lane interleave.
+// the scalar form: NaN lanes become +0 first (an ordered self-compare mask),
+// then clamp to [-127, 127], add copysign(0.5, r) (equal to the r >= 0
+// ternary for every non-NaN input including -0.0, where both sides round to
+// 0), then truncate — cvttps is the C cast. Values land in [1, 255], so the
+// signed i32->i16 and unsigned i16->u8 packs never saturate; the final 32-bit
+// permute undoes the packs' 128-bit lane interleave.
 __attribute__((target("avx2"))) void quantize_u8_avx2(const float* src, std::uint8_t* dst,
                                                       std::int64_t n, float inv) {
   const __m256 vinv = _mm256_set1_ps(inv);
@@ -456,6 +658,7 @@ __attribute__((target("avx2"))) void quantize_u8_avx2(const float* src, std::uin
     __m256i q[4];
     for (int t = 0; t < 4; ++t) {
       __m256 r = _mm256_mul_ps(_mm256_loadu_ps(src + i + t * 8), vinv);
+      r = _mm256_and_ps(r, _mm256_cmp_ps(r, r, _CMP_ORD_Q));
       r = _mm256_max_ps(_mm256_min_ps(r, vmax), vmin);
       const __m256 half = _mm256_or_ps(_mm256_and_ps(r, vsign), vhalf);
       q[t] = _mm256_add_epi32(_mm256_cvttps_epi32(_mm256_add_ps(r, half)), v128);
@@ -495,6 +698,32 @@ std::vector<std::int32_t> s8_column_sums(std::span<const std::int8_t> b, std::in
   return sums;
 }
 
+S8PackedWeights pack_s8_weights(std::span<const std::int8_t> b, std::int64_t kh,
+                                std::int64_t kwc, std::int64_t n) {
+  if (kh < 0 || kwc < 0 || n < 0) throw std::invalid_argument("pack_s8_weights: negative size");
+  if (b.size() < static_cast<std::size_t>(kh * kwc * n)) {
+    throw std::invalid_argument("pack_s8_weights: B span too small");
+  }
+  S8PackedWeights w;
+  w.kh = kh;
+  w.n = n;
+  w.narrow = n <= 4;
+  w.run = w.narrow ? (kwc + 15) / 16 * 16 : (kwc + 3) / 4 * 4;
+  w.cols = w.narrow ? 4 : (n + 15) / 16 * 16;
+  const std::int64_t gr = w.run / 4;
+  w.data.assign(static_cast<std::size_t>(kh * gr * w.cols * 4), 0);
+  for (std::int64_t ky = 0; ky < kh; ++ky) {
+    for (std::int64_t p = 0; p < kwc; ++p) {
+      const std::int8_t* src = b.data() + (ky * kwc + p) * n;
+      for (std::int64_t j = 0; j < n; ++j) {
+        w.data[static_cast<std::size_t>(b_offset(w, ky * gr + p / 4, j) + p % 4)] =
+            static_cast<std::uint8_t>(src[j]);
+      }
+    }
+  }
+  return w;
+}
+
 bool gemm_s8_avx2_supported() {
 #if defined(__x86_64__) || defined(__i386__)
   return !int8_simd_disabled() && __builtin_cpu_supports("avx2") &&
@@ -505,67 +734,77 @@ bool gemm_s8_avx2_supported() {
 }
 
 bool gemm_s8_vnni_supported() {
-#if (defined(__x86_64__) || defined(__i386__)) && SESR_INT8_VNNI
-  return !int8_simd_disabled() && __builtin_cpu_supports("avx2") &&
-         __builtin_cpu_supports("fma") && cpu_has_avxvnni();
+#if SESR_INT8_VNNI
+  return gemm_s8_avx2_supported() && cpu_has_avxvnni();
 #else
   return false;
 #endif
 }
 
-bool set_gemm_s8_isa(GemmS8Isa isa) {
-  switch (isa) {
-    case GemmS8Isa::kAuto:
-      g_s8_kernel.store(pick_s8_kernel(), std::memory_order_relaxed);
-      return true;
-    case GemmS8Isa::kGeneric:
-      g_s8_kernel.store(&kKernelGeneric, std::memory_order_relaxed);
-      return true;
-    case GemmS8Isa::kAvx2:
-#if defined(__x86_64__) || defined(__i386__)
-      if (gemm_s8_avx2_supported()) {
-        g_s8_kernel.store(&kKernelAvx2, std::memory_order_relaxed);
-        return true;
-      }
-#endif
-      return false;
-    case GemmS8Isa::kVnni:
-#if (defined(__x86_64__) || defined(__i386__)) && SESR_INT8_VNNI
-      if (gemm_s8_vnni_supported()) {
-        g_s8_kernel.store(&kKernelVnni, std::memory_order_relaxed);
-        return true;
-      }
-#endif
-      return false;
-  }
+bool gemm_s8_avx512vnni_supported() {
+#if SESR_INT8_AVX512VNNI
+  return gemm_s8_avx2_supported() && __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vnni");
+#else
   return false;
+#endif
 }
 
-void gemm_s8_rows(S8RowSource src, const void* ctx, std::span<const std::int8_t> b,
-                  std::span<const std::int32_t> colsum, std::span<float> c, std::int64_t m,
-                  std::int64_t k, std::int64_t n, const S8Epilogue& epilogue) {
-  check_s8_sizes(0, b, colsum, c.size(), m, k, n, /*has_a=*/false);
+const char* gemm_s8_kernel_name() { return g_s8_kernel.load(std::memory_order_relaxed)->name; }
+
+bool set_gemm_s8_isa(GemmS8Isa isa) {
+  const S8Kernel* kern = nullptr;
+  switch (isa) {
+    case GemmS8Isa::kAuto:
+      kern = pick_s8_kernel();
+      break;
+    case GemmS8Isa::kGeneric:
+      kern = &kKernelGeneric;
+      break;
+    case GemmS8Isa::kAvx2:
+#if defined(__x86_64__) || defined(__i386__)
+      if (gemm_s8_avx2_supported()) kern = &kKernelAvx2;
+#endif
+      break;
+    case GemmS8Isa::kVnni:
+#if SESR_INT8_VNNI
+      if (gemm_s8_vnni_supported()) kern = &kKernelVnni;
+#endif
+      break;
+    case GemmS8Isa::kAvx512Vnni:
+#if SESR_INT8_AVX512VNNI
+      if (gemm_s8_avx512vnni_supported()) kern = &kKernelAvx512Vnni;
+#endif
+      break;
+  }
+  if (kern == nullptr) return false;
+  g_s8_kernel.store(kern, std::memory_order_relaxed);
+  return true;
+}
+
+void conv_s8_rows(const S8Image& a, const S8PackedWeights& w,
+                  std::span<const std::int32_t> colsum, std::int64_t row0, std::int64_t row1,
+                  float* c, const S8Epilogue& epilogue) {
+  if (colsum.size() < static_cast<std::size_t>(w.n)) {
+    throw std::invalid_argument("conv_s8_rows: colsum span too small");
+  }
   check_s8_epilogue(epilogue);
-  gemm_s8_driver(src, ctx, b.data(), colsum.data(), c.data(), nullptr, m, k, n, &epilogue);
+  conv_rows_impl(a, w, colsum.data(), row0, row1, c, nullptr, &epilogue);
 }
 
 void gemm_s8(std::span<const std::uint8_t> a, std::span<const std::int8_t> b,
              std::span<const std::int32_t> colsum, std::span<float> c, std::int64_t m,
              std::int64_t k, std::int64_t n, const S8Epilogue& epilogue) {
-  check_s8_sizes(a.size(), b, colsum, c.size(), m, k, n, /*has_a=*/true);
+  check_s8_sizes(a.size(), b, colsum, c.size(), m, k, n);
   check_s8_epilogue(epilogue);
-  const ContigS8 src{a.data(), k};
-  gemm_s8_driver(contig_s8_row, &src, b.data(), colsum.data(), c.data(), nullptr, m, k, n,
-                 &epilogue);
+  gemm_s8_impl(a, b, colsum, c.data(), nullptr, m, k, n, &epilogue);
 }
 
 void gemm_s8_i32(std::span<const std::uint8_t> a, std::span<const std::int8_t> b,
                  std::span<const std::int32_t> colsum, std::span<std::int32_t> c, std::int64_t m,
                  std::int64_t k, std::int64_t n) {
-  check_s8_sizes(a.size(), b, colsum, c.size(), m, k, n, /*has_a=*/true);
-  const ContigS8 src{a.data(), k};
-  gemm_s8_driver(contig_s8_row, &src, b.data(), colsum.data(), nullptr, c.data(), m, k, n,
-                 nullptr);
+  check_s8_sizes(a.size(), b, colsum, c.size(), m, k, n);
+  gemm_s8_impl(a, b, colsum, nullptr, c.data(), m, k, n, nullptr);
 }
 
 }  // namespace sesr::nn

@@ -1,23 +1,40 @@
-// Quantized u8 x s8 GEMM for the int8 serving path.
+// Quantized u8 x s8 convolution kernels for the int8 serving path.
 //
-// Row-major: the logical product is C[m x n] = A[m x k] * B[k x n] where A
-// holds offset-binary activations (true int8 value q in [-127, 127] stored as
-// q + 128, so every byte is in [1, 255]) and B holds symmetric per-channel
-// int8 weights. Accumulation is int32; the +128 activation offset is removed
+// The A operand (activations) is never packed: the conv quantizes its input
+// once into a zero-point-padded offset-binary u8 image (true int8 value q in
+// [-127, 127] stored as q + 128, so every byte is in [1, 255]; the SAME border
+// and the trailing slack hold 128, the quantized zero). Every micro-kernel
+// reads its A rows in place from that image — output pixel x of an output
+// row reads, for each kernel row ky, one contiguous k-run of kw*in_c bytes
+// starting at image row (row + ky), pixel x. Adjacent output pixels are
+// `in_c` bytes apart, so a tile of consecutive pixels along one row is a
+// strided view of the image. Each run is read in whole 4-byte dot groups
+// (16-byte blocks for the 4-channel layout); the bytes past kw*in_c meet zero
+// weights, so their values never reach an accumulator.
+//
+// B (weights) is packed once per weight tensor (pack_s8_weights, called by
+// quantize_conv_weights) into one of two layouts, chosen by the channel count:
+//   wide    n > 4: per dot group, all output channels (padded to 16) x 4
+//           bytes — one 64-byte row per group, read as one zmm (or two ymm)
+//   narrow  n <= 4: per 16-byte A block (4 dot groups), 4 channels x 4 groups
+//           x 4 bytes — one zmm holds 4 channels x 4 k-groups of one pixel
+// Padding lanes (k past kw*in_c, channels past n) hold zero weights.
+//
+// Accumulation is int32 modulo 2^32; the +128 activation offset is removed
 // exactly at write-back via the per-column weight sums (acc - 128 * colsum),
 // so the stored accumulator equals the plain s8 x s8 int64 dot product
-// whenever that fits int32 — bit-exactly, which the conv2d_int8_vs_ref audit
-// pair enforces against the int64-accumulated reference in src/check.
-//
-// Kernel shape mirrors gemm.cpp: packed panels, a 6-row x 8-column micro-tile
-// with register accumulators, and one full-k sweep per tile (no k-blocking —
-// int8 panels are 4x smaller than fp32, so the whole k extent of a SESR conv
-// fits in L1). Three micro-kernel builds sit behind a runtime-detect seam:
-//   kGeneric  portable scalar loop (the non-AVX fallback CI keeps honest)
-//   kAvx2     zero/sign-extend to s16 + _mm256_madd_epi16 (exact; maddubs'
-//             s16 pair-sum saturates at 255*127*2 > 32767, so it is not used)
-//   kVnni     AVX-VNNI _mm256_dpbusd_avx_epi32 (u8 x s8 dot-4, exact)
-// All three produce identical int32 accumulators; SESR_DISABLE_INT8_SIMD=1
+// whenever that fits int32 — bit-exactly, which the conv2d_int8_vs_ref and
+// gemm_s8_* audit pairs enforce against the int64 reference in src/check.
+// Four micro-kernel builds sit behind a runtime-detect seam:
+//   kGeneric     portable scalar loop (the non-AVX fallback CI keeps honest)
+//   kAvx2        zero/sign-extend to s16 + _mm256_madd_epi16 (exact; maddubs'
+//                s16 pair-sum saturates at 255*127*2 > 32767, so it is not used)
+//   kVnni        AVX-VNNI _mm256_dpbusd_avx_epi32 (u8 x s8 dot-4, exact)
+//   kAvx512Vnni  AVX-512 VNNI _mm512_dpbusd_epi32: a wide tile is 16 pixels
+//                along one row x 16 channels (one zmm per pixel); a narrow
+//                tile is 16 pixels with one zmm of 4 channels x 4 k-groups
+//                each, fed by a 16-byte A broadcast and summed at the store
+// All four produce identical int32 accumulators; SESR_DISABLE_INT8_SIMD=1
 // pins the scalar kernel for forced-generic CI runs.
 //
 // The dequantize -> bias -> activation epilogue rides the accumulator store:
@@ -35,9 +52,9 @@
 
 namespace sesr::nn {
 
-// Micro-kernel selector for the int8 GEMM, mirroring nn::GemmIsa. Explicit
+// Micro-kernel selector for the int8 kernels, mirroring nn::GemmIsa. Explicit
 // values exist so the gemm_s8_* audit pairs can pin each build.
-enum class GemmS8Isa { kAuto, kGeneric, kAvx2, kVnni };
+enum class GemmS8Isa { kAuto, kGeneric, kAvx2, kVnni, kAvx512Vnni };
 
 // Force the int8 micro-kernel dispatch; returns false (dispatch unchanged)
 // when the requested ISA is unsupported (or vector kernels are disabled via
@@ -48,6 +65,11 @@ bool set_gemm_s8_isa(GemmS8Isa isa);
 // SESR_DISABLE_INT8_SIMD is not set).
 bool gemm_s8_avx2_supported();
 bool gemm_s8_vnni_supported();
+bool gemm_s8_avx512vnni_supported();
+
+// Name of the build the dispatch currently runs: "generic", "avx2", "vnni"
+// or "avx512vnni".
+const char* gemm_s8_kernel_name();
 
 // Fused write-back applied to every int32 accumulator (see file comment).
 // `scale` holds one dequantization factor per output column — for the conv
@@ -60,16 +82,18 @@ struct S8Epilogue {
 };
 
 // The canonical scalar quantizer: round-half-away-from-zero, clamp to
-// [-127, 127]. Every producer of int8 data in the repo (weight quantization,
-// the implicit im2col row source, the streaming row path, src/check)
-// must funnel through this exact expression; divergent rounding was the
-// "reference drift" failure mode the audit pairs exist to catch. The
-// trunc(r + 0.5) form equals std::round for every float with |r| <= 127
-// (the add is exact or rounds within the same unit interval there) while
-// staying auto-vectorizable — std::round is a libm call at baseline ISA,
-// and this runs once per input element per quantized layer.
+// [-127, 127], NaN to 0 (the zero point). Every producer of int8 data in the
+// repo (weight quantization, the bulk activation quantizer, the streaming row
+// path, src/check) must funnel through this exact expression; divergent
+// rounding was the "reference drift" failure mode the audit pairs exist to
+// catch. The trunc(r + 0.5) form equals std::round for every float with
+// |r| <= 127 (the add is exact or rounds within the same unit interval there)
+// while staying auto-vectorizable — std::round is a libm call at baseline
+// ISA, and this runs once per input element per quantized layer. The NaN
+// select comes first so the int32 cast never sees a NaN (undefined).
 inline std::int8_t quantize_value(float v, float inv_scale) {
   float r = v * inv_scale;
+  r = r == r ? r : 0.0F;
   r = r < -127.0F ? -127.0F : (r > 127.0F ? 127.0F : r);
   return static_cast<std::int8_t>(static_cast<std::int32_t>(r + (r >= 0.0F ? 0.5F : -0.5F)));
 }
@@ -80,10 +104,9 @@ inline constexpr float kDegenerateQuantScale = 1.0F / 127.0F;
 
 // Quantizes n fp32 values into offset-binary u8 (quantize_value(v) + 128) —
 // the bulk form the conv path uses to quantize a whole activation tensor once
-// per layer instead of once per im2col tap. Bit-identical to the scalar
-// expression element for element (the AVX2 build mirrors clamp, the signed
-// half-offset, and the truncating convert exactly); SESR_DISABLE_INT8_SIMD
-// pins the scalar loop.
+// per layer. Bit-identical to the scalar expression element for element (the
+// AVX2 build mirrors the NaN select, clamp, the signed half-offset, and the
+// truncating convert exactly); SESR_DISABLE_INT8_SIMD pins the scalar loop.
 void quantize_u8_run(const float* src, std::uint8_t* dst, std::int64_t n, float inv_scale);
 
 // Per-column sums of B (n entries), needed by the write-back to remove the
@@ -91,19 +114,42 @@ void quantize_u8_run(const float* src, std::uint8_t* dst, std::int64_t n, float 
 std::vector<std::int32_t> s8_column_sums(std::span<const std::int8_t> b, std::int64_t k,
                                          std::int64_t n);
 
-// Produces logical A row `row`, k-slice [p0, p0 + kc), as offset-binary u8
-// bytes into dst. Called from inside the A-pack, so the quantized im2col
-// matrix never exists in memory (mirrors Fp16RowSource).
-using S8RowSource = void (*)(const void* ctx, std::int64_t row, std::int64_t p0, std::int64_t kc,
-                             std::uint8_t* dst);
+// B in the micro-kernels' layout (see file comment). Built once per weight
+// tensor; every kernel build reads the same bytes.
+struct S8PackedWeights {
+  std::vector<std::uint8_t> data;
+  std::int64_t kh = 0;     // kernel rows: one A k-run each
+  std::int64_t run = 0;    // A bytes read per k-run: kw*in_c rounded up to 4 (16 if narrow)
+  std::int64_t cols = 0;   // channel stride: n rounded up to 16 (4 if narrow)
+  std::int64_t n = 0;      // output channels
+  bool narrow = false;     // n <= 4: the 4-channel k-interleaved layout
+};
 
-// C[m x n] (fp32) = epilogue(A * B - 128 * colsum) with A generated row-wise
-// by `src`. B is [k x n] row-major s8; colsum holds the n column sums of B.
-void gemm_s8_rows(S8RowSource src, const void* ctx, std::span<const std::int8_t> b,
-                  std::span<const std::int32_t> colsum, std::span<float> c, std::int64_t m,
-                  std::int64_t k, std::int64_t n, const S8Epilogue& epilogue);
+// Packs B = [kh * kwc x n] row-major s8 (an HWIO weight tensor flattened, with
+// kwc = kw * in_c) for the micro-kernels.
+S8PackedWeights pack_s8_weights(std::span<const std::int8_t> b, std::int64_t kh,
+                                std::int64_t kwc, std::int64_t n);
 
-// Same with an explicit contiguous A (m x k offset-binary u8, row-major).
+// The in-place A operand: a zero-point-padded u8 image. Output pixel x of
+// output row r reads k-run ky at data + (r + ky) * row_stride + x *
+// pixel_stride. The caller guarantees that run - kwc bytes past the last
+// k-run of the last row are readable (their values do not matter).
+struct S8Image {
+  const std::uint8_t* data = nullptr;
+  std::int64_t pixel_stride = 0;  // in_c
+  std::int64_t row_stride = 0;    // padded image width * in_c
+  std::int64_t width = 0;         // output pixels per row
+};
+
+// Output rows [row0, row1) of the conv: c[(r * width + x) * n + j] =
+// epilogue(sum over the kh k-runs of pixel (r, x) - 128 * colsum[j]).
+void conv_s8_rows(const S8Image& a, const S8PackedWeights& w,
+                  std::span<const std::int32_t> colsum, std::int64_t row0, std::int64_t row1,
+                  float* c, const S8Epilogue& epilogue);
+
+// C[m x n] (fp32) = epilogue(A * B - 128 * colsum) for a contiguous row-major
+// A (m x k offset-binary u8) and B ([k x n] row-major s8) — a 1x1 conv over
+// an image of m pixels with in_c = k, run through the same kernels.
 void gemm_s8(std::span<const std::uint8_t> a, std::span<const std::int8_t> b,
              std::span<const std::int32_t> colsum, std::span<float> c, std::int64_t m,
              std::int64_t k, std::int64_t n, const S8Epilogue& epilogue);

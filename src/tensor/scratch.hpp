@@ -37,9 +37,7 @@ enum class ScratchSlot : std::size_t {
   kF16StageA,       // fp32 row buffer for the fp16 GEMM's A-pack widening
   kF16StageB,       // fp32 row buffer for the fp16 GEMM's B-pack widening
   kF16OutStripe,    // fp32 conv output stripe before the fp16 store
-  kS8PackA,         // packed u8 activation panels inside the int8 GEMM
-  kS8PackB,         // packed s8 weight panels inside the int8 GEMM
-  kS8Quant,         // bulk-quantized u8 input image (int8 conv forward)
+  kS8Quant,         // zero-point-padded u8 input image (int8 conv forward)
   kS8Dequant,       // per-channel dequant scales (int8 conv forward)
   kSlotCount,
 };
@@ -48,7 +46,7 @@ enum class ScratchSlot : std::size_t {
 // Contents are unspecified (callers overwrite or explicitly zero).
 std::span<float> scratch_floats(ScratchSlot slot, std::size_t n);
 
-// Byte-typed variant for the int8 kernels' packed panels. Slots are shared
+// Byte-typed variant for the int8 kernels' quantized images. Slots are shared
 // with scratch_floats only in name: each slot owns one float buffer AND one
 // byte buffer per thread, so requesting bytes never invalidates a float span
 // of the same slot (the int8 slots above only ever use the byte side).

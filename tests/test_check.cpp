@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <limits>
+#include <sstream>
+#include <string>
 
 #include "check/audit.hpp"
 #include "check/compare.hpp"
@@ -14,6 +16,7 @@
 #include "metrics/ssim.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/depth_to_space.hpp"
+#include "nn/gemm_s8.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "tensor/thread_pool.hpp"
 
@@ -240,6 +243,44 @@ TEST(Audit, SkippedTrialsDoNotFail) {
   EXPECT_TRUE(report.passed());
   EXPECT_EQ(report.trials_run, 0);
   EXPECT_EQ(report.trials_skipped, 1);
+}
+
+TEST(Audit, FullySkippedPairPrintsSkipWithReason) {
+  // A pair whose every trial is skipped (its kernel build is absent) must
+  // not read as a PASS: it prints SKIP with the trial's reason, the summary
+  // counts it, and the header names the int8 kernel the dispatcher picked.
+  AuditPair skip_pair;
+  skip_pair.name = "synthetic_skip";
+  skip_pair.trial = [](std::uint64_t) {
+    TrialResult r;
+    r.skipped = true;
+    r.detail = "fooisa not available on this CPU";
+    return r;
+  };
+  AuditPair pass_pair;
+  pass_pair.name = "synthetic_pass";
+  pass_pair.trial = [](std::uint64_t) {
+    TrialResult r;
+    r.stats = compare_f32(std::vector<float>{1.0F}, std::vector<double>{1.0});
+    return r;
+  };
+  AuditOptions options;
+  options.trials = 1;
+  options.thread_counts = {1};
+  const std::vector<PairReport> reports = {replay_trial(skip_pair, 3, {1}),
+                                           replay_trial(pass_pair, 3, {1})};
+  EXPECT_TRUE(reports[0].skipped());
+  EXPECT_TRUE(all_passed(reports));
+  std::ostringstream os;
+  print_report(os, reports, options);
+  const std::string text = os.str();
+  EXPECT_NE(text.find("int8 kernel: " + std::string(nn::gemm_s8_kernel_name())),
+            std::string::npos);
+  EXPECT_NE(text.find("SKIP synthetic_skip (fooisa not available on this CPU)\n"),
+            std::string::npos);
+  EXPECT_EQ(text.find("PASS synthetic_skip"), std::string::npos);
+  EXPECT_NE(text.find("PASS synthetic_pass"), std::string::npos);
+  EXPECT_NE(text.find("audit OK (2 pairs: 1 passed, 0 failed, 1 skipped)"), std::string::npos);
 }
 
 TEST(Audit, RestoresGlobalThreadPoolWidth) {

@@ -1,6 +1,6 @@
-// Tests for the int8 serving path: the canonical quantizer, the packed
-// u8 x s8 GEMM micro-kernels (every ISA build against an int64 reference and
-// against each other), the fused conv2d_s8 layer, end-to-end calibrated
+// Tests for the int8 serving path: the canonical quantizer (NaN included),
+// the u8 x s8 micro-kernels through gemm_s8 (every ISA build against an int64
+// reference and against each other), the fused conv2d_s8 layer, end-to-end calibrated
 // inference (kInt8 / kHybrid), checkpoint round-trips, the hybrid-precision
 // planner, and the cross-mode bit-exactness promise (full-frame == tiled ==
 // streaming for pure int8).
@@ -10,7 +10,9 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "check/reference.hpp"
@@ -90,6 +92,33 @@ TEST(QuantizeValue, MatchesStdRoundOverTheRepresentableRange) {
   }
 }
 
+TEST(QuantizeValue, NanMapsToZeroPointInEveryBuild) {
+  // Raw float frames from the wire are not validated; a NaN must quantize to
+  // the zero point (never through an undefined float->int cast), and the bulk
+  // quantizer must agree with the scalar expression whether the NaN lands in
+  // its vector body or its scalar tail. ctest also runs this suite with
+  // SESR_DISABLE_INT8_SIMD=1 (test_int8_forced_generic).
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(nn::quantize_value(nan, 1.0F), 0);
+  EXPECT_EQ(nn::quantize_value(-nan, 1.0F), 0);
+  EXPECT_EQ(nn::quantize_value(nan, 1e30F), 0);
+  std::vector<float> src(45);
+  Rng rng(3);
+  for (float& v : src) v = rng.uniform(-2.0F, 2.0F);
+  src[3] = nan;    // vector body (first 32 elements)
+  src[20] = -nan;
+  src[40] = nan;   // scalar tail
+  std::vector<std::uint8_t> dst(src.size());
+  nn::quantize_u8_run(src.data(), dst.data(), static_cast<std::int64_t>(src.size()), 50.0F);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    EXPECT_EQ(dst[i], static_cast<std::uint8_t>(nn::quantize_value(src[i], 50.0F) + 128))
+        << "i=" << i;
+  }
+  EXPECT_EQ(dst[3], 128);
+  EXPECT_EQ(dst[20], 128);
+  EXPECT_EQ(dst[40], 128);
+}
+
 // ----------------------------------------------------- quantize_conv_weights
 
 TEST(QuantizeConvWeights, PerChannelScalesAndColumnSums) {
@@ -167,12 +196,19 @@ class S8IsaGuard {
   bool ok_ = false;
 };
 
+constexpr nn::GemmS8Isa kAllS8Isas[] = {nn::GemmS8Isa::kGeneric, nn::GemmS8Isa::kAvx2,
+                                        nn::GemmS8Isa::kVnni, nn::GemmS8Isa::kAvx512Vnni};
+
 void check_gemm_s8_shapes(nn::GemmS8Isa isa) {
   S8IsaGuard guard(isa);
   if (!guard.ok()) GTEST_SKIP() << "ISA unsupported on this CPU";
-  // Edge shapes straddling the 6x8 micro-tile and the 4-wide k-groups.
-  const std::int64_t shapes[][3] = {{1, 1, 1},   {6, 4, 8},   {7, 5, 9},  {5, 3, 7},
-                                    {12, 16, 8}, {13, 17, 9}, {6, 160, 8}, {40, 33, 25}};
+  // Edge shapes straddling the pixel tiles (16, 4 and their power-of-two
+  // remainders), the 16-channel blocks, the 4-channel layout (n <= 4) and
+  // the 4- and 16-byte k-runs.
+  const std::int64_t shapes[][3] = {{1, 1, 1},    {6, 4, 8},    {7, 5, 9},   {5, 3, 7},
+                                    {12, 16, 8},  {13, 17, 9},  {6, 160, 8}, {40, 33, 25},
+                                    {16, 48, 16}, {31, 80, 4},  {17, 5, 3},  {37, 400, 16},
+                                    {23, 16, 33}, {19, 144, 2}};
   std::uint64_t seed = 100;
   for (const auto& s : shapes) {
     const std::int64_t m = s[0];
@@ -192,6 +228,9 @@ void check_gemm_s8_shapes(nn::GemmS8Isa isa) {
 TEST(GemmS8, GenericMatchesInt64Reference) { check_gemm_s8_shapes(nn::GemmS8Isa::kGeneric); }
 TEST(GemmS8, Avx2MatchesInt64Reference) { check_gemm_s8_shapes(nn::GemmS8Isa::kAvx2); }
 TEST(GemmS8, VnniMatchesInt64Reference) { check_gemm_s8_shapes(nn::GemmS8Isa::kVnni); }
+TEST(GemmS8, Avx512VnniMatchesInt64Reference) {
+  check_gemm_s8_shapes(nn::GemmS8Isa::kAvx512Vnni);
+}
 
 TEST(GemmS8, AllIsaBuildsBitIdentical) {
   Rng rng(42);
@@ -216,8 +255,7 @@ TEST(GemmS8, AllIsaBuildsBitIdentical) {
   epi.act = nn::Epilogue::Act::kPRelu;
   epi.prelu_alpha = alpha.data();
   std::vector<std::vector<float>> outs;
-  for (const nn::GemmS8Isa isa :
-       {nn::GemmS8Isa::kGeneric, nn::GemmS8Isa::kAvx2, nn::GemmS8Isa::kVnni}) {
+  for (const nn::GemmS8Isa isa : kAllS8Isas) {
     S8IsaGuard guard(isa);
     if (!guard.ok()) continue;
     std::vector<float> c(static_cast<std::size_t>(m * n));
@@ -282,6 +320,32 @@ TEST(Conv2dS8, BitExactAgainstInt64Reference) {
     const Tensor got = nn::conv2d_s8(input, act_scale, q, &bias, epi, nn::Padding::kSame);
     const Tensor want = check::ref_conv2d_s8(input, act_scale, q, &bias, epi);
     EXPECT_EQ(max_abs_diff(got, want), 0.0F) << "trial=" << trial;
+  }
+}
+
+TEST(Conv2dS8, NanInputQuantizesToZeroPointUnderEveryIsa) {
+  // A NaN pixel must behave exactly like a 0.0 pixel, in every kernel build
+  // and wherever it falls relative to the bulk quantizer's vector body.
+  Rng rng(22);
+  Tensor input(1, 9, 37, 16);
+  input.fill_uniform(rng, -1.0F, 1.0F);
+  Tensor zeroed = input;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const std::int64_t i : {std::int64_t{5}, std::int64_t{300}, std::int64_t{37 * 16 - 1},
+                               input.numel() - 2}) {
+    input.raw()[i] = nan;
+    zeroed.raw()[i] = 0.0F;
+  }
+  Tensor weight(3, 3, 16, 16);
+  weight.fill_uniform(rng, -0.5F, 0.5F);
+  const nn::S8ConvWeights q = nn::quantize_conv_weights(weight);
+  nn::Epilogue epi;
+  const Tensor want = nn::conv2d_s8(zeroed, 1.0F / 127.0F, q, nullptr, epi, nn::Padding::kSame);
+  for (const nn::GemmS8Isa isa : kAllS8Isas) {
+    S8IsaGuard guard(isa);
+    if (!guard.ok()) continue;
+    const Tensor got = nn::conv2d_s8(input, 1.0F / 127.0F, q, nullptr, epi, nn::Padding::kSame);
+    EXPECT_EQ(max_abs_diff(got, want), 0.0F) << "isa=" << static_cast<int>(isa);
   }
 }
 
@@ -384,6 +448,33 @@ TEST(Int8Network, CalibrationScalesMatchPinnedValues) {
     std::memcpy(&got, &net.activation_scales()[i], sizeof(got));
     EXPECT_EQ(got, want[i]) << "layer " << i;
   }
+}
+
+TEST(Int8Network, OutputBitsMatchPinnedHash) {
+  // FNV-1a over the kInt8 upscale output bits of seeded SESR-M5 nets (x2 and
+  // x4) on a tile-aligned and an odd frame, pinned from the packed-panel
+  // kernels these in-place kernels replaced; any kernel, layout or epilogue
+  // change that moves a single served bit changes it.
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const std::int64_t scale : {2, 4}) {
+    core::SesrConfig config = core::sesr_m5(scale);
+    config.expand = 16;
+    config.with_bias = true;
+    core::SesrInference net = make_inference(1700 + static_cast<std::uint64_t>(scale), config);
+    net.calibrate_int8(make_calibration(1710));
+    net.set_precision(core::InferencePrecision::kInt8);
+    for (const auto& [h, w] : {std::pair<std::int64_t, std::int64_t>{64, 64}, {37, 53}}) {
+      const Tensor out = net.upscale(make_frame(1720 + static_cast<std::uint64_t>(h), h, w));
+      for (const float v : out.data()) {
+        std::uint32_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(bits));
+        for (int byte = 0; byte < 4; ++byte) {
+          hash = (hash ^ ((bits >> (8 * byte)) & 0xFFU)) * 0x100000001B3ULL;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(hash, 0xE22288DEF5DB0D44ULL);
 }
 
 TEST(Int8Network, CheckpointRoundTripBitExact) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <thread>
 #include <filesystem>
@@ -461,6 +463,55 @@ TEST(Serialize, CorruptMagicThrows) {
   }
   EXPECT_THROW(load_tensors(path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+// Writes a checkpoint header for one entry whose name length and dims are
+// given raw, followed by `payload` bytes — the shapes a hostile or corrupt
+// file can take.
+std::string write_crafted_checkpoint(const char* file, std::uint64_t name_len,
+                                     const std::array<std::int64_t, 4>& dims,
+                                     std::size_t payload) {
+  const std::string path = (std::filesystem::temp_directory_path() / file).string();
+  std::ofstream os(path, std::ios::binary);
+  const std::uint32_t version = 1;
+  const std::uint64_t count = 1;
+  os.write("SESR", 4);
+  os.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  os.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  os.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
+  os.write("w", 1);
+  os.write(reinterpret_cast<const char*>(dims.data()), sizeof(dims));
+  const std::string zeros(payload, '\0');
+  os.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
+  return path;
+}
+
+TEST(Serialize, NameLengthPastEndOfFileThrowsBeforeAllocating) {
+  const std::string path = write_crafted_checkpoint("sesr_name_len.ckpt",
+                                                    std::uint64_t{1} << 62, {1, 1, 1, 1}, 4);
+  EXPECT_THROW(load_tensors(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, TensorBytesPastEndOfFileThrowBeforeAllocating) {
+  // 2^62 elements: more than any file holds, and more than a vector can.
+  const std::string huge = write_crafted_checkpoint(
+      "sesr_huge.ckpt", 1, {std::int64_t{1} << 31, std::int64_t{1} << 31, 1, 1}, 16);
+  EXPECT_THROW(load_tensors(huge), std::runtime_error);
+  std::remove(huge.c_str());
+  // 64 elements declared, 8 present.
+  const std::string short_data =
+      write_crafted_checkpoint("sesr_short.ckpt", 1, {1, 4, 4, 4}, 32);
+  EXPECT_THROW(load_tensors(short_data), std::runtime_error);
+  std::remove(short_data.c_str());
+}
+
+TEST(Serialize, OverflowingDimsThrow) {
+  // 2^62 elements fit int64, but their byte count does not.
+  std::stringstream ss;
+  const std::array<std::int64_t, 4> dims{std::int64_t{1} << 40, std::int64_t{1} << 22, 1, 1};
+  ss.write(reinterpret_cast<const char*>(dims.data()), sizeof(dims));
+  EXPECT_THROW(read_tensor(ss), std::runtime_error);
 }
 
 TEST(Serialize, TruncatedStreamThrows) {
