@@ -1,6 +1,6 @@
-// Throughput/latency sweep of the batched eval server: micro-batch size x
-// worker count on 64x64 x2 Y frames, against the single-threaded full-frame
-// baseline (one SesrInference::upscale per frame, intra-op pool pinned to 1).
+// Throughput/latency sweep of the eval server over worker count on 64x64 x2
+// Y frames, against the single-threaded full-frame baseline (one
+// SesrInference::upscale per frame, intra-op pool pinned to 1).
 //
 // The server is configured the way a throughput deployment would be: intra-op
 // threads = 1 so worker sessions scale across cores instead of fighting over
@@ -51,7 +51,6 @@ bool fast_mode() {
 
 struct SweepPoint {
   int workers;
-  std::int64_t max_batch;
   double fps;
   double p50_ms;
   double p95_ms;
@@ -59,14 +58,12 @@ struct SweepPoint {
 };
 
 SweepPoint run_point(const core::SesrInference& inference, const Tensor& frame, int workers,
-                     std::int64_t max_batch, std::int64_t frames,
+                     std::int64_t frames,
                      core::InferencePrecision precision = core::InferencePrecision::kFp32) {
   serve::ServeOptions options;
   options.workers = workers;
-  options.max_batch = max_batch;
   options.precision = precision;
-  options.max_delay_us = 500;
-  options.queue_capacity = static_cast<std::size_t>(4 * max_batch * workers);
+  options.queue_capacity = static_cast<std::size_t>(4 * workers);
   options.overload = serve::OverloadPolicy::kBlock;  // closed loop: saturation probe
   serve::EvalServer server(inference, options);
   std::vector<std::future<Tensor>> pending;
@@ -77,8 +74,8 @@ SweepPoint run_point(const core::SesrInference& inference, const Tensor& frame, 
   const double wall = std::chrono::duration<double>(Clock::now() - start).count();
   server.shutdown();
   const serve::ServerStats stats = server.stats();
-  return {workers,        max_batch,           static_cast<double>(frames) / wall,
-          stats.p50_us / 1e3, stats.p95_us / 1e3, stats.p99_us / 1e3};
+  return {workers, static_cast<double>(frames) / wall, stats.p50_us / 1e3, stats.p95_us / 1e3,
+          stats.p99_us / 1e3};
 }
 
 // Serial closed loop (submit -> wait, one in flight) over a small pool of
@@ -88,8 +85,6 @@ double repeated_frame_fps(const core::SesrInference& inference, std::size_t cach
                           const std::vector<Tensor>& pool, std::int64_t frames) {
   serve::ServeOptions options;
   options.workers = 2;
-  options.max_batch = 1;
-  options.max_delay_us = 0;  // flush immediately: latency-oriented serial loop
   options.queue_capacity = 8;
   options.cache_entries = cache_entries;
   serve::EvalServer server(inference, options);
@@ -114,8 +109,6 @@ double small_request_p99_ms(const core::SesrInference& inference, bool fair, boo
   // residual-unit wait doubles from timeslicing, which measures the
   // scheduler's preemption granularity, not its fairness.
   options.workers = std::thread::hardware_concurrency() >= 2 ? 2 : 1;
-  options.max_batch = 1;
-  options.max_delay_us = 0;
   options.queue_capacity = 64;
   options.mode = serve::ExecMode::kAuto;
   options.tiled_threshold_pixels = 10'000;  // 64x64 full-frame, 192x192 tiled
@@ -185,25 +178,22 @@ int main() {
               inference.name().c_str(), static_cast<long long>(frames),
               std::thread::hardware_concurrency());
   std::printf("baseline single-threaded full-frame: %.1f fps\n\n", base_fps);
-  std::printf("%8s %10s %10s %9s %9s %9s %9s\n", "workers", "max_batch", "fps", "speedup",
-              "p50_ms", "p95_ms", "p99_ms");
+  std::printf("%8s %10s %9s %9s %9s %9s\n", "workers", "fps", "speedup", "p50_ms", "p95_ms",
+              "p99_ms");
   bench::BenchJson json("serve_throughput");
   json.add("baseline/full_frame", 1e9 / base_fps, 0.0, 1);
   double speedup_4w = 0.0;
   for (const int workers : {1, 2, 4}) {
-    for (const std::int64_t max_batch : {1, 4, 8}) {
-      const SweepPoint p = run_point(inference, frame, workers, max_batch, frames);
-      const double speedup = p.fps / base_fps;
-      if (workers == 4) speedup_4w = std::max(speedup_4w, speedup);
-      std::printf("%8d %10lld %10.1f %8.2fx %9.2f %9.2f %9.2f\n", p.workers,
-                  static_cast<long long>(p.max_batch), p.fps, speedup, p.p50_ms, p.p95_ms,
-                  p.p99_ms);
-      json.add("workers" + std::to_string(workers) + "/batch" + std::to_string(max_batch),
-               1e9 / p.fps, 0.0, workers);
-    }
+    const SweepPoint p = run_point(inference, frame, workers, frames);
+    const double speedup = p.fps / base_fps;
+    if (workers == 4) speedup_4w = speedup;
+    std::printf("%8d %10.1f %8.2fx %9.2f %9.2f %9.2f\n", p.workers, p.fps, speedup, p.p50_ms,
+                p.p95_ms, p.p99_ms);
+    json.add("workers" + std::to_string(workers), 1e9 / p.fps, 0.0, workers);
   }
-  std::printf("\nbest 4-worker speedup vs single-threaded baseline: %.2fx (target >= 2x on >= 2 cores)\n",
-              speedup_4w);
+  std::printf(
+      "\n4-worker speedup vs single-threaded baseline: %.2fx (target >= 2x on >= 2 cores)\n",
+      speedup_4w);
 
   // --- repeated-frame response cache sweep -------------------------------
   std::vector<Tensor> pool;
@@ -296,8 +286,6 @@ int main() {
     registry.add({"m3", 2, core::InferencePrecision::kFp16}, m3_inference);
     serve::ServeOptions options;
     options.workers = 2;
-    options.max_batch = 4;
-    options.max_delay_us = 500;
     options.queue_capacity = 64;
     serve::ShardedServer server(registry, options);
     std::vector<std::future<Tensor>> pending;
@@ -335,7 +323,7 @@ int main() {
     quant.set_hybrid_plan(plan);
     const int sat_workers =
         static_cast<int>(std::max(2U, std::thread::hardware_concurrency()));
-    std::printf("\nprecision sweep (EvalServer, batch 4; saturation = %d workers):\n",
+    std::printf("\nprecision sweep (EvalServer; saturation = %d workers):\n",
                 sat_workers);
     std::printf("%8s %12s %12s %14s\n", "prec", "fps w1", "fps sat", "sat vs fp32");
     double fp32_sat_fps = 0.0;
@@ -347,8 +335,8 @@ int main() {
           : p == "int8"   ? core::InferencePrecision::kInt8
           : p == "hybrid" ? core::InferencePrecision::kHybrid
                           : core::InferencePrecision::kFp32;
-      const SweepPoint one = run_point(quant, frame, 1, 4, frames, precision);
-      const SweepPoint sat = run_point(quant, frame, sat_workers, 4, frames, precision);
+      const SweepPoint one = run_point(quant, frame, 1, frames, precision);
+      const SweepPoint sat = run_point(quant, frame, sat_workers, frames, precision);
       if (p == "fp32") fp32_sat_fps = sat.fps;
       if (p == "int8") int8_sat_fps = sat.fps;
       std::printf("%8s %12.1f %12.1f %13.2fx\n", prec, one.fps, sat.fps,
@@ -385,12 +373,6 @@ int main() {
       registry.add({"m5", 2, core::InferencePrecision::kFp16}, inference);
       serve::ServeOptions options;
       options.workers = 2;
-      // Latency-oriented shape: single-frame batches flushed immediately.
-      // With batching on, a batch of N records N frames' worth of service
-      // into each request's EWMA sample, and the estimator spirals itself
-      // into shedding everything.
-      options.max_batch = 1;
-      options.max_delay_us = 0;
       options.queue_capacity = 16;
       options.slo.p99_budget_us = budget_us;  // 0 = admission inert (block policy)
       // Admit only to 70% of the budget: the controller cannot see scheduler

@@ -46,8 +46,6 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
 serve::ServeOptions serve_options() {
   serve::ServeOptions options;
   options.workers = 2;
-  options.max_batch = 1;
-  options.max_delay_us = 0;  // serial closed loop: flush immediately
   options.queue_capacity = 8;
   options.cache_entries = 0;  // the full-path reference must recompute
   options.video_sessions = 4;

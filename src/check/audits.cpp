@@ -513,8 +513,6 @@ TrialResult cached_vs_cold_serve_trial(std::uint64_t seed) {
   options.precision = rng.bernoulli(0.5) ? core::InferencePrecision::kFp16
                                          : core::InferencePrecision::kFp32;
   options.workers = 1 + static_cast<int>(rng.uniform_int(0, 2));
-  options.max_batch = 1 + rng.uniform_int(0, 3);
-  options.max_delay_us = 200;
   options.tiling.tile_h = rng.uniform_int(4, 12);
   options.tiling.tile_w = rng.uniform_int(4, 12);
   options.tiled_threshold_pixels = 10 * 10;  // kAuto: larger trial frames tile
@@ -584,8 +582,6 @@ TrialResult video_delta_vs_full_trial(std::uint64_t seed) {
   serve::ServeOptions options;
   options.mode = modes[rng.uniform_int(0, 2)];
   options.workers = 1 + static_cast<int>(rng.uniform_int(0, 2));
-  options.max_batch = 1 + rng.uniform_int(0, 3);
-  options.max_delay_us = 200;
   options.tiling.tile_h = rng.uniform_int(4, 12);
   options.tiling.tile_w = rng.uniform_int(4, 12);
   options.tiled_threshold_pixels = 10 * 10;  // kAuto: larger trial frames tile

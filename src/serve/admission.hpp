@@ -1,7 +1,7 @@
 // SLO-aware admission control for the sharded server.
 //
 // One controller fronts every shard. Per route it keeps an EWMA of observed
-// service time (batcher-dispatch to completion, recorded by the execution
+// service time (dispatch-queue entry to completion, recorded by the execution
 // core) and, at admit time, estimates the latency a new request would see as
 //
 //     estimate = service_ewma * (in_system + 1) / workers

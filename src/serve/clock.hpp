@@ -1,11 +1,11 @@
 // Steady-clock deadline arithmetic for the serve stack.
 //
 // Every latency and deadline computation in src/serve is pinned to
-// std::chrono::steady_clock: enqueue stamps, batcher flush deadlines,
-// per-request SLO budgets, and the stats samples derived from them. Mixing in
-// system_clock anywhere would make a wall-clock jump (NTP step, manual date
-// change, suspend/resume on some platforms) flush batches early, expire
-// deadlines that have not elapsed, or record negative latencies. The helpers
+// std::chrono::steady_clock: enqueue and dispatch stamps, per-request SLO
+// budgets, and the stats samples derived from them. Mixing in system_clock
+// anywhere would make a wall-clock jump (NTP step, manual date change,
+// suspend/resume on some platforms) end timed waits early, expire deadlines
+// that have not elapsed, or record negative latencies. The helpers
 // here keep that promise in the two places it is easy to lose:
 //
 //   * condition_variable::wait_until with a steady_clock time point is
@@ -14,7 +14,7 @@
 //     a wall jump mid-wait shifts the effective deadline. wait_until_steady
 //     loops on wait_for with a remaining-time recomputed from
 //     steady_clock::now() each wake — a jump can cost one spurious wakeup,
-//     never a wrong flush decision.
+//     never a wrong timeout decision.
 //   * enqueue_time + delay overflows time_point for pathological delays
 //     (e.g. a CLI passing INT64_MAX microseconds), wrapping the deadline into
 //     the past. saturating_deadline clamps instead of wrapping.

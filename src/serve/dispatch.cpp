@@ -8,27 +8,39 @@
 #include "serve/clock.hpp"
 #include "serve/response_cache.hpp"
 #include "serve/video_sessions.hpp"
-#include "tensor/tensor_ops.hpp"
 
 namespace sesr::serve {
 
 // ------------------------------------------------------- FairDispatchQueue
 
-FairDispatchQueue::FairDispatchQueue(std::size_t shard_count, std::size_t depth_limit, bool fair)
-    : depth_limit_(std::max<std::size_t>(1, depth_limit)), fair_(fair), shards_(shard_count) {}
+FairDispatchQueue::FairDispatchQueue(std::size_t shard_count, std::size_t shard_capacity,
+                                     bool fair)
+    : shard_capacity_(std::max<std::size_t>(1, shard_capacity)),
+      fair_(fair),
+      shards_(shard_count) {}
 
-bool FairDispatchQueue::push(std::size_t shard, std::uint64_t lane, Unit&& unit,
-                             std::size_t weight) {
+FairDispatchQueue::PushResult FairDispatchQueue::push(std::size_t shard, std::uint64_t lane,
+                                                      Unit&& unit, std::size_t weight,
+                                                      OverloadPolicy policy) {
   std::unique_lock<std::mutex> lock(mutex_);
-  not_full_.wait(lock, [&] { return weight == 0 || total_units_ < depth_limit_ || closed_; });
-  if (closed_) return false;
-  if (!fair_) lane = 0;  // single FIFO lane per shard
   ShardLanes& sl = shards_.at(shard);
+  if (weight > 0 && policy == OverloadPolicy::kBlock) {
+    not_full_.wait(lock, [&] { return closed_ || sl.depth < shard_capacity_; });
+  }
+  if (closed_) return PushResult::kClosed;
+  if (weight > 0 && sl.depth >= shard_capacity_) return PushResult::kFull;  // kReject path
+  if (auto* request = std::get_if<FrameRequest>(&unit)) {
+    request->dispatch_time = ServeClock::now();
+  } else if (weight > 0) {
+    // A tile job's first unit: no worker can see the job before this push.
+    std::get<TileUnit>(unit).job->request.dispatch_time = ServeClock::now();
+  }
+  if (!fair_) lane = 0;  // single FIFO lane per shard
   auto it = sl.by_id.find(lane);
   if (it == sl.by_id.end()) {
     // A new logical request: schedule it ahead of lanes that already had a
     // turn (fresh lanes stay FIFO among themselves). Lane counts are bounded
-    // by the depth limit, so the linear scan stays cheap.
+    // by the shard capacity, so the linear scan stays cheap.
     auto pos = std::find_if(sl.rotation.begin(), sl.rotation.end(),
                             [](const Lane& l) { return l.served; });
     pos = sl.rotation.insert(pos, Lane{lane, false, {}});
@@ -36,10 +48,10 @@ bool FairDispatchQueue::push(std::size_t shard, std::uint64_t lane, Unit&& unit,
   }
   it->second->units.emplace_back(std::move(unit), weight);
   ++sl.units;
-  total_units_ += weight;
+  sl.depth += weight;
   lock.unlock();
   not_empty_.notify_all();
-  return true;
+  return PushResult::kAccepted;
 }
 
 bool FairDispatchQueue::pop(std::size_t shard, Unit& out) {
@@ -49,7 +61,8 @@ bool FairDispatchQueue::pop(std::size_t shard, Unit& out) {
   if (sl.units == 0) return false;  // closed and this shard drained
   Lane& lane = sl.rotation.front();
   out = std::move(lane.units.front().first);
-  total_units_ -= lane.units.front().second;
+  const std::size_t weight = lane.units.front().second;
+  sl.depth -= weight;
   lane.units.pop_front();
   lane.served = true;
   --sl.units;
@@ -61,7 +74,7 @@ bool FairDispatchQueue::pop(std::size_t shard, Unit& out) {
     sl.rotation.splice(sl.rotation.end(), sl.rotation, sl.rotation.begin());
   }
   lock.unlock();
-  not_full_.notify_all();
+  if (weight > 0) not_full_.notify_all();
   return true;
 }
 
@@ -74,28 +87,16 @@ void FairDispatchQueue::close() {
   not_full_.notify_all();
 }
 
-std::size_t FairDispatchQueue::size() const {
+std::size_t FairDispatchQueue::size(std::size_t shard) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return total_units_;
+  return shards_.at(shard).depth;
 }
 
 // ------------------------------------------------------------- unit execution
 
 namespace {
 
-// Stack same-shape (1, H, W, 1) frames into one (B, H, W, 1) tensor. NHWC is
-// contiguous per sample, so this is a straight concatenation of the buffers.
-Tensor stack_frames(const std::vector<FrameRequest>& requests) {
-  const Shape& s = requests.front().frame.shape();
-  Tensor batched(static_cast<std::int64_t>(requests.size()), s.h(), s.w(), s.c());
-  float* dst = batched.raw();
-  for (const FrameRequest& r : requests) {
-    dst = std::copy(r.frame.raw(), r.frame.raw() + r.frame.numel(), dst);
-  }
-  return batched;
-}
-
-// One observed service sample (batcher dispatch to resolution) into the
+// One observed service sample (dispatch-queue entry to resolution) into the
 // admission EWMA. Recorded on success AND failure — a failing route still
 // consumed a worker for that long.
 void record_service(FrameRequest& request) {
@@ -119,7 +120,7 @@ void finish_request(FrameRequest& request) {
 
 }  // namespace
 
-// Completion bookkeeping shared by the batch and tile paths. Every side
+// Completion bookkeeping shared by the frame and tile paths. Every side
 // effect — cache insert, route counter, stats sample — precedes set_value, so
 // a caller whose future has resolved observes the completion in stats() and
 // gets a cache hit on the next identical submission.
@@ -157,29 +158,15 @@ void fail_request(FrameRequest& request, const std::exception_ptr& error, StatsR
 
 namespace {
 
-void run_batch(WorkerSession& session, BatchUnit& unit, StatsRecorder& stats) {
-  std::vector<Tensor> outputs;
+void run_frame(WorkerSession& session, FrameRequest& request, StatsRecorder& stats) {
+  Tensor output;
   try {
-    outputs.reserve(unit.requests.size());
-    if (unit.requests.size() == 1) {
-      outputs.push_back(session.network.upscale(unit.requests.front().frame));
-    } else {
-      // The whole micro-batch in one stacked upscale. Per-sample results are
-      // bit-identical to B=1 calls: the conv kernels stripe each image
-      // independently with batch-invariant reduction orders.
-      const Tensor batched = session.network.upscale(stack_frames(unit.requests));
-      for (std::int64_t i = 0; i < std::ssize(unit.requests); ++i) {
-        outputs.push_back(slice_batch(batched, i));
-      }
-    }
+    output = session.network.upscale(request.frame);
   } catch (...) {
-    const std::exception_ptr error = std::current_exception();
-    for (FrameRequest& r : unit.requests) fail_request(r, error, stats);
+    fail_request(request, std::current_exception(), stats);
     return;
   }
-  for (std::size_t i = 0; i < unit.requests.size(); ++i) {
-    complete_request(unit.requests[i], std::move(outputs[i]), stats);
-  }
+  complete_request(request, std::move(output), stats);
 }
 
 void run_tiles(WorkerSession& session, TileUnit& unit, StatsRecorder& stats) {
@@ -205,8 +192,8 @@ void run_tiles(WorkerSession& session, TileUnit& unit, StatsRecorder& stats) {
 }  // namespace
 
 void execute_unit(WorkerSession& session, Unit& unit, StatsRecorder& stats) {
-  if (auto* batch = std::get_if<BatchUnit>(&unit)) {
-    run_batch(session, *batch, stats);
+  if (auto* request = std::get_if<FrameRequest>(&unit)) {
+    run_frame(session, *request, stats);
   } else {
     run_tiles(session, std::get<TileUnit>(unit), stats);
   }

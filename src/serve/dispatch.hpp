@@ -2,16 +2,19 @@
 // execution core — the machinery common to EvalServer (one network) and
 // ShardedServer (a registry of networks).
 //
-// Units flow   batcher(s) ──push──> FairDispatchQueue ──pop──> worker sessions
+// Units flow   submit path ──push──> FairDispatchQueue ──pop──> worker sessions
 //
-// The queue is ONE object shared by every shard: a single global depth bound
-// (backpressure reaches the submission queues, never pools in a staging
-// area), with per-shard unit storage because a worker can only execute units
-// of the shard whose network replica it holds.
+// The queue is ONE object shared by every shard, with per-shard unit storage
+// because a worker can only execute units of the shard whose network replica
+// it holds. It is also the admission bound: push() counts each shard's queued
+// LOGICAL requests against ServeOptions::queue_capacity and applies the
+// overload policy there (kBlock waits for space, kReject returns kFull). A
+// worker takes the next unit the moment it is free — nothing holds a request
+// back waiting for company.
 //
 // Fairness: within a shard, units are grouped into LANES — one lane per
-// logical request (a micro-batch is one lane entry; a tiled frame's whole tile
-// fan-out shares one lane). pop() serves fresh lanes first (FIFO among
+// logical request (an untiled frame is one lane entry; a tiled frame's whole
+// tile fan-out shares one lane). pop() serves fresh lanes first (FIFO among
 // themselves), then cycles already-served lanes round-robin, one unit per
 // turn: a newly arrived small request is scheduled after at most the units
 // already executing, and a 100-tile frame interleaves 1:1 with its peers
@@ -19,11 +22,12 @@
 // every unit lands in a single FIFO lane per shard, which is exactly the
 // pre-fairness behaviour (and the bench's comparison baseline).
 //
-// Depth is counted in LOGICAL requests, not units: push() takes a weight, and
-// the batchers push a tiled job's first unit with weight 1 and the rest of
-// its fan-out with weight 0. A weight-0 push never blocks — otherwise a
-// batcher could stall mid-fan-out with the rest of the job stuck behind it in
-// the FIFO submission queue, where no lane scheduling can reach it.
+// Depth is counted in logical requests, not units: push() takes a weight, and
+// the submit path pushes a tiled job's first unit with weight 1 and the rest
+// of its fan-out with weight 0. A weight-0 push never blocks and is never
+// refused as full — it extends a request that was already admitted, and a
+// two-stage continuation pushes from a worker thread, which must not wait on
+// its own shard's bound.
 #pragma once
 
 #include <atomic>
@@ -46,11 +50,6 @@
 
 namespace sesr::serve {
 
-// One micro-batch of same-shape requests executed by a single worker.
-struct BatchUnit {
-  std::vector<FrameRequest> requests;
-};
-
 // One frame being tiled across a shard's workers; the last tile fulfils the
 // promise.
 struct TiledJob {
@@ -68,18 +67,32 @@ struct TileUnit {
   std::size_t task_count = 1;
 };
 
-using Unit = std::variant<BatchUnit, TileUnit>;
+// An untiled frame runs whole on one worker as a single-request unit.
+using Unit = std::variant<FrameRequest, TileUnit>;
 
 class FairDispatchQueue {
  public:
-  // `depth_limit` bounds the TOTAL weighted depth across all shards.
-  FairDispatchQueue(std::size_t shard_count, std::size_t depth_limit, bool fair);
+  enum class PushResult { kAccepted, kFull, kClosed };
 
-  // Blocks while the queue is at its weighted depth limit (weight-0 pushes
-  // never block: they extend an already-admitted job). Returns false when the
-  // queue was closed: the unit was NOT enqueued and NOT consumed — a caller
-  // holding it by name can still fail its promises with a typed error.
-  bool push(std::size_t shard, std::uint64_t lane, Unit&& unit, std::size_t weight = 1);
+  // `shard_capacity` bounds each shard's weighted depth: the logical requests
+  // admitted to it whose weighted unit no worker has popped yet.
+  FairDispatchQueue(std::size_t shard_count, std::size_t shard_capacity, bool fair);
+
+  // On kAccepted the unit has been moved into the queue and its request's
+  // dispatch_time stamped; on kFull/kClosed the unit is NOT consumed — a
+  // caller holding it by name can still fail its promise with a typed error.
+  //
+  // Status contract (every path returns, none hangs, none drops the unit):
+  //   * kBlock, shard full: waits until a pop frees space OR close() — a
+  //     pusher blocked at close time wakes and gets kClosed, never a hang.
+  //   * kReject, shard full: kFull immediately.
+  //   * weight 0: never waits and is never kFull, under either policy.
+  //   * closed (including drain-on-close, while pops still empty the queue):
+  //     kClosed under BOTH policies — closed wins over full, so a
+  //     reject-policy producer racing the drain sees the server's state, not a
+  //     transient kFull.
+  PushResult push(std::size_t shard, std::uint64_t lane, Unit&& unit, std::size_t weight = 1,
+                  OverloadPolicy policy = OverloadPolicy::kBlock);
 
   // Pops the next unit for `shard`: fresh lanes first in arrival order, then
   // already-served lanes round-robin. Blocks until a unit arrives; returns
@@ -89,8 +102,8 @@ class FairDispatchQueue {
   // Wakes everyone; pending units remain poppable (drain semantics).
   void close();
 
-  // Current weighted depth (admitted logical requests still queued).
-  std::size_t size() const;
+  // Current weighted depth of `shard` (admitted logical requests queued).
+  std::size_t size(std::size_t shard) const;
 
  private:
   struct Lane {
@@ -102,15 +115,15 @@ class FairDispatchQueue {
     std::list<Lane> rotation;  // front = next lane to serve
     std::unordered_map<std::uint64_t, std::list<Lane>::iterator> by_id;
     std::size_t units = 0;
+    std::size_t depth = 0;  // weighted: admitted logical requests
   };
 
-  const std::size_t depth_limit_;
+  const std::size_t shard_capacity_;
   const bool fair_;
   mutable std::mutex mutex_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::vector<ShardLanes> shards_;
-  std::size_t total_units_ = 0;
   bool closed_ = false;
 };
 
@@ -135,7 +148,7 @@ struct WorkerSession {
   std::int64_t presized_bytes = 0;
 };
 
-// Executes one unit on one session: runs the batch / tile work, inserts
+// Executes one unit on one session: runs the frame / tile work, inserts
 // completed outputs into each request's response cache (when routed through
 // one), fulfils the promises, and records stats. Cache insertion happens
 // BEFORE the promise is fulfilled, so a caller that observed a completion can

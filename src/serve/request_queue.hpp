@@ -1,20 +1,18 @@
-// Bounded multi-producer submission queue with shape-grouping batch pops.
+// One logical serving request and the typed errors of its admission.
 //
-// Producers push FrameRequests under the configured overload policy: kBlock
-// waits for space, kReject fails fast when full. The single batcher thread
-// calls pop_batch, which collects up to max_batch requests sharing the oldest
-// request's (H, W) — so one dispatch can stack them into a single (B, H, W, 1)
-// batched upscale — and flushes early when the deadline passes or the queue is
-// under pressure (full). close() stops new pushes, wakes every waiter, and
-// lets pop_batch drain what was already accepted: graceful shutdown completes
-// every admitted request.
+// The submit path (sharded_server.cpp) builds a FrameRequest per admitted
+// frame and pushes it straight into the shared FairDispatchQueue
+// (dispatch.hpp): an untiled frame travels as one single-request unit, a
+// tiled or video tile-delta frame as a TiledJob fanned out over tile units.
+// FairDispatchQueue::push applies the per-shard admission bound and the
+// overload policy (kBlock waits for space, kReject fails with
+// QueueFullError). Every accepted request resolves its promise exactly once:
+// with the upscaled frame, a typed error, or the execution error.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -24,12 +22,12 @@
 
 #include "core/tiled_inference.hpp"
 #include "serve/clock.hpp"
-#include "serve/serve_options.hpp"
 #include "tensor/tensor.hpp"
 
 namespace sesr::serve {
 
-// submit() failed because the bounded queue was full under kReject.
+// submit() failed because the route's shard was at its queue_capacity bound
+// under kReject.
 class QueueFullError : public std::runtime_error {
  public:
   QueueFullError() : std::runtime_error("eval server: submission queue full") {}
@@ -59,9 +57,9 @@ class VideoSessionTable;
 struct RouteCounters;
 
 // Tile-delta plan computed on the submit path of a video-session frame
-// (sharded_server.cpp): the batcher turns a request carrying one into a
-// TiledJob over only the dirty tiles, with the clean regions already spliced
-// into `output` from the session's previous HR frame.
+// (sharded_server.cpp): the request is dispatched as a TiledJob over only the
+// dirty tiles, with the clean regions already spliced into `output` from the
+// session's previous HR frame.
 struct VideoDeltaPlan {
   std::vector<core::TileTask> dirty_tasks;  // the tiles to recompute
   Tensor output;  // (1, scale*H, scale*W, 1), clean tiles pre-spliced
@@ -108,8 +106,9 @@ struct FrameRequest {
   // shrinks the SLO budget to the remaining deadline; expiry is advisory (a
   // request already executing is not cancelled).
   ServeClock::time_point deadline = ServeClock::time_point::max();
-  // Stamped by the batcher when the request leaves the submission queue; the
-  // admission EWMA's service sample is completion_time - dispatch_time.
+  // Stamped by FairDispatchQueue::push when the request's unit (or its tile
+  // job's first unit) enters the dispatch queue; the admission EWMA's service
+  // sample is completion_time - dispatch_time.
   ServeClock::time_point dispatch_time{};
   // Routing context (sharded server). When `cache` is set, the execution core
   // inserts the completed output under (route_id, frame) before fulfilling
@@ -139,61 +138,12 @@ struct FrameRequest {
   // Video-session context: when `video` is set, complete_request publishes
   // (frame, output) for (route_id, video_session) at video_seq — BEFORE the
   // promise resolves, so a closed-loop client's next frame always finds its
-  // predecessor. When the submit path also attached a delta plan, the batcher
-  // dispatches only the plan's dirty tiles instead of the full frame.
+  // predecessor. When the submit path also attached a delta plan, only the
+  // plan's dirty tiles are dispatched instead of the full frame.
   VideoSessionTable* video = nullptr;
   std::uint64_t video_session = 0;
   std::uint64_t video_seq = 0;
   std::shared_ptr<VideoDeltaPlan> video_delta;
-};
-
-// True when the request carries a deadline and it has passed as of `now`.
-inline bool deadline_expired(const FrameRequest& r, ServeClock::time_point now) {
-  return r.deadline != ServeClock::time_point::max() && now >= r.deadline;
-}
-
-class RequestQueue {
- public:
-  enum class PushResult { kAccepted, kFull, kClosed };
-
-  explicit RequestQueue(std::size_t capacity);
-
-  // On kAccepted the request has been moved into the queue; on kFull/kClosed
-  // the caller keeps ownership (and typically fails the promise).
-  //
-  // Status contract (every path returns, none hangs, none drops the request):
-  //   * kBlock, queue full: waits until space frees OR close() — a submitter
-  //     blocked at close time wakes and gets kClosed, never a hang.
-  //   * kReject, queue full: kFull immediately.
-  //   * closed (including drain-on-close, when pops are still emptying the
-  //     queue): kClosed under BOTH policies — closed wins over full, so a
-  //     reject-policy producer racing the drain sees the server's state, not
-  //     a transient kFull.
-  PushResult push(FrameRequest& request, OverloadPolicy policy);
-
-  // Pops [1, max_batch] requests whose frames share the oldest request's
-  // (H, W). Blocks until at least one request is available (or the queue is
-  // closed and drained — then returns empty). A partial batch waits at most
-  // max_delay past the oldest request's enqueue time, but flushes immediately
-  // when the queue is full, so blocked producers free up fast.
-  std::vector<FrameRequest> pop_batch(std::int64_t max_batch,
-                                      std::chrono::microseconds max_delay);
-
-  // Stops accepting pushes and wakes all waiters; already-accepted requests
-  // remain poppable (drain semantics).
-  void close();
-
-  bool closed() const;
-  std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<FrameRequest> queue_;
-  bool closed_ = false;
 };
 
 }  // namespace sesr::serve

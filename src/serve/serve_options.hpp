@@ -1,11 +1,11 @@
-// Policy knobs for the batched eval server (src/serve/server.hpp).
+// Policy knobs for the eval server (src/serve/server.hpp and
+// sharded_server.hpp).
 //
-// The server accepts (1, H, W, 1) Y-frame requests into a bounded queue, a
-// batcher thread groups compatible shapes into micro-batches, and a pool of
-// worker sessions executes them. ServeOptions decides every trade-off in that
-// pipeline: how large micro-batches may grow, how long the batcher may hold a
-// partial batch, what happens when the queue is full, and which execution
-// path (full-frame / tiled) each frame takes.
+// The server pushes each admitted (1, H, W, 1) Y-frame request straight into
+// a bounded dispatch queue, and a pool of worker sessions takes units from it
+// as soon as a worker is free. ServeOptions decides every trade-off in that
+// pipeline: how deep each route's queue may grow, what happens when it is
+// full, and which execution path (full-frame / tiled) each frame takes.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +15,7 @@
 
 namespace sesr::serve {
 
-// What submit() does when the bounded queue is full.
+// What submit() does when the route's bounded queue is full.
 enum class OverloadPolicy {
   kBlock,   // submit() waits for space (closed-loop producers)
   kReject,  // submit() fails the future immediately with QueueFullError
@@ -53,19 +53,16 @@ struct SloOptions {
 
 // Which execution path a worker session uses for a frame.
 enum class ExecMode {
-  kFullFrame,  // SesrInference::upscale on the (possibly batched) frames
+  kFullFrame,  // SesrInference::upscale on the whole frame, one worker
   kTiled,      // cut into TileTasks, fanned out across all workers; the
                // bounded-memory path (activations scale with the tile)
-  kAuto,       // frames >= tiled_threshold_pixels go kTiled, the rest batch
+  kAuto,       // frames >= tiled_threshold_pixels go kTiled, the rest kFullFrame
 };
 
 struct ServeOptions {
-  // Micro-batching: the batcher groups up to max_batch same-shape frames,
-  // flushing early after max_delay_us or when the queue is full (pressure).
-  std::int64_t max_batch = 8;
-  std::int64_t max_delay_us = 2000;
-
-  // Bounded submission queue.
+  // Per-route admission bound: at most queue_capacity logical requests wait
+  // in a shard's dispatch lanes (a tiled frame counts once, not per tile).
+  // `overload` decides what a submit at the bound does.
   std::size_t queue_capacity = 64;
   OverloadPolicy overload = OverloadPolicy::kBlock;
 

@@ -1,18 +1,15 @@
-// Asynchronous batched eval server over ONE collapsed SESR network — the
+// Asynchronous eval server over ONE collapsed SESR network — the
 // single-network special case of the sharded front end (sharded_server.hpp).
 //
 // Request flow (see docs/SERVING.md for the full picture):
 //
-//   submit(frame) ──> bounded RequestQueue ──> batcher thread ──> shared
-//                      (block / reject)         groups (H, W)      dispatch
-//                                               micro-batches        │
-//                                                          ┌─────────┴───────┐
-//                                                     worker session ... worker session
-//                                                     (SesrInference replica each)
+//   submit(frame) ──> FairDispatchQueue ──pop──> first free worker session
+//                     (bound: queue_capacity;     (SesrInference replica each;
+//                      block / reject)             one frame or tile per unit)
 //
 // EvalServer wraps a ShardedServer holding exactly one route ("default", the
 // network's scale, ServeOptions::precision), so every execution property of
-// the sharded path — bit-identical batched/tiled results, fair
+// the sharded path — bit-identical full-frame/tiled results, fair
 // round-robin tile scheduling, the optional bit-exact response cache
 // (ServeOptions::cache_entries), drain-on-close shutdown — holds here too.
 //

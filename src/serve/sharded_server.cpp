@@ -17,8 +17,6 @@ void validate(const ServeOptions& o, const NetworkRegistry& registry) {
     throw std::invalid_argument("ShardedServer: registry has no networks");
   }
   if (o.workers < 1) throw std::invalid_argument("EvalServer: workers must be >= 1");
-  if (o.max_batch < 1) throw std::invalid_argument("EvalServer: max_batch must be >= 1");
-  if (o.max_delay_us < 0) throw std::invalid_argument("EvalServer: max_delay_us must be >= 0");
   if (o.queue_capacity < 1) {
     throw std::invalid_argument("EvalServer: queue_capacity must be >= 1");
   }
@@ -31,17 +29,18 @@ void validate(const ServeOptions& o, const NetworkRegistry& registry) {
   }
 }
 
-// Steady-state LR pixel bound of one worker replica: the larger of a full
-// micro-batch of the biggest frames the kAuto ladder keeps un-tiled, and one
-// haloed tile of the shard's tiling geometry. Everything a worker executes in
-// steady state fits this bound; only an explicitly-tiled oversized frame (big
-// tile options) or an explicit kFullFrame route serving frames above the tile
-// threshold can exceed it, and the tile path trims back down afterwards.
+// Steady-state LR pixel bound of one worker replica: the larger of the
+// biggest frame the kAuto ladder keeps un-tiled and one haloed tile of the
+// shard's tiling geometry. A worker executes one frame or one tile at a time,
+// so everything it runs in steady state fits this bound; only an
+// explicitly-tiled oversized frame (big tile options) or an explicit
+// kFullFrame route serving frames above the tile threshold can exceed it, and
+// the tile path trims back down afterwards.
 std::int64_t planned_pixel_bound(const ServeOptions& o, const RegisteredNetwork& net) {
   const std::int64_t halo = o.tiling.halo >= 0 ? o.tiling.halo : net.exact_halo;
   const std::int64_t tile_pixels =
       (o.tiling.tile_h + 2 * halo) * (o.tiling.tile_w + 2 * halo);
-  return std::max(tile_pixels, o.max_batch * o.tiled_threshold_pixels);
+  return std::max(tile_pixels, o.tiled_threshold_pixels);
 }
 
 // Pre-reserve a replica's plan arena to the route's registered footprint at
@@ -74,21 +73,13 @@ ShardedServer::ShardedServer(const NetworkRegistry& registry, ServeOptions optio
     : options_(std::move(options)),
       cache_(options_.cache_entries),
       sessions_(options_.video_sessions),
-      // Depth is weighted in logical requests (a tiled job admits as 1, not
-      // as its fan-out), so the bound is per-shard headroom for staged
-      // requests, not units; the per-shard RequestQueue remains the primary
-      // admission control.
-      dispatch_(registry.size(),
-                std::max<std::size_t>(16, static_cast<std::size_t>(options_.workers) * 4) *
-                    std::max<std::size_t>(1, registry.size()),
-                options_.fair_tiles),
+      dispatch_(registry.size(), options_.queue_capacity, options_.fair_tiles),
       admission_(registry.entries(), options_.slo, options_.workers) {
   validate(options_, registry);
   for (const RegisteredNetwork& entry : registry.entries()) {
     auto shard = std::make_unique<Shard>();
     shard->index = shards_.size();
     shard->net = entry;
-    shard->queue = std::make_unique<RequestQueue>(options_.queue_capacity);
     for (int i = 0; i < options_.workers; ++i) {
       shard->sessions.push_back(std::make_unique<WorkerSession>(entry.checkpoint));
       // Each replica rounds its own fp16 weight cache before the worker
@@ -106,7 +97,6 @@ ShardedServer::ShardedServer(const NetworkRegistry& registry, ServeOptions optio
       session->thread =
           std::thread([this, sh = shard.get(), s = session.get()] { worker_loop(*sh, *s); });
     }
-    shard->batcher = std::thread([this, sh = shard.get()] { batcher_loop(*sh); });
   }
 }
 
@@ -233,25 +223,7 @@ AdmitResult ShardedServer::submit_admitted(const RouteKey& route, Tensor frame,
   request.route = &shard->counters;
   request.route_id = shard->index;
   request.inflight = &inflight_;
-
-  const OverloadPolicy policy = opts.never_block ? OverloadPolicy::kReject : options_.overload;
-  switch (shard->queue->push(request, policy)) {
-    case RequestQueue::PushResult::kAccepted:
-      stats_.on_submitted();
-      shard->counters.submitted.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case RequestQueue::PushResult::kFull:
-      stats_.on_rejected();
-      request.inflight = nullptr;
-      inflight_.done();
-      resolve_rejected(request, std::make_exception_ptr(QueueFullError()));
-      break;
-    case RequestQueue::PushResult::kClosed:
-      request.inflight = nullptr;
-      inflight_.done();
-      resolve_rejected(request, std::make_exception_ptr(ServerClosedError()));
-      break;
-  }
+  enqueue(*shard, request, opts.never_block);
   return result;
 }
 
@@ -376,25 +348,29 @@ AdmitResult ShardedServer::submit_video(const RouteKey& route, Tensor frame,
     }
   }
 
-  const OverloadPolicy policy = opts.never_block ? OverloadPolicy::kReject : options_.overload;
-  switch (shard->queue->push(request, policy)) {
-    case RequestQueue::PushResult::kAccepted:
+  enqueue(*shard, request, opts.never_block);
+  return result;
+}
+
+void ShardedServer::enqueue(Shard& shard, FrameRequest& request, bool never_block) {
+  const OverloadPolicy policy = never_block ? OverloadPolicy::kReject : options_.overload;
+  switch (dispatch(shard, request, policy)) {
+    case FairDispatchQueue::PushResult::kAccepted:
       stats_.on_submitted();
-      shard->counters.submitted.fetch_add(1, std::memory_order_relaxed);
+      shard.counters.submitted.fetch_add(1, std::memory_order_relaxed);
       break;
-    case RequestQueue::PushResult::kFull:
+    case FairDispatchQueue::PushResult::kFull:
       stats_.on_rejected();
       request.inflight = nullptr;
       inflight_.done();
       resolve_rejected(request, std::make_exception_ptr(QueueFullError()));
       break;
-    case RequestQueue::PushResult::kClosed:
+    case FairDispatchQueue::PushResult::kClosed:
       request.inflight = nullptr;
       inflight_.done();
       resolve_rejected(request, std::make_exception_ptr(ServerClosedError()));
       break;
   }
-  return result;
 }
 
 void ShardedServer::enqueue_second_stage(std::size_t shard_index, FrameRequest&& stage1,
@@ -411,23 +387,19 @@ void ShardedServer::enqueue_second_stage(std::size_t shard_index, FrameRequest&&
   stage2.admit_route = shard_index;
   stage2.inflight = stage1.inflight;
   stage2.done_hook = std::move(stage1.done_hook);
-  // Bypasses the batcher (pushed straight to dispatch below), so the service
-  // clock restarts here.
-  stage2.dispatch_time = ServeClock::now();
 
-  BatchUnit batch;
   const std::uint64_t lane = stage2.id;
-  batch.requests.push_back(std::move(stage2));
   stats_.on_batch();
-  Unit unit = std::move(batch);
+  Unit unit = std::move(stage2);
   // Weight 0: the logical request admitted once at submit time, and this runs
-  // on a worker thread — it must never block on the depth bound. push only
+  // on a worker thread — it must never block on the shard bound. push only
   // fails after close(), which shutdown() reaches only once in-flight work
   // (including this continuation) has resolved; handle it anyway so no path
-  // can abandon the promise.
-  if (!dispatch_.push(shard_index, lane, std::move(unit), 0)) {
-    FrameRequest& lost = std::get<BatchUnit>(unit).requests.front();
-    fail_request(lost, std::make_exception_ptr(ServerClosedError()), stats_);
+  // can abandon the promise. push restarts the service clock (dispatch_time).
+  if (dispatch_.push(shard_index, lane, std::move(unit), 0) !=
+      FairDispatchQueue::PushResult::kAccepted) {
+    fail_request(std::get<FrameRequest>(unit), std::make_exception_ptr(ServerClosedError()),
+                 stats_);
   }
 }
 
@@ -437,96 +409,65 @@ ExecMode ShardedServer::resolve_mode(const Shape& shape) const {
                                                                   : ExecMode::kFullFrame;
 }
 
-void ShardedServer::dispatch_tiled_job(Shard& shard, const std::shared_ptr<TiledJob>& job) {
-  const std::uint64_t lane = job->request.id;
+FairDispatchQueue::PushResult ShardedServer::dispatch(Shard& shard, FrameRequest& request,
+                                                     OverloadPolicy policy) {
+  const std::uint64_t lane = request.id;
+  if (!request.video_delta && resolve_mode(request.frame.shape()) != ExecMode::kTiled) {
+    Unit unit = std::move(request);
+    const auto pushed = dispatch_.push(shard.index, lane, std::move(unit), 1, policy);
+    if (pushed == FairDispatchQueue::PushResult::kAccepted) {
+      stats_.on_batch();
+    } else {
+      request = std::move(std::get<FrameRequest>(unit));
+    }
+    return pushed;
+  }
+  auto job = std::make_shared<TiledJob>();
+  if (std::shared_ptr<VideoDeltaPlan> plan = std::move(request.video_delta)) {
+    // Only the dirty tiles the submit path planned; the clean regions are
+    // already spliced into the plan's output.
+    job->tasks = std::move(plan->dirty_tasks);
+    job->output = std::move(plan->output);
+  } else {
+    // Large frames: one TiledJob whose units all share one dispatch lane, so
+    // concurrent small requests interleave fairly.
+    const Shape& s = request.frame.shape();
+    const std::int64_t halo =
+        options_.tiling.halo >= 0 ? options_.tiling.halo : shard.net.exact_halo;
+    const std::int64_t scale = shard.net.config.scale;
+    job->tasks = core::tile_grid(s.h(), s.w(), options_.tiling, halo);
+    job->output = Tensor(1, s.h() * scale, s.w() * scale, 1);
+  }
+  job->remaining.store(static_cast<std::int64_t>(job->tasks.size()), std::memory_order_relaxed);
+  job->request = std::move(request);
+  const std::vector<core::TileUnitRange> ranges =
+      core::plan_tile_units(job->tasks.size(), options_.tiles_per_unit);
+  // The job admits against the shard bound once, with its first unit; the
+  // rest of its fan-out (weight 0) never waits and is never refused as full.
+  const auto admitted =
+      dispatch_.push(shard.index, lane, TileUnit{job, ranges[0].first, ranges[0].count}, 1,
+                     policy);
+  if (admitted != FairDispatchQueue::PushResult::kAccepted) {
+    request = std::move(job->request);
+    return admitted;
+  }
   stats_.on_batch();
-  bool dropped = false;
-  bool first = true;
-  // The job admits against the depth bound once (weight 1); the rest of its
-  // fan-out must never block, or this batcher would stall with the queue
-  // behind it frozen in FIFO order.
-  for (const core::TileUnitRange& range :
-       core::plan_tile_units(job->tasks.size(), options_.tiles_per_unit)) {
-    if (!dispatch_.push(shard.index, lane, TileUnit{job, range.first, range.count},
-                        first ? 1 : 0)) {
-      dropped = true;
+  for (std::size_t i = 1; i < ranges.size(); ++i) {
+    if (dispatch_.push(shard.index, lane, TileUnit{job, ranges[i].first, ranges[i].count}, 0) !=
+        FairDispatchQueue::PushResult::kAccepted) {
+      // Dispatch closed mid-fan-out. shutdown() closes dispatch only after
+      // every admitted request resolved, so this is defensive — but if it
+      // ever fires, the request resolves with a typed error (promise, hook
+      // and inflight all handled by fail_request), never a broken promise.
+      // Units already pushed still execute; the failed flag keeps them from
+      // completing the job twice.
+      if (!job->failed.exchange(true, std::memory_order_acq_rel)) {
+        fail_request(job->request, std::make_exception_ptr(ServerClosedError()), stats_);
+      }
       break;
     }
-    first = false;
   }
-  if (dropped && !job->failed.exchange(true, std::memory_order_acq_rel)) {
-    // Dispatch closed mid-fan-out. shutdown() drains in-flight work before
-    // closing dispatch, so this is defensive — but if it ever fires, the
-    // request resolves with a typed error (promise, hook and inflight all
-    // handled by fail_request), never a broken promise. Units already pushed
-    // still execute; the failed flag keeps them from completing the job
-    // twice.
-    fail_request(job->request, std::make_exception_ptr(ServerClosedError()), stats_);
-  }
-}
-
-void ShardedServer::batcher_loop(Shard& shard) {
-  const std::int64_t scale = shard.net.config.scale;
-  while (true) {
-    std::vector<FrameRequest> batch = shard.queue->pop_batch(
-        options_.max_batch, std::chrono::microseconds(options_.max_delay_us));
-    if (batch.empty()) break;  // closed and drained
-    const auto dispatched = ServeClock::now();
-    for (FrameRequest& request : batch) request.dispatch_time = dispatched;
-    // Peel off video tile-delta requests: each becomes its own TiledJob over
-    // only the dirty tiles the submit path planned (clean regions are already
-    // spliced into the plan's output).
-    {
-      std::vector<FrameRequest> rest;
-      rest.reserve(batch.size());
-      for (FrameRequest& request : batch) {
-        if (!request.video_delta) {
-          rest.push_back(std::move(request));
-          continue;
-        }
-        std::shared_ptr<VideoDeltaPlan> plan = std::move(request.video_delta);
-        auto job = std::make_shared<TiledJob>();
-        job->tasks = std::move(plan->dirty_tasks);
-        job->output = std::move(plan->output);
-        job->remaining.store(static_cast<std::int64_t>(job->tasks.size()),
-                             std::memory_order_relaxed);
-        job->request = std::move(request);
-        dispatch_tiled_job(shard, job);
-      }
-      batch = std::move(rest);
-    }
-    if (batch.empty()) continue;
-    const ExecMode mode = resolve_mode(batch.front().frame.shape());
-    if (mode == ExecMode::kTiled) {
-      // Large frames: one TiledJob per frame. Its units all share one
-      // dispatch lane, so concurrent small requests interleave fairly.
-      const std::int64_t halo =
-          options_.tiling.halo >= 0 ? options_.tiling.halo : shard.net.exact_halo;
-      for (FrameRequest& request : batch) {
-        auto job = std::make_shared<TiledJob>();
-        const Shape& s = request.frame.shape();
-        job->tasks = core::tile_grid(s.h(), s.w(), options_.tiling, halo);
-        job->output = Tensor(1, s.h() * scale, s.w() * scale, 1);
-        job->remaining.store(static_cast<std::int64_t>(job->tasks.size()),
-                             std::memory_order_relaxed);
-        job->request = std::move(request);
-        dispatch_tiled_job(shard, job);
-      }
-    } else {
-      stats_.on_batch();
-      const std::uint64_t lane = batch.front().id;
-      Unit unit = BatchUnit{std::move(batch)};
-      if (!dispatch_.push(shard.index, lane, std::move(unit))) {
-        // Dispatch closed under this batcher (again defensive post-drain):
-        // resolve every request in the undelivered batch with a typed error
-        // instead of letting their promises die with the unit.
-        for (FrameRequest& request : std::get<BatchUnit>(unit).requests) {
-          fail_request(request, std::make_exception_ptr(ServerClosedError()), stats_);
-        }
-        break;
-      }
-    }
-  }
+  return FairDispatchQueue::PushResult::kAccepted;
 }
 
 void ShardedServer::worker_loop(Shard& shard, WorkerSession& session) {
@@ -617,10 +558,6 @@ void ShardedServer::shutdown() {
     // so no promise ever reaches a closed dispatch.
     closed_.store(true, std::memory_order_seq_cst);
     inflight_.wait_zero();
-    for (auto& shard : shards_) shard->queue->close();
-    for (auto& shard : shards_) {
-      if (shard->batcher.joinable()) shard->batcher.join();  // drains the submission queue
-    }
     dispatch_.close();
     for (auto& shard : shards_) {
       for (auto& session : shard->sessions) {

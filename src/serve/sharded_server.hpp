@@ -1,26 +1,27 @@
 // Multi-network sharded serving front end.
 //
-//   submit(route, frame) / submit_admitted(route, frame, opts)
+//   submit(route, frame) / submit_admitted(route, frame, opts) / submit_video
 //        │  route lookup · SLO admission (shed / degrade / two-stage rewrite)
 //        │  response-cache probe (bit-exact hit -> immediate)
+//        │  untiled frame -> one unit; tiled / video delta -> tile fan-out
 //        ▼
-//   shard[m5:2:fp32]   shard[m11:2:fp16]  ...       (one per registered route)
-//   RequestQueue        RequestQueue                 bounded, per shard
-//   batcher thread      batcher thread               shape-grouping micro-batches
-//        │                   │
-//        └────── shared FairDispatchQueue ───────────one global depth bound,
-//        ▲                   ▲                       per-shard lanes, round-robin
-//   worker sessions     worker sessions              (replicas of the shard's net,
-//                                                    pinned to the route precision)
+//   ┌──────────── shared FairDispatchQueue ────────────┐  per-shard bound of
+//   │ shard[m5:2:fp32] lanes   shard[m11:2:fp16] lanes │  queue_capacity logical
+//   └──────────┬──────────────────────────┬────────────┘  requests, round-robin
+//              ▼                          ▼               lanes per shard
+//   worker sessions            worker sessions            (replicas of the shard's
+//                                                         net, pinned to its precision)
 //
-// Each registered (network, scale, precision) route gets a SHARD: its own
-// bounded submission queue, its own batcher, and `workers` sessions holding
-// bit-exact replicas of that route's network. All shards dispatch into ONE
-// shared bounded queue (global backpressure) whose round-robin lane scheduler
-// keeps a large frame's tile fan-out from starving small requests — see
-// dispatch.hpp. The response cache sits in front of the pipeline: a hit is
-// fulfilled on the submit path with an output that is bit-identical to a cold
-// run (the cache stores and confirms the exact LR bytes; the audit pair
+// Each registered (network, scale, precision) route gets a SHARD: its lanes
+// in the shared dispatch queue and `workers` sessions holding bit-exact
+// replicas of that route's network. The submit path pushes every admitted
+// request straight into the queue, where push() enforces the shard's bound
+// and the overload policy; a free worker pops the next unit at once, so no
+// request waits for a batch partner. The round-robin lane scheduler keeps a
+// large frame's tile fan-out from starving small requests — see dispatch.hpp.
+// The response cache sits in front of the pipeline: a hit is fulfilled on the
+// submit path with an output that is bit-identical to a cold run (the cache
+// stores and confirms the exact LR bytes; the audit pair
 // `cached_vs_cold_serve` holds it to that).
 //
 // Admission (serve/admission.hpp) sits between route lookup and the queue:
@@ -38,7 +39,7 @@
 // Draining stops admission (submits fail with typed ServerDrainingError) and
 // blocks until every previously accepted request — including mid-flight tile
 // fan-outs and two-stage continuations — has resolved its future. shutdown()
-// drains first, then closes queues and joins every thread: no accepted
+// drains first, then closes the dispatch queue and joins every worker: no accepted
 // request is ever abandoned. Both are idempotent; the destructor calls
 // shutdown().
 #pragma once
@@ -48,7 +49,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -131,9 +131,8 @@ class ShardedServer {
  public:
   // Builds one shard per registry entry. The registry is snapshotted (its
   // checkpoints are copied into the shards), so it need not outlive the
-  // server. `options` applies to every shard (workers, batching, queue depth,
-  // mode, tiling, overload, slo) except `precision`, which each route
-  // overrides.
+  // server. `options` applies to every shard (workers, queue depth, mode,
+  // tiling, overload, slo) except `precision`, which each route overrides.
   ShardedServer(const NetworkRegistry& registry, ServeOptions options);
   ~ShardedServer();
   ShardedServer(const ShardedServer&) = delete;
@@ -189,20 +188,23 @@ class ShardedServer {
   struct Shard {
     std::size_t index = 0;
     RegisteredNetwork net;
-    std::unique_ptr<RequestQueue> queue;
     std::vector<std::unique_ptr<WorkerSession>> sessions;
-    std::thread batcher;
     RouteCounters counters;
   };
 
   ExecMode resolve_mode(const Shape& shape) const;
-  void batcher_loop(Shard& shard);
   void worker_loop(Shard& shard, WorkerSession& session);
   std::int64_t in_system(std::size_t shard) const;
-  // Fan a TiledJob's units into the dispatch queue (first unit weight 1, the
-  // rest weight 0) and resolve the request with a typed error if dispatch
-  // closed mid-fan-out. Shared by the kTiled batch path and video delta jobs.
-  void dispatch_tiled_job(Shard& shard, const std::shared_ptr<TiledJob>& job);
+  // Push an admitted request into the shard's dispatch lanes and count it, or
+  // resolve it with QueueFullError / ServerClosedError when push refuses it.
+  // Shared by submit_admitted and submit_video.
+  void enqueue(Shard& shard, FrameRequest& request, bool never_block);
+  // The push itself: an untiled frame as one unit; a kTiled frame or a video
+  // delta plan as a TiledJob whose first unit admits with weight 1 and whose
+  // remaining units follow with weight 0. On kFull/kClosed `request` still
+  // holds the refused request.
+  FairDispatchQueue::PushResult dispatch(Shard& shard, FrameRequest& request,
+                                         OverloadPolicy policy);
   // Stage 2 of a two-stage degrade: wrap the intermediate into a fresh
   // request carrying stage 1's promise and push it straight to the x2
   // shard's dispatch (weight 0 — never blocks a worker thread).

@@ -50,11 +50,6 @@ ServerStats StatsRecorder::snapshot() const {
     samples = latency_us_;
   }
   s.completed = samples.size();
-  // Cache hits complete on the submit path without ever forming a batch;
-  // counting them here would report occupancies above max_batch.
-  const std::uint64_t batched = s.completed > s.cache_hits ? s.completed - s.cache_hits : 0;
-  s.mean_batch_frames =
-      s.batches == 0 ? 0.0 : static_cast<double>(batched) / static_cast<double>(s.batches);
   s.p50_us = percentile(samples, 50.0);
   s.p95_us = percentile(samples, 95.0);
   s.p99_us = percentile(samples, 99.0);

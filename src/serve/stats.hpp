@@ -19,7 +19,7 @@ struct ServerStats {
   std::uint64_t rejected = 0;    // refused by the kReject overload policy
   std::uint64_t completed = 0;   // futures fulfilled (value or error)
   std::uint64_t failed = 0;      // futures fulfilled with an exception
-  std::uint64_t batches = 0;     // execution units dispatched (batch or tile job)
+  std::uint64_t batches = 0;     // requests dispatched: one per untiled frame or tile job
   std::uint64_t tiles = 0;       // TileTasks executed by the fan-out path
   std::uint64_t cache_hits = 0;  // requests fulfilled by the response cache
   std::uint64_t shed = 0;        // refused by SLO admission (typed ShedError)
@@ -29,7 +29,6 @@ struct ServerStats {
   std::uint64_t video_delta_frames = 0;  // of those, served by the tile-delta path
   std::uint64_t video_tiles_reused = 0;      // HR tiles spliced from session snapshots
   std::uint64_t video_tiles_recomputed = 0;  // dirty tiles re-upscaled by delta jobs
-  double mean_batch_frames = 0.0;  // (completed - cache_hits) / batches
   double p50_us = 0.0;
   double p95_us = 0.0;
   double p99_us = 0.0;

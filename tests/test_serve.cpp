@@ -1,4 +1,4 @@
-// Deterministic concurrency tests for the batched eval server (src/serve).
+// Deterministic concurrency tests for the eval server (src/serve).
 //
 // The load-bearing promises under test:
 //   1. Every accepted future completes — under multi-producer stress, under
@@ -72,92 +72,6 @@ int stress_iterations() {
   return 10;
 }
 
-// ------------------------------------------------------- RequestQueue unit
-
-TEST(RequestQueue, RejectPolicyFailsFastWhenFull) {
-  RequestQueue queue(2);
-  for (int i = 0; i < 2; ++i) {
-    FrameRequest r;
-    r.frame = make_frame(1, 4, 4);
-    ASSERT_EQ(queue.push(r, OverloadPolicy::kReject), RequestQueue::PushResult::kAccepted);
-  }
-  FrameRequest overflow;
-  overflow.frame = make_frame(2, 4, 4);
-  EXPECT_EQ(queue.push(overflow, OverloadPolicy::kReject), RequestQueue::PushResult::kFull);
-  // The rejected request is still owned by the caller; its promise is intact.
-  overflow.promise.set_exception(std::make_exception_ptr(QueueFullError()));
-}
-
-TEST(RequestQueue, BlockedPushReturnsClosedOnShutdown) {
-  RequestQueue queue(1);
-  FrameRequest first;
-  first.frame = make_frame(3, 4, 4);
-  ASSERT_EQ(queue.push(first, OverloadPolicy::kBlock), RequestQueue::PushResult::kAccepted);
-  std::promise<RequestQueue::PushResult> result;
-  std::thread blocked([&] {
-    FrameRequest r;
-    r.frame = make_frame(4, 4, 4);
-    result.set_value(queue.push(r, OverloadPolicy::kBlock));
-  });
-  queue.close();  // wakes the blocked producer
-  EXPECT_EQ(result.get_future().get(), RequestQueue::PushResult::kClosed);
-  blocked.join();
-}
-
-TEST(RequestQueue, PopBatchGroupsCompatibleShapesFifo) {
-  RequestQueue queue(8);
-  const std::int64_t dims[][2] = {{4, 4}, {4, 4}, {6, 8}, {4, 4}};
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    FrameRequest r;
-    r.id = i;
-    r.frame = make_frame(i, dims[i][0], dims[i][1]);
-    r.enqueue_time = std::chrono::steady_clock::now();
-    ASSERT_EQ(queue.push(r, OverloadPolicy::kReject), RequestQueue::PushResult::kAccepted);
-  }
-  auto batch = queue.pop_batch(8, std::chrono::microseconds(0));
-  ASSERT_EQ(batch.size(), 3U);  // the three 4x4 frames, oldest shape first
-  EXPECT_EQ(batch[0].id, 0U);
-  EXPECT_EQ(batch[1].id, 1U);
-  EXPECT_EQ(batch[2].id, 3U);
-  auto rest = queue.pop_batch(8, std::chrono::microseconds(0));
-  ASSERT_EQ(rest.size(), 1U);
-  EXPECT_EQ(rest[0].id, 2U);
-}
-
-TEST(RequestQueue, CloseDrainsRemainingThenReturnsEmpty) {
-  RequestQueue queue(4);
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    FrameRequest r;
-    r.frame = make_frame(i, 5, 5);
-    ASSERT_EQ(queue.push(r, OverloadPolicy::kReject), RequestQueue::PushResult::kAccepted);
-  }
-  queue.close();
-  std::size_t drained = 0;
-  while (true) {
-    auto batch = queue.pop_batch(2, std::chrono::microseconds(0));
-    if (batch.empty()) break;
-    drained += batch.size();
-  }
-  EXPECT_EQ(drained, 3U);
-}
-
-// ------------------------------------------------- batching bit-exactness
-
-TEST(BatchedUpscale, StackedBatchBitIdenticalToSingleFrames) {
-  const core::SesrInference inference = make_inference(11, small_config());
-  std::vector<Tensor> frames;
-  Tensor batched(5, 12, 14, 1);
-  for (std::int64_t i = 0; i < 5; ++i) {
-    frames.push_back(make_frame(100 + static_cast<std::uint64_t>(i), 12, 14));
-    set_batch(batched, i, frames.back());
-  }
-  const Tensor out = inference.upscale(batched);
-  for (std::int64_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(max_abs_diff(slice_batch(out, i), inference.upscale(frames[i])), 0.0F)
-        << "sample " << i;
-  }
-}
-
 // ------------------------------------------------------- end-to-end server
 
 TEST(EvalServer, SingleFrameRoundTrip) {
@@ -172,6 +86,40 @@ TEST(EvalServer, SingleFrameRoundTrip) {
   EXPECT_EQ(stats.submitted, 1U);
   EXPECT_EQ(stats.completed, 1U);
   EXPECT_EQ(stats.rejected, 0U);
+}
+
+// Work-conserving dispatch: two same-shape frames submitted together run on
+// two workers at once. The hook is a latch that opens only once both workers
+// are inside it. A server that held the frames for a batch partner and ran
+// them as one unit on one worker never opens it; the latch then gives up at a
+// generous timeout, so the test fails instead of hanging.
+TEST(EvalServer, TwoFramesRunOnTwoWorkersAtOnce) {
+  const core::SesrInference inference = make_inference(28, small_config());
+  std::atomic<int> inside{0};
+  std::atomic<bool> timed_out{false};
+  ServeOptions options;
+  options.workers = 2;
+  options.worker_hook = [&] {
+    inside.fetch_add(1, std::memory_order_acq_rel);
+    const auto give_up = ServeClock::now() + std::chrono::seconds(10);
+    while (inside.load(std::memory_order_acquire) < 2) {
+      if (ServeClock::now() >= give_up) {
+        timed_out.store(true, std::memory_order_release);
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  EvalServer server(inference, options);
+  const Tensor a = make_frame(14, 16, 16);
+  const Tensor b = make_frame(15, 16, 16);
+  std::future<Tensor> fa = server.submit(a);
+  std::future<Tensor> fb = server.submit(b);
+  EXPECT_EQ(max_abs_diff(fa.get(), inference.upscale(a)), 0.0F);
+  EXPECT_EQ(max_abs_diff(fb.get(), inference.upscale(b)), 0.0F);
+  EXPECT_FALSE(timed_out.load(std::memory_order_acquire))
+      << "the two frames never ran on two workers at the same time";
+  EXPECT_EQ(server.stats().batches, 2U);  // one dispatched unit per frame
 }
 
 TEST(EvalServer, Fp16PrecisionBitIdenticalToDirectFp16Upscale) {
@@ -231,8 +179,6 @@ TEST(EvalServer, RejectPolicyFiresUnderOverloadAndAcceptedWorkCompletes) {
   std::atomic<bool> release{false};
   ServeOptions options;
   options.workers = 1;
-  options.max_batch = 1;
-  options.max_delay_us = 0;
   options.queue_capacity = 2;
   options.overload = OverloadPolicy::kReject;
   options.worker_hook = [&] {
@@ -242,8 +188,8 @@ TEST(EvalServer, RejectPolicyFiresUnderOverloadAndAcceptedWorkCompletes) {
   };
   EvalServer server(inference, options);
   const Tensor frame = make_frame(9, 10, 10);
-  // Queue(2) + batcher(1) + dispatch(2) + worker(1) bounds absorption; with
-  // nothing draining, 50 submissions must see at least one rejection.
+  // Shard bound (2) + the unit the held worker popped (1) bounds absorption;
+  // with nothing draining, 50 submissions must see at least one rejection.
   std::vector<std::future<Tensor>> futures;
   bool saw_reject = false;
   for (int i = 0; i < 50 && !saw_reject; ++i) {
@@ -275,9 +221,7 @@ TEST(EvalServer, ShutdownWhileFullDrainsWithoutDeadlock) {
   std::atomic<bool> release{false};
   ServeOptions options;
   options.workers = 2;
-  options.max_batch = 2;
-  options.max_delay_us = 100;
-  options.queue_capacity = 4;
+  options.queue_capacity = 6;
   options.overload = OverloadPolicy::kBlock;
   options.worker_hook = [&] {
     while (!release.load(std::memory_order_acquire)) {
@@ -298,8 +242,9 @@ TEST(EvalServer, ShutdownWhileFullDrainsWithoutDeadlock) {
       }
     });
   }
-  // Wait until every producer has pushed (some submits may be blocking on
-  // the full queue only if capacity is exceeded; 8 <= absorption here).
+  // Wait until every producer has pushed: the bound (6) plus one unit held
+  // by each latched worker (2) absorbs exactly the 8 submissions, so the
+  // last two submits block until the workers pop, then go through.
   for (auto& p : producers) p.join();
   ASSERT_EQ(submitted.load(), 8);
   std::thread closer([&] { server.shutdown(); });
@@ -330,8 +275,6 @@ void run_stress_iteration(std::uint64_t seed) {
 
   ServeOptions options;
   options.workers = 1 + static_cast<int>(seed % 4);
-  options.max_batch = 1 + static_cast<std::int64_t>(seed % 5);
-  options.max_delay_us = 500;
   options.queue_capacity = 8;
   options.overload = OverloadPolicy::kBlock;
   options.mode = mode;
@@ -436,27 +379,6 @@ TEST(Percentile, P95OfTwentyIsTheNineteenthSample) {
   EXPECT_EQ(percentile(samples, -5.0), 1.0);
 }
 
-// -------------------------------------------------- RequestQueue satellites
-
-TEST(RequestQueue, RejectPushDuringDrainOnCloseReturnsClosed) {
-  // After close() the queue drains already-accepted work, but new pushes must
-  // report kClosed — never kFull, which would invite a retry loop against a
-  // queue that will never accept again.
-  RequestQueue queue(2);
-  for (std::uint64_t i = 0; i < 2; ++i) {
-    FrameRequest r;
-    r.frame = make_frame(i, 4, 4);
-    ASSERT_EQ(queue.push(r, OverloadPolicy::kReject), RequestQueue::PushResult::kAccepted);
-  }
-  queue.close();
-  FrameRequest late;
-  late.frame = make_frame(9, 4, 4);
-  EXPECT_EQ(queue.push(late, OverloadPolicy::kReject), RequestQueue::PushResult::kClosed);
-  EXPECT_EQ(queue.push(late, OverloadPolicy::kBlock), RequestQueue::PushResult::kClosed);
-  // The accepted work is still drainable after the rejected pushes.
-  EXPECT_EQ(queue.pop_batch(8, std::chrono::microseconds(0)).size(), 2U);
-}
-
 // ------------------------------------------------------------ ResponseCache
 
 TEST(ResponseCache, DisabledCacheNeverHitsOrStores) {
@@ -507,25 +429,24 @@ TEST(ResponseCache, LruEvictionDropsTheColdestEntry) {
 
 // Queue-only tests drive the scheduler with tagged dummy units.
 Unit tagged_unit(std::uint64_t id) {
-  BatchUnit unit;
-  unit.requests.emplace_back();
-  unit.requests.back().id = id;
-  return unit;
+  FrameRequest request;
+  request.id = id;
+  return request;
 }
 
-std::uint64_t unit_tag(const Unit& unit) {
-  return std::get<BatchUnit>(unit).requests.front().id;
-}
+std::uint64_t unit_tag(const Unit& unit) { return std::get<FrameRequest>(unit).id; }
+
+using PushResult = FairDispatchQueue::PushResult;
 
 TEST(FairDispatchQueue, FreshLanesFirstThenRoundRobin) {
   FairDispatchQueue queue(1, 64, /*fair=*/true);
   // Three lanes, pushed fully before any pop: a has 3 units, b has 2, c has 1.
-  ASSERT_TRUE(queue.push(0, 1, tagged_unit(10)));
-  ASSERT_TRUE(queue.push(0, 1, tagged_unit(11)));
-  ASSERT_TRUE(queue.push(0, 1, tagged_unit(12)));
-  ASSERT_TRUE(queue.push(0, 2, tagged_unit(20)));
-  ASSERT_TRUE(queue.push(0, 2, tagged_unit(21)));
-  ASSERT_TRUE(queue.push(0, 3, tagged_unit(30)));
+  ASSERT_EQ(queue.push(0, 1, tagged_unit(10)), PushResult::kAccepted);
+  ASSERT_EQ(queue.push(0, 1, tagged_unit(11)), PushResult::kAccepted);
+  ASSERT_EQ(queue.push(0, 1, tagged_unit(12)), PushResult::kAccepted);
+  ASSERT_EQ(queue.push(0, 2, tagged_unit(20)), PushResult::kAccepted);
+  ASSERT_EQ(queue.push(0, 2, tagged_unit(21)), PushResult::kAccepted);
+  ASSERT_EQ(queue.push(0, 3, tagged_unit(30)), PushResult::kAccepted);
   queue.close();
   std::vector<std::uint64_t> order;
   Unit unit;
@@ -536,13 +457,13 @@ TEST(FairDispatchQueue, FreshLanesFirstThenRoundRobin) {
 
 TEST(FairDispatchQueue, NewLanePreemptsServedLanes) {
   FairDispatchQueue queue(1, 64, /*fair=*/true);
-  ASSERT_TRUE(queue.push(0, 1, tagged_unit(10)));
-  ASSERT_TRUE(queue.push(0, 1, tagged_unit(11)));
+  ASSERT_EQ(queue.push(0, 1, tagged_unit(10)), PushResult::kAccepted);
+  ASSERT_EQ(queue.push(0, 1, tagged_unit(11)), PushResult::kAccepted);
   Unit unit;
   ASSERT_TRUE(queue.pop(0, unit));
   EXPECT_EQ(unit_tag(unit), 10U);  // lane 1 is now "served"
   // A new logical request arrives mid-fan-out: it is scheduled next.
-  ASSERT_TRUE(queue.push(0, 2, tagged_unit(20)));
+  ASSERT_EQ(queue.push(0, 2, tagged_unit(20)), PushResult::kAccepted);
   ASSERT_TRUE(queue.pop(0, unit));
   EXPECT_EQ(unit_tag(unit), 20U);
   ASSERT_TRUE(queue.pop(0, unit));
@@ -551,9 +472,9 @@ TEST(FairDispatchQueue, NewLanePreemptsServedLanes) {
 
 TEST(FairDispatchQueue, UnfairModeIsPlainFifo) {
   FairDispatchQueue queue(1, 64, /*fair=*/false);
-  ASSERT_TRUE(queue.push(0, 1, tagged_unit(10)));
-  ASSERT_TRUE(queue.push(0, 2, tagged_unit(20)));
-  ASSERT_TRUE(queue.push(0, 1, tagged_unit(11)));
+  ASSERT_EQ(queue.push(0, 1, tagged_unit(10)), PushResult::kAccepted);
+  ASSERT_EQ(queue.push(0, 2, tagged_unit(20)), PushResult::kAccepted);
+  ASSERT_EQ(queue.push(0, 1, tagged_unit(11)), PushResult::kAccepted);
   queue.close();
   std::vector<std::uint64_t> order;
   Unit unit;
@@ -562,29 +483,118 @@ TEST(FairDispatchQueue, UnfairModeIsPlainFifo) {
 }
 
 TEST(FairDispatchQueue, WeightZeroPushNeverBlocksAtDepthLimit) {
-  FairDispatchQueue queue(1, /*depth_limit=*/1, /*fair=*/true);
-  ASSERT_TRUE(queue.push(0, 1, tagged_unit(10), 1));  // fills the depth bound
+  FairDispatchQueue queue(1, /*shard_capacity=*/1, /*fair=*/true);
+  ASSERT_EQ(queue.push(0, 1, tagged_unit(10), 1), PushResult::kAccepted);  // fills the bound
   // A fan-out continuation (weight 0) must go through without blocking.
-  ASSERT_TRUE(queue.push(0, 1, tagged_unit(11), 0));
-  EXPECT_EQ(queue.size(), 1U);  // weighted depth: one admitted request
+  ASSERT_EQ(queue.push(0, 1, tagged_unit(11), 0), PushResult::kAccepted);
+  EXPECT_EQ(queue.size(0), 1U);  // weighted depth: one admitted request
   // A weighted push blocks until the admitted request is popped.
-  std::promise<bool> pushed;
+  std::promise<PushResult> pushed;
   std::thread blocked([&] { pushed.set_value(queue.push(0, 2, tagged_unit(20), 1)); });
   auto future = pushed.get_future();
   EXPECT_EQ(future.wait_for(std::chrono::milliseconds(50)), std::future_status::timeout);
   Unit unit;
   ASSERT_TRUE(queue.pop(0, unit));
-  EXPECT_TRUE(future.get());
+  EXPECT_EQ(future.get(), PushResult::kAccepted);
   blocked.join();
   queue.close();
 }
 
+TEST(FairDispatchQueue, RejectPolicyFailsFastWhenFull) {
+  FairDispatchQueue queue(1, /*shard_capacity=*/2, /*fair=*/true);
+  for (std::uint64_t lane = 1; lane <= 2; ++lane) {
+    ASSERT_EQ(queue.push(0, lane, tagged_unit(lane), 1, OverloadPolicy::kReject),
+              PushResult::kAccepted);
+  }
+  Unit overflow = tagged_unit(3);
+  EXPECT_EQ(queue.push(0, 3, std::move(overflow), 1, OverloadPolicy::kReject), PushResult::kFull);
+  // The refused unit is still owned by the caller; its promise is intact.
+  std::get<FrameRequest>(overflow).promise.set_exception(
+      std::make_exception_ptr(QueueFullError()));
+  EXPECT_EQ(queue.size(0), 2U);
+}
+
+TEST(FairDispatchQueue, BlockedPushReturnsClosedOnShutdown) {
+  FairDispatchQueue queue(1, /*shard_capacity=*/1, /*fair=*/true);
+  ASSERT_EQ(queue.push(0, 1, tagged_unit(1)), PushResult::kAccepted);
+  std::promise<PushResult> result;
+  std::thread blocked([&] { result.set_value(queue.push(0, 2, tagged_unit(2))); });
+  queue.close();  // wakes the blocked producer
+  EXPECT_EQ(result.get_future().get(), PushResult::kClosed);
+  blocked.join();
+}
+
+TEST(FairDispatchQueue, RejectPushDuringDrainOnCloseReturnsClosed) {
+  // After close() the queue drains already-accepted work, but new pushes must
+  // report kClosed — never kFull, which would invite a retry loop against a
+  // queue that will never accept again.
+  FairDispatchQueue queue(1, /*shard_capacity=*/2, /*fair=*/true);
+  for (std::uint64_t lane = 1; lane <= 2; ++lane) {
+    ASSERT_EQ(queue.push(0, lane, tagged_unit(lane), 1, OverloadPolicy::kReject),
+              PushResult::kAccepted);
+  }
+  queue.close();
+  EXPECT_EQ(queue.push(0, 3, tagged_unit(3), 1, OverloadPolicy::kReject), PushResult::kClosed);
+  EXPECT_EQ(queue.push(0, 3, tagged_unit(3), 1, OverloadPolicy::kBlock), PushResult::kClosed);
+  EXPECT_EQ(queue.push(0, 1, tagged_unit(4), 0, OverloadPolicy::kReject), PushResult::kClosed);
+  // The accepted work is still drainable after the refused pushes.
+  Unit unit;
+  std::size_t drained = 0;
+  while (queue.pop(0, unit)) ++drained;
+  EXPECT_EQ(drained, 2U);
+}
+
+TEST(FairDispatchQueue, BoundCountsLogicalRequestsNotTiles) {
+  // A 15-tile frame admits as ONE request: its first unit carries weight 1,
+  // the other 14 weight 0, and none of them is refused or waits even though
+  // the shard is at its bound while they arrive.
+  FairDispatchQueue queue(1, /*shard_capacity=*/2, /*fair=*/true);
+  ASSERT_EQ(queue.push(0, 1, tagged_unit(100), 1, OverloadPolicy::kReject),
+            PushResult::kAccepted);
+  ASSERT_EQ(queue.push(0, 2, tagged_unit(200), 1, OverloadPolicy::kReject),
+            PushResult::kAccepted);
+  EXPECT_EQ(queue.size(0), 2U);  // at the bound
+  for (std::uint64_t t = 1; t < 15; ++t) {
+    ASSERT_EQ(queue.push(0, 1, tagged_unit(100 + t), 0, OverloadPolicy::kBlock),
+              PushResult::kAccepted)
+        << "tile " << t;
+  }
+  EXPECT_EQ(queue.size(0), 2U);
+  EXPECT_EQ(queue.push(0, 3, tagged_unit(300), 1, OverloadPolicy::kReject), PushResult::kFull);
+  // Popping the tiled frame's weighted unit frees one slot; its 14 remaining
+  // tiles do not hold the bound.
+  Unit unit;
+  ASSERT_TRUE(queue.pop(0, unit));
+  EXPECT_EQ(unit_tag(unit), 100U);
+  EXPECT_EQ(queue.size(0), 1U);
+  EXPECT_EQ(queue.push(0, 3, tagged_unit(300), 1, OverloadPolicy::kReject),
+            PushResult::kAccepted);
+  queue.close();
+}
+
+TEST(FairDispatchQueue, FullShardDoesNotBlockAnotherShard) {
+  FairDispatchQueue queue(2, /*shard_capacity=*/1, /*fair=*/true);
+  ASSERT_EQ(queue.push(0, 1, tagged_unit(10)), PushResult::kAccepted);
+  EXPECT_EQ(queue.push(0, 2, tagged_unit(11), 1, OverloadPolicy::kReject), PushResult::kFull);
+  // A blocking push to the other shard must go straight through.
+  std::promise<PushResult> pushed;
+  std::thread other([&] { pushed.set_value(queue.push(1, 1, tagged_unit(40))); });
+  auto future = pushed.get_future();
+  const bool returned = future.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  queue.close();  // unblocks the push if the bound leaked across shards
+  other.join();
+  ASSERT_TRUE(returned) << "a full shard blocked a push to another shard";
+  EXPECT_EQ(future.get(), PushResult::kAccepted);
+  EXPECT_EQ(queue.size(0), 1U);
+  EXPECT_EQ(queue.size(1), 1U);
+}
+
 TEST(FairDispatchQueue, CloseRejectsPushesAndDrainsPops) {
   FairDispatchQueue queue(2, 8, /*fair=*/true);
-  ASSERT_TRUE(queue.push(0, 1, tagged_unit(10)));
-  ASSERT_TRUE(queue.push(1, 1, tagged_unit(40)));
+  ASSERT_EQ(queue.push(0, 1, tagged_unit(10)), PushResult::kAccepted);
+  ASSERT_EQ(queue.push(1, 1, tagged_unit(40)), PushResult::kAccepted);
   queue.close();
-  EXPECT_FALSE(queue.push(0, 2, tagged_unit(20)));
+  EXPECT_EQ(queue.push(0, 2, tagged_unit(20)), PushResult::kClosed);
   Unit unit;
   ASSERT_TRUE(queue.pop(0, unit));
   EXPECT_EQ(unit_tag(unit), 10U);
@@ -775,8 +785,6 @@ void run_sharded_stress_iteration(std::uint64_t seed) {
 
   ServeOptions options;
   options.workers = 1 + static_cast<int>(seed % 3);
-  options.max_batch = 1 + static_cast<std::int64_t>(seed % 4);
-  options.max_delay_us = 500;
   options.queue_capacity = 8;
   options.mode = mode;
   options.tiling.tile_h = 6;
@@ -897,8 +905,6 @@ void run_mixed_precision_stress_iteration(std::uint64_t seed) {
 
   ServeOptions options;
   options.workers = 1 + static_cast<int>(seed % 3);
-  options.max_batch = 1 + static_cast<std::int64_t>(seed % 3);
-  options.max_delay_us = 500;
   options.queue_capacity = 8;
   options.mode = mode;
   options.tiling.tile_h = 6;
@@ -991,8 +997,6 @@ TEST(MixedPrecisionStress, AllPrecisionsOneServerBitIdentical) {
 ServeOptions video_serve_options(ExecMode mode, int workers = 2) {
   ServeOptions options;
   options.workers = workers;
-  options.max_batch = 2;
-  options.max_delay_us = 200;
   options.mode = mode;
   options.tiling.tile_h = 6;
   options.tiling.tile_w = 7;
@@ -1220,8 +1224,6 @@ void run_video_session_stress_iteration(std::uint64_t seed) {
 
   ServeOptions options;
   options.workers = 1 + static_cast<int>(seed % 3);
-  options.max_batch = 1 + static_cast<std::int64_t>(seed % 3);
-  options.max_delay_us = 500;
   options.mode = mode;
   options.tiling.tile_h = 6;
   options.tiling.tile_w = 7;
@@ -1322,8 +1324,8 @@ TEST(ServeClock, SaturatingDeadlineClampsOverflowAndNegativeDelay) {
   EXPECT_EQ(saturating_deadline(t0, std::chrono::microseconds(0)), t0);
   EXPECT_EQ(saturating_deadline(t0, std::chrono::microseconds(1000)),
             t0 + std::chrono::microseconds(1000));
-  // INT64_MAX microseconds would wrap `t0 + delay` into the past; the batcher
-  // would then flush every batch instantly. Must clamp to max() instead.
+  // INT64_MAX microseconds would wrap `t0 + delay` into the past; a deadline
+  // would then expire instantly. Must clamp to max() instead.
   EXPECT_EQ(saturating_deadline(t0, std::chrono::microseconds::max()),
             ServeClock::time_point::max());
   EXPECT_EQ(saturating_deadline(ServeClock::time_point::max(), std::chrono::microseconds(1)),
@@ -1361,22 +1363,6 @@ TEST(ServeClock, WaitUntilSteadyHonorsPredicateAndDeadline) {
   // time up into a sleep).
   EXPECT_FALSE(wait_until_steady(cv, lock, ServeClock::now() - std::chrono::seconds(1),
                                  [] { return false; }));
-}
-
-TEST(RequestQueue, PopBatchFlushDeadlineIsBounded) {
-  // One frame below max_batch: pop_batch must give up at the flush deadline,
-  // not wait for a batch that will never fill. Generous upper bound (CI), but
-  // any wall-clock re-basing bug here turns into an unbounded stall.
-  RequestQueue queue(4);
-  FrameRequest r;
-  r.frame = make_frame(7, 4, 4);
-  r.enqueue_time = ServeClock::now();
-  ASSERT_EQ(queue.push(r, OverloadPolicy::kReject), RequestQueue::PushResult::kAccepted);
-  const auto start = ServeClock::now();
-  auto batch = queue.pop_batch(8, std::chrono::microseconds(20'000));
-  const auto elapsed = ServeClock::now() - start;
-  ASSERT_EQ(batch.size(), 1U);
-  EXPECT_LT(elapsed, std::chrono::seconds(30));
 }
 
 // --------------------------------------------------- admission controller
@@ -1565,14 +1551,47 @@ TEST(ShardedServer, X4DegradesToTwoStageX2BitIdentical) {
   EXPECT_EQ(server.stats().total.failed, 0U);
 }
 
+// Each replica's arena is presized for one untiled frame or one haloed tile,
+// whichever is larger — not for a batch of frames. Serving a frame just below
+// the kAuto tiling threshold fits that arena without growing it.
+TEST(ShardedServer, ReplicaPresizedToOneFrameOrOneTile) {
+  const core::SesrInference inference = make_inference(78, small_config());
+  const RouteKey route{"a", 2, core::InferencePrecision::kFp32};
+  NetworkRegistry registry;
+  registry.add(route, inference);
+  const RegisteredNetwork& net = registry.find(route);
+  constexpr std::int64_t kTile = 8;
+  const std::int64_t tile_pixels = (kTile + 2 * net.exact_halo) * (kTile + 2 * net.exact_halo);
+  // First the frame bound dominates (24x24 > one haloed 8x8 tile), then the
+  // tile bound does (8x8 threshold).
+  for (const std::int64_t side : {24, 8}) {
+    SCOPED_TRACE("threshold " + std::to_string(side) + "x" + std::to_string(side));
+    ServeOptions options;
+    options.workers = 2;
+    options.mode = ExecMode::kAuto;
+    options.tiling.tile_h = kTile;
+    options.tiling.tile_w = kTile;
+    options.tiled_threshold_pixels = side * side;
+    ShardedServer server(registry, options);
+    const Tensor frame = make_frame(99, side - 1, side + 1);  // one pixel below the threshold
+    EXPECT_EQ(max_abs_diff(server.submit(route, frame).get(), inference.upscale(frame)), 0.0F);
+    server.shutdown();  // joins the workers, so their arena bookkeeping is recorded
+    const auto presized = static_cast<std::uint64_t>(
+        net.footprint.bytes(std::max(tile_pixels, options.tiled_threshold_pixels)));
+    const std::uint64_t peak = server.stats().per_route[0].peak_activation_bytes;
+    EXPECT_LE(peak, presized);
+    EXPECT_EQ(peak, presized);  // the presized arena itself, never grown
+  }
+}
+
 // ------------------------------------------------- drain / reload lifecycle
 
 // Satellite regression for the mid-fan-out shutdown race: a large tiled frame
 // is fanned out across the dispatch queue while every worker is held on a
-// latch, and shutdown() lands in the middle. The old code closed the dispatch
-// queue under the batcher's feet; the push failed and the request's promise
-// was silently abandoned (future.get() -> broken_promise). Now shutdown
-// drains: the future must resolve with the bit-exact tiled result.
+// latch, and shutdown() lands in the middle. An early version closed the
+// dispatch queue under the fan-out's feet; the push failed and the request's
+// promise was silently abandoned (future.get() -> broken_promise). Now
+// shutdown drains: the future must resolve with the bit-exact tiled result.
 TEST(ShardedServer, ShutdownMidTileFanoutCompletesTheRequest) {
   const core::SesrInference inference = make_inference(79, small_config());
   const RouteKey route{"a", 2, core::InferencePrecision::kFp32};
@@ -1592,12 +1611,10 @@ TEST(ShardedServer, ShutdownMidTileFanoutCompletesTheRequest) {
   ShardedServer server(registry, options);
   const Tensor frame = make_frame(95, 48, 56);  // 6 * 7 = 42 tiles
   std::future<Tensor> future = server.submit(route, frame);
-  // Wait until the batcher has started fanning the frame out (it counts the
-  // job before pushing tile units), so shutdown() lands with tile units
-  // queued behind latched workers — the exact shape of the old race.
-  while (server.stats().total.batches == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // submit() fans the frame out before it returns, so shutdown() lands with
+  // tile units queued behind latched workers — the exact shape of the old
+  // race.
+  ASSERT_EQ(server.stats().total.batches, 1U);
   std::thread closer([&] { server.shutdown(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   hold.store(false, std::memory_order_release);

@@ -7,6 +7,7 @@
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
@@ -216,6 +217,27 @@ TEST(SesrInference, CheckpointRoundTrip) {
   x.fill_uniform(xrng, 0.0F, 1.0F);
   EXPECT_EQ(max_abs_diff(restored.upscale(x), deployed.upscale(x)), 0.0F);
   std::filesystem::remove(path);
+}
+
+// A stacked (B, H, W, 1) upscale is bit-identical, sample by sample, to B
+// single-frame calls: the conv kernels stripe each image independently with
+// batch-invariant reduction orders.
+TEST(BatchedUpscale, StackedBatchBitIdenticalToSingleFrames) {
+  Rng rng(11);
+  const SesrInference inference(SesrNetwork(tiny_config(2, BlockMode::kCollapsedForward), rng));
+  std::vector<Tensor> frames;
+  Tensor batched(5, 12, 14, 1);
+  for (std::int64_t i = 0; i < 5; ++i) {
+    Tensor frame(1, 12, 14, 1);
+    frame.fill_uniform(rng, 0.0F, 1.0F);
+    set_batch(batched, i, frame);
+    frames.push_back(std::move(frame));
+  }
+  const Tensor out = inference.upscale(batched);
+  for (std::int64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(max_abs_diff(slice_batch(out, i), inference.upscale(frames[i])), 0.0F)
+        << "sample " << i;
+  }
 }
 
 TEST(TwoStageX4, OutputShape) {

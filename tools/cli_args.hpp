@@ -1,8 +1,8 @@
 // Minimal command-line argument parser for the tools/ binaries.
 //
 // Supports --key=value and --key value forms plus bare --flag booleans.
-// Unknown keys are an error (catches typos); every tool prints its option
-// table via usage().
+// Unknown keys raise UsageError (catches typos, and retired flags); every
+// tool prints its option table via usage().
 #pragma once
 
 #include <cstdint>
@@ -14,6 +14,12 @@
 #include <vector>
 
 namespace sesr::cli {
+
+// A bad command line: unknown option, or a value a tool's validation refuses.
+class UsageError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 class Args {
  public:
@@ -45,7 +51,7 @@ class Args {
             value = "1";  // boolean flag
           }
         }
-        if (find(key) == nullptr) throw std::invalid_argument("unknown option --" + key);
+        if (find(key) == nullptr) throw UsageError("unknown option --" + key);
         values_[key] = value;
       }
     }

@@ -17,11 +17,6 @@
 
 namespace sesr::cli {
 
-class UsageError : public std::invalid_argument {
- public:
-  using std::invalid_argument::invalid_argument;
-};
-
 struct ServeCliConfig {
   serve::ServeOptions serve;
   std::string net = "m5";                                  // m3|m5|m7|m11|xl
@@ -67,9 +62,7 @@ inline std::vector<Args::Option> serve_cli_options() {
       {"unique-frames", "1", "distinct frames per route+shape; 1 = maximal repetition"},
       {"fair-tiles", "1", "round-robin tile scheduling across requests (0 = FIFO)"},
       {"workers", "4", "worker sessions (>= 1)"},
-      {"max-batch", "8", "micro-batch size cap (>= 1)"},
-      {"max-delay-us", "2000", "batcher flush deadline in microseconds"},
-      {"queue-capacity", "64", "bounded submission queue depth"},
+      {"queue-capacity", "64", "per-route bound on queued requests"},
       {"policy", "block", "overload policy: block|reject"},
       {"mode", "full", "execution: full|tiled|auto"},
       {"precision", "fp32", "worker arithmetic: fp32|fp16|int8|hybrid"},
@@ -171,10 +164,6 @@ inline ServeCliConfig parse_serve_cli(const Args& args) {
   const std::int64_t workers = args.get_int("workers");
   if (workers < 1) throw UsageError("--workers must be >= 1");
   config.serve.workers = static_cast<int>(workers);
-  config.serve.max_batch = args.get_int("max-batch");
-  if (config.serve.max_batch < 1) throw UsageError("--max-batch must be >= 1");
-  config.serve.max_delay_us = args.get_int("max-delay-us");
-  if (config.serve.max_delay_us < 0) throw UsageError("--max-delay-us must be >= 0");
   const std::int64_t capacity = args.get_int("queue-capacity");
   if (capacity < 1) throw UsageError("--queue-capacity must be >= 1");
   config.serve.queue_capacity = static_cast<std::size_t>(capacity);

@@ -1,5 +1,5 @@
 // sesr-serve — synthetic-traffic load generator AND TCP front end for the
-// batched eval server.
+// sharded eval server.
 //
 // Three modes:
 //
@@ -22,9 +22,9 @@
 // Traffic cycles round-robin over routes x shapes x --unique-frames distinct
 // frames, so --cache-entries with unique-frames=1 exercises the bit-exact
 // response cache at maximal repetition. Prints per-request latency
-// percentiles (p50/p95/p99), achieved FPS, batch occupancy, reject counts,
-// per-route counters, and cache hit rates. docs/SERVING.md explains how to
-// read them.
+// percentiles (p50/p95/p99), achieved FPS, dispatched units and tiles, reject
+// counts, per-route counters, and cache hit rates. docs/SERVING.md explains
+// how to read them.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -252,10 +252,8 @@ int run_local(const cli::ServeCliConfig& config) {
   }
 
   std::printf(
-      "sesr-serve: %s | workers=%d max_batch=%lld delay=%lldus queue=%zu cache=%zu fair=%d\n",
-      route_list_string(config).c_str(), config.serve.workers,
-      static_cast<long long>(config.serve.max_batch),
-      static_cast<long long>(config.serve.max_delay_us), config.serve.queue_capacity,
+      "sesr-serve: %s | workers=%d queue=%zu cache=%zu fair=%d\n",
+      route_list_string(config).c_str(), config.serve.workers, config.serve.queue_capacity,
       config.serve.cache_entries, config.serve.fair_tiles ? 1 : 0);
 
   std::mt19937_64 arrivals(config.seed ^ 0x9E3779B97F4A7C15ULL);
@@ -300,9 +298,9 @@ int run_local(const cli::ServeCliConfig& config) {
               static_cast<long long>(submitted),
               static_cast<unsigned long long>(stats.completed), static_cast<long long>(dropped),
               static_cast<long long>(errors));
-  std::printf("offered %s  achieved %.1f fps  mean batch %.2f frames (%llu units, %llu tiles)\n",
+  std::printf("offered %s  achieved %.1f fps  dispatched %llu units (%llu tiles)\n",
               config.qps > 0.0 ? (std::to_string(config.qps) + " qps").c_str() : "closed-loop",
-              static_cast<double>(stats.completed) / wall, stats.mean_batch_frames,
+              static_cast<double>(stats.completed) / wall,
               static_cast<unsigned long long>(stats.batches),
               static_cast<unsigned long long>(stats.tiles));
   print_server_stats(config, sharded);
@@ -631,7 +629,7 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sesr-serve: %s\n\n", e.what());
     const cli::Args usage(cli::serve_cli_options(), 1, argv);
-    usage.usage("sesr-serve", "load generator and TCP front end for the batched eval server");
+    usage.usage("sesr-serve", "load generator and TCP front end for the sharded eval server");
     return 2;
   }
 }
