@@ -604,6 +604,20 @@ TEST(FairDispatchQueue, CloseRejectsPushesAndDrainsPops) {
   EXPECT_FALSE(queue.pop(1, unit));
 }
 
+TEST(FairDispatchQueue, CloseDrainsRemainingThenReturnsEmpty) {
+  FairDispatchQueue queue(1, /*shard_capacity=*/4, /*fair=*/true);
+  for (std::uint64_t lane = 1; lane <= 3; ++lane) {
+    ASSERT_EQ(queue.push(0, lane, tagged_unit(lane), 1, OverloadPolicy::kReject),
+              PushResult::kAccepted);
+  }
+  queue.close();
+  std::size_t drained = 0;
+  Unit unit;
+  while (queue.pop(0, unit)) ++drained;
+  EXPECT_EQ(drained, 3U);
+  EXPECT_FALSE(queue.pop(0, unit));  // stays empty once drained
+}
+
 // ---------------------------------------------------------- NetworkRegistry
 
 TEST(NetworkRegistry, RouteStringParseRoundTrip) {
