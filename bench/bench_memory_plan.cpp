@@ -90,7 +90,6 @@ int main() {
       const double ratio = planned_bytes / direct_bytes;
       for (const int threads : {1, 4}) {
         ThreadPool::set_global_threads(static_cast<unsigned>(threads));
-        inference.set_use_plan(true);
         inference.plan_reserve(lr_h * lr_w);
         const double planned_us = best_us(iters, [&] {
           volatile float v = inference.upscale(frame).raw()[0];

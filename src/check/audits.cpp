@@ -22,7 +22,6 @@
 #include "core/collapse.hpp"
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
-#include "core/streaming.hpp"
 #include "core/tiled_inference.hpp"
 #include "data/resize.hpp"
 #include "data/video.hpp"
@@ -391,27 +390,6 @@ TrialResult tiled_trial(std::uint64_t seed) {
   return r;
 }
 
-TrialResult streaming_trial(std::uint64_t seed) {
-  TrialResult r;
-  Rng rng(seed);
-  const core::SesrConfig config = small_config(rng);
-  Rng init = rng.fork();
-  const core::SesrNetwork network(config, init);
-  const core::SesrInference inference(network);
-  const std::int64_t h = rng.uniform_int(8, 24);
-  const std::int64_t w = rng.uniform_int(8, 24);
-  const Tensor input = random_tensor(rng, 1, h, w, 1, 0.0F, 1.0F);
-  core::StreamingUpscaler streamer(inference);
-  const Tensor got = streamer.upscale(input);
-  const DTensor want = to_dtensor(inference.upscale(input));
-  r.stats = compare_f32(got.data(), want.data);
-  r.output_hash = hash_bits(got.data());
-  std::ostringstream os;
-  os << "in=" << shape_str(input.shape()) << " " << config.describe();
-  r.detail = os.str();
-  return r;
-}
-
 // Serve-regime tiling: the eval server routes arbitrary request shapes
 // through upscale_tiled, so this pair sweeps the geometry corners the
 // original tiled_inference pair never draws — frames down to 1x1, tiles
@@ -451,41 +429,6 @@ TrialResult tiled_vs_fullframe_trial(std::uint64_t seed) {
   std::ostringstream os;
   os << "in=" << shape_str(input.shape()) << " tile=" << options.tile_h << "x" << options.tile_w
      << " halo=" << options.halo << " " << config.describe();
-  r.detail = os.str();
-  return r;
-}
-
-// Serve-regime streaming: same widened shape sweep for the line-buffer path
-// (row/column strips stress the pipeline's prune logic). Exactness promise:
-// streaming equals the full-frame pass to float tolerance.
-TrialResult streaming_vs_fullframe_trial(std::uint64_t seed) {
-  TrialResult r;
-  Rng rng(seed);
-  const core::SesrConfig config = small_config(rng);
-  Rng init = rng.fork();
-  const core::SesrNetwork network(config, init);
-  const core::SesrInference inference(network);
-  const std::int64_t regime = rng.uniform_int(0, 2);
-  std::int64_t h = 0;
-  std::int64_t w = 0;
-  if (regime == 0) {
-    h = rng.uniform_int(1, 5);
-    w = rng.uniform_int(1, 5);
-  } else if (regime == 1) {
-    h = rng.bernoulli(0.5) ? rng.uniform_int(1, 2) : rng.uniform_int(12, 32);
-    w = rng.bernoulli(0.5) ? rng.uniform_int(12, 32) : rng.uniform_int(1, 2);
-  } else {
-    h = rng.uniform_int(6, 32);
-    w = rng.uniform_int(6, 32);
-  }
-  const Tensor input = random_tensor(rng, 1, h, w, 1, 0.0F, 1.0F);
-  core::StreamingUpscaler streamer(inference);
-  const Tensor got = streamer.upscale(input);
-  const DTensor want = to_dtensor(inference.upscale(input));
-  r.stats = compare_f32(got.data(), want.data);
-  r.output_hash = hash_bits(got.data());
-  std::ostringstream os;
-  os << "in=" << shape_str(input.shape()) << " " << config.describe();
   r.detail = os.str();
   return r;
 }
@@ -648,8 +591,9 @@ TrialResult video_delta_vs_full_trial(std::uint64_t seed) {
 // fused long residual degenerates to an in-place doubling, and biased
 // checkpoints — a random precision, and a random execution regime (single
 // frame, micro-batch, exact-halo tiled, plan-cache churn across 9+ shapes),
-// and compares against the same network with set_use_plan(false) with zero
-// tolerance.
+// and compares against the same network's full-frame upscale_direct with zero
+// tolerance. The tiled regime thereby checks tiling and the plan together
+// against the reference.
 TrialResult planned_vs_direct_trial(std::uint64_t seed) {
   TrialResult r;
   Rng rng(seed);
@@ -673,8 +617,6 @@ TrialResult planned_vs_direct_trial(std::uint64_t seed) {
       core::InferencePrecision::kFp32, core::InferencePrecision::kFp16,
       core::InferencePrecision::kInt8, core::InferencePrecision::kHybrid};
   planned.set_precision(precisions[rng.uniform_int(0, 3)]);
-  core::SesrInference direct = planned;
-  direct.set_use_plan(false);
 
   const std::int64_t regime = rng.uniform_int(0, 3);
   const std::int64_t n = regime == 1 ? rng.uniform_int(2, 4) : 1;
@@ -690,7 +632,7 @@ TrialResult planned_vs_direct_trial(std::uint64_t seed) {
     topts.tile_w = rng.uniform_int(1, 16);
     topts.halo = core::receptive_field_radius(planned);
     got = core::upscale_tiled(planned, input, topts);
-    want = core::upscale_tiled(direct, input, topts);
+    want = planned.upscale_direct(input);
     os << "tiled tile=" << topts.tile_h << "x" << topts.tile_w;
   } else if (regime == 3) {
     // Churn the bounded plan cache past its capacity so the comparison runs
@@ -700,11 +642,11 @@ TrialResult planned_vs_direct_trial(std::uint64_t seed) {
       got = planned.upscale(filler);
     }
     got = planned.upscale(input);
-    want = direct.upscale(input);
+    want = planned.upscale_direct(input);
     os << "cache-churn";
   } else {  // single frame / stacked micro-batch
     got = planned.upscale(input);
-    want = direct.upscale(input);
+    want = planned.upscale_direct(input);
     os << (regime == 1 ? "batch" : "full");
   }
   const DTensor want_d = to_dtensor(want);
@@ -1142,17 +1084,13 @@ std::vector<AuditPair> make_builtin_pairs() {
                    "conv replay with the same float glue (random bias/PReLU, x2/x4, f 8/16; "
                    "must be bit-exact)",
                    0.0, 0.0, int8_network_vs_replay_trial});
-  pairs.push_back({"tiled_inference", "exact-halo tiled upscale vs full-frame upscale", 1e-5, 0.0,
+  pairs.push_back({"tiled_inference",
+                   "exact-halo tiled upscale vs full-frame upscale (must be bit-exact)", 0.0, 0.0,
                    tiled_trial});
-  pairs.push_back({"streaming_inference", "line-buffer streaming upscale vs full-frame upscale",
-                   1e-5, 0.0, streaming_trial});
   pairs.push_back({"tiled_vs_fullframe",
                    "serve-regime tiling (tiny/strip frames, tile > image, halo slack) vs full "
-                   "frame",
-                   1e-5, 0.0, tiled_vs_fullframe_trial});
-  pairs.push_back({"streaming_vs_fullframe",
-                   "serve-regime streaming (tiny/strip frames) vs full frame", 1e-5, 0.0,
-                   streaming_vs_fullframe_trial});
+                   "frame (must be bit-exact)",
+                   0.0, 0.0, tiled_vs_fullframe_trial});
   pairs.push_back({"cached_vs_cold_serve",
                    "response-cache hit vs the cold serve that filled it (all exec modes, both "
                    "precisions; must be bit-exact)",

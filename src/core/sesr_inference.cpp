@@ -182,8 +182,7 @@ SesrInference::SesrInference(const SesrInference& other)
       fp16_weights_(other.fp16_weights_),
       act_scales_(other.act_scales_),
       s8_weights_(other.s8_weights_),
-      plan_(other.plan_),
-      use_plan_(other.use_plan_) {}
+      plan_(other.plan_) {}
 
 SesrInference& SesrInference::operator=(const SesrInference& other) {
   if (this == &other) return *this;
@@ -195,7 +194,6 @@ SesrInference& SesrInference::operator=(const SesrInference& other) {
   act_scales_ = other.act_scales_;
   s8_weights_ = other.s8_weights_;
   plan_ = other.plan_;
-  use_plan_ = other.use_plan_;
   exec_.reset();  // the copy re-plans lazily
   return *this;
 }
@@ -223,7 +221,6 @@ nn::Epilogue SesrInference::activation_epilogue(std::size_t index) const {
 }
 
 Tensor SesrInference::upscale(const Tensor& input) const {
-  if (!use_plan_) return upscale_direct(input);
   const Shape& s = input.shape();
   Tensor out(s.n(), s.h() * config_.scale, s.w() * config_.scale, 1);
   upscale_into(input, out);
@@ -382,8 +379,8 @@ Tensor SesrInference::upscale_mixed(const Tensor& input) const {
   // carrier through binary16 on the way in and round their stored output once
   // (so an fp16 layer behaves exactly like one layer of the pure-fp16 path).
   // The residual adds and the tail stay fp32. With a fixed per-layer scale
-  // every elementwise step commutes with cropping, so tiled and streaming
-  // execution reproduce this path bit-exactly.
+  // every elementwise step commutes with cropping, so tiled execution
+  // reproduces this path bit-exactly.
   const std::size_t n_convs = convs_.size();
   auto layer_is_int8 = [&](std::size_t i) {
     return precision_ == InferencePrecision::kInt8 || plan_[i] == LayerPrecision::kInt8;

@@ -82,13 +82,8 @@ class SesrInference {
 
   // Planned forward into a caller-owned (N, scale*H, scale*W, 1) tensor.
   // Steady state (warm plan cache, grown arenas) performs zero heap
-  // allocations. Ignores set_use_plan — this entry point is the plan.
+  // allocations.
   void upscale_into(const Tensor& input, Tensor& output) const;
-
-  // Route upscale() through the execution plan (default) or the legacy
-  // allocating path. The audit pair flips this to compare the two.
-  void set_use_plan(bool use_plan) { use_plan_ = use_plan; }
-  bool use_plan() const { return use_plan_; }
 
   // Activation-arena controls for long-lived serving workers: grow the
   // executor's arenas up front for frames up to `lr_pixels` (so steady-state
@@ -163,7 +158,6 @@ class SesrInference {
   std::vector<float> act_scales_;               // per conv; set by calibrate_int8
   std::vector<nn::S8ConvWeights> s8_weights_;   // per conv; set by calibrate_int8
   std::vector<LayerPrecision> plan_;            // per conv; set by set_hybrid_plan
-  bool use_plan_ = true;
   // Built on first planned upscale; holds compiled plans + activation arenas.
   mutable std::unique_ptr<plan::PlannedExecutor> exec_;
 };

@@ -47,16 +47,6 @@ std::vector<TileTask> tile_grid(std::int64_t image_h, std::int64_t image_w,
   return tasks;
 }
 
-std::vector<TileUnitRange> plan_tile_units(std::size_t task_count, std::int64_t tiles_per_unit) {
-  const auto unit = static_cast<std::size_t>(std::max<std::int64_t>(1, tiles_per_unit));
-  std::vector<TileUnitRange> units;
-  units.reserve((task_count + unit - 1) / unit);
-  for (std::size_t first = 0; first < task_count; first += unit) {
-    units.push_back({first, std::min(unit, task_count - first)});
-  }
-  return units;
-}
-
 Tensor upscale_tile(const SesrInference& network, const Tensor& input, const TileTask& task) {
   const std::int64_t scale = network.config().scale;
   Tensor tile = crop_spatial(input, task.hy0, task.hx0, task.hh, task.hw);

@@ -42,19 +42,6 @@ struct TileTask {
 std::vector<TileTask> tile_grid(std::int64_t image_h, std::int64_t image_w,
                                 const TilingOptions& options, std::int64_t halo);
 
-// A contiguous run of tile-grid tasks forming one scheduling unit. The serve
-// layer's dispatch queue works in these units: tiles_per_unit = 1 gives the
-// finest cross-request interleaving, larger units amortize dispatch overhead
-// for big grids. Units partition [0, task_count) exactly.
-struct TileUnitRange {
-  std::size_t first = 0;
-  std::size_t count = 0;
-};
-
-// Partition `task_count` tiles into units of at most `tiles_per_unit` (values
-// < 1 are treated as 1). The last unit takes the remainder.
-std::vector<TileUnitRange> plan_tile_units(std::size_t task_count, std::int64_t tiles_per_unit);
-
 // Upscale one task's haloed crop and return the HR region of interest
 // (th*scale by tw*scale) to paste at (y0*scale, x0*scale).
 Tensor upscale_tile(const SesrInference& network, const Tensor& input, const TileTask& task);

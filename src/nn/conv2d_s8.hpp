@@ -12,9 +12,9 @@
 //
 // Exactness contract: for a fixed activation scale, quantization is
 // elementwise and padding quantizes to the zero point, so cropping commutes
-// with the whole layer — tiled and streaming execution reproduce full-frame
-// int8 results bit-exactly (the int32 accumulator is order-independent and
-// the dequant store is a fixed single-rounded expression; see gemm_s8.hpp).
+// with the whole layer — tiled execution reproduces full-frame int8 results
+// bit-exactly (the int32 accumulator is order-independent and the dequant
+// store is a fixed single-rounded expression; see gemm_s8.hpp).
 #pragma once
 
 #include <cstdint>
@@ -28,10 +28,10 @@ namespace sesr::nn {
 
 // A conv weight tensor quantized for the u8 x s8 kernels. `values` keeps the
 // HWIO flat order (the [kh*kw*in_c x out_c] row-major im2col B matrix, which
-// the references in src/check and the streaming row path read); `packed` is
-// the same matrix in the micro-kernels' layout; `scale` holds one symmetric
-// dequantization factor per output channel and `colsum` the per-column sums
-// the kernel uses to remove the +128 activation offset.
+// the references in src/check read); `packed` is the same matrix in the
+// micro-kernels' layout; `scale` holds one symmetric dequantization factor
+// per output channel and `colsum` the per-column sums the kernel uses to
+// remove the +128 activation offset.
 struct S8ConvWeights {
   Shape shape;                         // HWIO, same as the source tensor
   std::vector<std::int8_t> values;

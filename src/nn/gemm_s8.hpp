@@ -83,14 +83,14 @@ struct S8Epilogue {
 
 // The canonical scalar quantizer: round-half-away-from-zero, clamp to
 // [-127, 127], NaN to 0 (the zero point). Every producer of int8 data in the
-// repo (weight quantization, the bulk activation quantizer, the streaming row
-// path, src/check) must funnel through this exact expression; divergent
-// rounding was the "reference drift" failure mode the audit pairs exist to
-// catch. The trunc(r + 0.5) form equals std::round for every float with
-// |r| <= 127 (the add is exact or rounds within the same unit interval there)
-// while staying auto-vectorizable — std::round is a libm call at baseline
-// ISA, and this runs once per input element per quantized layer. The NaN
-// select comes first so the int32 cast never sees a NaN (undefined).
+// repo (weight quantization, the bulk activation quantizer, src/check) must
+// funnel through this exact expression; divergent rounding was the
+// "reference drift" failure mode the audit pairs exist to catch. The
+// trunc(r + 0.5) form equals std::round for every float with |r| <= 127 (the
+// add is exact or rounds within the same unit interval there) while staying
+// auto-vectorizable — std::round is a libm call at baseline ISA, and this
+// runs once per input element per quantized layer. The NaN select comes
+// first so the int32 cast never sees a NaN (undefined).
 inline std::int8_t quantize_value(float v, float inv_scale) {
   float r = v * inv_scale;
   r = r == r ? r : 0.0F;

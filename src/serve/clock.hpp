@@ -6,26 +6,17 @@
 // anywhere would make a wall-clock jump (NTP step, manual date change,
 // suspend/resume on some platforms) end timed waits early, expire deadlines
 // that have not elapsed, or record negative latencies. The helpers
-// here keep that promise in the two places it is easy to lose:
+// here keep that promise where it is easy to lose: enqueue_time + delay
+// overflows time_point for pathological delays (e.g. a CLI passing INT64_MAX
+// microseconds), wrapping the deadline into the past. saturating_deadline
+// clamps instead of wrapping.
 //
-//   * condition_variable::wait_until with a steady_clock time point is
-//     converted through the condition variable's native clock on common
-//     implementations (libstdc++ historically re-based onto system_clock), so
-//     a wall jump mid-wait shifts the effective deadline. wait_until_steady
-//     loops on wait_for with a remaining-time recomputed from
-//     steady_clock::now() each wake — a jump can cost one spurious wakeup,
-//     never a wrong timeout decision.
-//   * enqueue_time + delay overflows time_point for pathological delays
-//     (e.g. a CLI passing INT64_MAX microseconds), wrapping the deadline into
-//     the past. saturating_deadline clamps instead of wrapping.
-//
-// next_wait is the pure decision kernel of the wait loop, exposed so the
-// tests can drive it with a simulated jumping clock.
+// next_wait is the pure remaining-time kernel behind the admission path's
+// budget, exposed so the tests can drive it with a simulated jumping clock.
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
+#include <cstdint>
 
 namespace sesr::serve {
 
@@ -61,21 +52,6 @@ inline std::chrono::microseconds next_wait(ServeClock::time_point now,
 inline std::int64_t remaining_budget_us(ServeClock::time_point now,
                                         ServeClock::time_point deadline) {
   return next_wait(now, deadline).count();
-}
-
-// wait_until pinned to steady_clock: waits on `cv` until `pred()` holds or
-// `deadline` (steady) passes, re-deriving the remaining wait from
-// steady_clock::now() after every wakeup. Returns pred() at exit, matching
-// condition_variable::wait_until's predicate overload.
-template <class Pred>
-bool wait_until_steady(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
-                       ServeClock::time_point deadline, Pred pred) {
-  while (!pred()) {
-    const auto wait = next_wait(ServeClock::now(), deadline);
-    if (wait <= std::chrono::microseconds(0)) return pred();
-    cv.wait_for(lock, wait);
-  }
-  return true;
 }
 
 }  // namespace sesr::serve

@@ -169,23 +169,21 @@ void run_frame(WorkerSession& session, FrameRequest& request, StatsRecorder& sta
   complete_request(request, std::move(output), stats);
 }
 
-void run_tiles(WorkerSession& session, TileUnit& unit, StatsRecorder& stats) {
+void run_tile(WorkerSession& session, TileUnit& unit, StatsRecorder& stats) {
   TiledJob& job = *unit.job;
-  for (std::size_t t = unit.first_task; t < unit.first_task + unit.task_count; ++t) {
-    const core::TileTask& task = job.tasks[t];
-    try {
-      const Tensor roi = core::upscale_tile(session.network, job.request.frame, task);
-      core::paste_tile(job.output, roi, task, session.network.config().scale);
-      stats.on_tile();
-    } catch (...) {
-      if (!job.failed.exchange(true, std::memory_order_acq_rel)) {
-        fail_request(job.request, std::current_exception(), stats);
-      }
+  const core::TileTask& task = job.tasks[unit.task];
+  try {
+    const Tensor roi = core::upscale_tile(session.network, job.request.frame, task);
+    core::paste_tile(job.output, roi, task, session.network.config().scale);
+    stats.on_tile();
+  } catch (...) {
+    if (!job.failed.exchange(true, std::memory_order_acq_rel)) {
+      fail_request(job.request, std::current_exception(), stats);
     }
-    if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        !job.failed.load(std::memory_order_acquire)) {
-      complete_request(job.request, std::move(job.output), stats);
-    }
+  }
+  if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+      !job.failed.load(std::memory_order_acquire)) {
+    complete_request(job.request, std::move(job.output), stats);
   }
 }
 
@@ -195,7 +193,7 @@ void execute_unit(WorkerSession& session, Unit& unit, StatsRecorder& stats) {
   if (auto* request = std::get_if<FrameRequest>(&unit)) {
     run_frame(session, *request, stats);
   } else {
-    run_tiles(session, std::get<TileUnit>(unit), stats);
+    run_tile(session, std::get<TileUnit>(unit), stats);
   }
 }
 

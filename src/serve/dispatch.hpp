@@ -60,11 +60,10 @@ struct TiledJob {
   std::atomic<bool> failed{false};
 };
 
-// A contiguous run of a TiledJob's tasks (ServeOptions::tiles_per_unit wide).
+// One of a TiledJob's tasks: every tile is its own dispatch unit.
 struct TileUnit {
   std::shared_ptr<TiledJob> job;
-  std::size_t first_task = 0;
-  std::size_t task_count = 1;
+  std::size_t task = 0;
 };
 
 // An untiled frame runs whole on one worker as a single-request unit.

@@ -92,11 +92,6 @@ struct ServeOptions {
   // SLO-aware admission control for submit_admitted / the TCP front end.
   SloOptions slo;
 
-  // Tile fan-out granularity: how many TileTasks ride in one dispatch unit
-  // (core::plan_tile_units). 1 = finest interleaving; larger values cut
-  // dispatch overhead for huge grids at some fairness cost.
-  std::int64_t tiles_per_unit = 1;
-
   // Video sessions: maximum live (route, session_id) snapshots kept for the
   // tile-delta path (serve/video_sessions.hpp), LRU-evicted beyond the bound.
   // 0 disables the table — submit_video still works but every frame runs the

@@ -24,9 +24,6 @@ void validate(const ServeOptions& o, const NetworkRegistry& registry) {
       (o.tiling.tile_h < 1 || o.tiling.tile_w < 1)) {
     throw std::invalid_argument("EvalServer: tile dims must be positive");
   }
-  if (o.tiles_per_unit < 1) {
-    throw std::invalid_argument("EvalServer: tiles_per_unit must be >= 1");
-  }
 }
 
 // Steady-state LR pixel bound of one worker replica: the larger of the
@@ -440,26 +437,22 @@ FairDispatchQueue::PushResult ShardedServer::dispatch(Shard& shard, FrameRequest
   }
   job->remaining.store(static_cast<std::int64_t>(job->tasks.size()), std::memory_order_relaxed);
   job->request = std::move(request);
-  const std::vector<core::TileUnitRange> ranges =
-      core::plan_tile_units(job->tasks.size(), options_.tiles_per_unit);
-  // The job admits against the shard bound once, with its first unit; the
+  // The job admits against the shard bound once, with its first tile; the
   // rest of its fan-out (weight 0) never waits and is never refused as full.
-  const auto admitted =
-      dispatch_.push(shard.index, lane, TileUnit{job, ranges[0].first, ranges[0].count}, 1,
-                     policy);
+  const auto admitted = dispatch_.push(shard.index, lane, TileUnit{job, 0}, 1, policy);
   if (admitted != FairDispatchQueue::PushResult::kAccepted) {
     request = std::move(job->request);
     return admitted;
   }
   stats_.on_batch();
-  for (std::size_t i = 1; i < ranges.size(); ++i) {
-    if (dispatch_.push(shard.index, lane, TileUnit{job, ranges[i].first, ranges[i].count}, 0) !=
+  for (std::size_t i = 1; i < job->tasks.size(); ++i) {
+    if (dispatch_.push(shard.index, lane, TileUnit{job, i}, 0) !=
         FairDispatchQueue::PushResult::kAccepted) {
       // Dispatch closed mid-fan-out. shutdown() closes dispatch only after
       // every admitted request resolved, so this is defensive — but if it
       // ever fires, the request resolves with a typed error (promise, hook
       // and inflight all handled by fail_request), never a broken promise.
-      // Units already pushed still execute; the failed flag keeps them from
+      // Tiles already pushed still execute; the failed flag keeps them from
       // completing the job twice.
       if (!job->failed.exchange(true, std::memory_order_acq_rel)) {
         fail_request(job->request, std::make_exception_ptr(ServerClosedError()), stats_);

@@ -90,7 +90,7 @@ void add_inplace(HalfTensor& a, const HalfTensor& b);
 void add_inplace(Half* a, const Half* b, std::int64_t n);
 
 // Round every element of a float tensor through binary16 and back — the
-// "what the fp16 path sees" projection used by the streaming upscaler and
+// "what the fp16 path sees" projection used by the fp16 forward paths and
 // the tests.
 void round_through_half(float* data, std::int64_t n);
 

@@ -8,7 +8,6 @@
 
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
-#include "core/streaming.hpp"
 #include "core/tiled_inference.hpp"
 #include "data/synthetic.hpp"
 #include "metrics/psnr.hpp"
@@ -113,6 +112,33 @@ TEST(TiledInference, OverheadAccounting) {
   EXPECT_LT(overhead, 2.25 + 1e-9);
 }
 
+TEST(TiledInference, ArenaBoundedByTileNotFrame) {
+  // Tiling is the bounded-memory deployment: the plan's activation arena is
+  // sized by the largest haloed tile, so a 4x taller frame with the same
+  // tile geometry retains exactly the same bytes, and far fewer than a
+  // full-frame pass over the tall frame.
+  Rng rng(67);
+  SesrNetwork net(tiny(2), rng);
+  SesrInference deployed(net);
+  TilingOptions options;
+  options.tile_h = 16;
+  options.tile_w = 16;
+  options.halo = receptive_field_radius(deployed);
+  Rng irng(69);
+  // Three tile rows and columns: both frames contain an interior tile, the
+  // largest haloed crop of the grid.
+  const Tensor short_img = data::synthesize_image(data::ImageFamily::kNatural, 48, 48, irng);
+  const Tensor tall_img = data::synthesize_image(data::ImageFamily::kNatural, 192, 48, irng);
+  (void)upscale_tiled(deployed, short_img, options);
+  const std::int64_t arena_short = deployed.plan_arena_bytes();
+  (void)upscale_tiled(deployed, tall_img, options);
+  const std::int64_t arena_tall = deployed.plan_arena_bytes();
+  EXPECT_GT(arena_short, 0);
+  EXPECT_EQ(arena_tall, arena_short) << "arena grew with frame height";
+  (void)deployed.upscale(tall_img);
+  EXPECT_LT(arena_tall, deployed.plan_arena_bytes());
+}
+
 TEST(TiledInference, RejectsBadInputs) {
   Rng rng(10);
   SesrNetwork net(tiny(2), rng);
@@ -125,81 +151,6 @@ TEST(TiledInference, RejectsBadInputs) {
   bad.tile_h = 0;
   Tensor ok(1, 16, 16, 1);
   EXPECT_THROW(upscale_tiled(deployed, ok, bad), std::invalid_argument);
-}
-
-TEST(Streaming, MatchesBatchInferenceX2) {
-  Rng rng(51);
-  SesrNetwork net(tiny(2), rng);
-  SesrInference deployed(net);
-  StreamingUpscaler streamer(deployed);
-  Rng irng(53);
-  Tensor image = data::synthesize_image(data::ImageFamily::kNatural, 40, 48, irng);
-  Tensor batch_out = deployed.upscale(image);
-  Tensor stream_out = streamer.upscale(image);
-  EXPECT_EQ(stream_out.shape(), batch_out.shape());
-  EXPECT_LT(max_abs_diff(stream_out, batch_out), 1e-5F);
-  EXPECT_GT(streamer.peak_buffered_rows(), 0);
-}
-
-TEST(Streaming, MatchesBatchInferenceX4) {
-  Rng rng(55);
-  SesrNetwork net(tiny(4), rng);
-  SesrInference deployed(net);
-  StreamingUpscaler streamer(deployed);
-  Rng irng(57);
-  Tensor image = data::synthesize_image(data::ImageFamily::kUrban, 32, 36, irng);
-  EXPECT_LT(max_abs_diff(streamer.upscale(image), deployed.upscale(image)), 1e-5F);
-}
-
-TEST(Streaming, MatchesHardwareVariant) {
-  Rng rng(59);
-  SesrNetwork net(hardware_variant(tiny(2)), rng);
-  SesrInference deployed(net);
-  StreamingUpscaler streamer(deployed);
-  Rng irng(61);
-  Tensor image = data::synthesize_image(data::ImageFamily::kLineArt, 36, 40, irng);
-  EXPECT_LT(max_abs_diff(streamer.upscale(image), deployed.upscale(image)), 1e-5F);
-}
-
-TEST(Streaming, MatchesOnFullSesrM5) {
-  Rng rng(63);
-  SesrNetwork net(sesr_m5(2), rng);
-  SesrInference deployed(net);
-  StreamingUpscaler streamer(deployed);
-  Rng irng(65);
-  Tensor image = data::synthesize_image(data::ImageFamily::kObjects, 32, 48, irng);
-  EXPECT_LT(max_abs_diff(streamer.upscale(image), deployed.upscale(image)), 1e-5F);
-}
-
-TEST(Streaming, PeakMemoryIndependentOfImageHeight) {
-  // The whole point of line-buffer streaming: buffered bytes depend on width
-  // and kernel rows, not on image height.
-  Rng rng(67);
-  SesrNetwork net(tiny(2), rng);
-  SesrInference deployed(net);
-  StreamingUpscaler streamer(deployed);
-  Rng irng(69);
-  Tensor short_img = data::synthesize_image(data::ImageFamily::kNatural, 24, 32, irng);
-  streamer.upscale(short_img);
-  const std::int64_t peak_short = streamer.peak_buffered_bytes();
-  Tensor tall_img = data::synthesize_image(data::ImageFamily::kNatural, 96, 32, irng);
-  streamer.upscale(tall_img);
-  const std::int64_t peak_tall = streamer.peak_buffered_bytes();
-  EXPECT_LE(peak_tall, peak_short + peak_short / 4) << "memory grew with height";
-  // And it is far below buffering the full feature maps (H * W * f * convs).
-  const std::int64_t full_buffering = 96 * 32 * 6 * 4 * 4;
-  EXPECT_LT(peak_tall, full_buffering / 2);
-}
-
-TEST(Streaming, RejectsBatchedOrColorInput) {
-  Rng rng(71);
-  SesrNetwork net(tiny(2), rng);
-  SesrInference deployed(net);
-  StreamingUpscaler streamer(deployed);
-  Tensor batch(2, 16, 16, 1);
-  EXPECT_THROW(streamer.upscale(batch), std::invalid_argument);
-  Tensor rgb(1, 16, 16, 3);
-  EXPECT_THROW(streamer.upscale(rgb), std::invalid_argument);
 }
 
 // The served int8 conv (per-channel s8 weights, max-abs activation scale) is

@@ -2,8 +2,8 @@
 // the u8 x s8 micro-kernels through gemm_s8 (every ISA build against an int64
 // reference and against each other), the fused conv2d_s8 layer, end-to-end calibrated
 // inference (kInt8 / kHybrid), checkpoint round-trips, the hybrid-precision
-// planner, and the cross-mode bit-exactness promise (full-frame == tiled ==
-// streaming for pure int8).
+// planner, and the cross-mode bit-exactness promise (full-frame == tiled for
+// pure int8).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,7 +19,6 @@
 #include "core/hybrid_plan.hpp"
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
-#include "core/streaming.hpp"
 #include "core/tiled_inference.hpp"
 #include "metrics/psnr.hpp"
 #include "nn/conv2d_s8.hpp"
@@ -501,8 +500,7 @@ TEST(Int8Network, CheckpointRoundTripBitExact) {
 TEST(Int8Network, PureInt8BitIdenticalAcrossExecutionModes) {
   // The tentpole exactness claim: fixed scales + elementwise quantization +
   // order-independent integer accumulation => cropping commutes with every
-  // quantized layer, so tiled and streaming runs reproduce the full frame
-  // bitwise.
+  // quantized layer, so tiled runs reproduce the full frame bitwise.
   core::SesrInference net = make_inference(7);
   net.calibrate_int8(make_calibration(70));
   net.set_precision(core::InferencePrecision::kInt8);
@@ -512,25 +510,6 @@ TEST(Int8Network, PureInt8BitIdenticalAcrossExecutionModes) {
   tiling.tile_h = 6;
   tiling.tile_w = 7;
   EXPECT_EQ(max_abs_diff(core::upscale_tiled(net, frame, tiling), full), 0.0F);
-  core::StreamingUpscaler streamer(net);
-  EXPECT_EQ(max_abs_diff(streamer.upscale(frame), full), 0.0F);
-}
-
-TEST(Int8Network, HybridStreamingMatchesFullFrame) {
-  core::SesrInference net = make_inference(8);
-  net.calibrate_int8(make_calibration(80));
-  std::vector<core::LayerPrecision> plan(net.convolutions().size(),
-                                         core::LayerPrecision::kFp16);
-  for (std::size_t i = 0; i < plan.size(); i += 2) plan[i] = core::LayerPrecision::kInt8;
-  net.set_hybrid_plan(std::move(plan));
-  net.set_precision(core::InferencePrecision::kHybrid);
-  const Tensor frame = make_frame(81, 19, 23);
-  const Tensor full = net.upscale(frame);
-  core::StreamingUpscaler streamer(net);
-  // Hybrid interleaves fp16 layers, whose row arithmetic is identical in both
-  // executors; in practice the match is exact, but the contract is float
-  // tolerance, not bitwise.
-  EXPECT_LT(max_abs_diff(streamer.upscale(frame), full), 1e-5F);
 }
 
 // -------------------------------------------------------------- hybrid plan

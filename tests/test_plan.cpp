@@ -332,10 +332,8 @@ TEST(PlannedExecutor, BitIdenticalToDirectAllPrecisions) {
   const Tensor batch = random_frame(rng, 3, 10, 14);
   for (const InferencePrecision precision : kAllPrecisions) {
     planned.set_precision(precision);
-    SesrInference direct = planned;
-    direct.set_use_plan(false);
-    expect_bitwise(planned.upscale(frame), direct.upscale(frame));
-    expect_bitwise(planned.upscale(batch), direct.upscale(batch));
+    expect_bitwise(planned.upscale(frame), planned.upscale_direct(frame));
+    expect_bitwise(planned.upscale(batch), planned.upscale_direct(batch));
   }
 }
 
@@ -344,15 +342,12 @@ TEST(PlannedExecutor, StaleArenaBytesNeverLeakIntoSmallerFrames) {
   // small one: any offset bug that reads bytes the small plan never wrote
   // would surface as a bitwise mismatch against the fresh direct path.
   SesrInference planned = make_inference(make_config(1, 4, true, true, false), 31);
-  SesrInference direct = planned;
-  direct.set_use_plan(false);
   Rng rng(32);
   for (const InferencePrecision precision : kAllPrecisions) {
     planned.set_precision(precision);
-    direct.set_precision(precision);
     (void)planned.upscale(random_frame(rng, 1, 24, 24));
     const Tensor small = random_frame(rng, 1, 5, 3);
-    expect_bitwise(planned.upscale(small), direct.upscale(small));
+    expect_bitwise(planned.upscale(small), planned.upscale_direct(small));
   }
 }
 
@@ -360,8 +355,6 @@ TEST(PlannedExecutor, PlanCacheEvictionRecompilesCorrectly) {
   // More distinct shapes than the bounded plan cache holds: the comparison
   // shape is compiled, evicted, and recompiled — all bit-identical.
   SesrInference planned = make_inference(make_config(1, 2, false, true, false), 41);
-  SesrInference direct = planned;
-  direct.set_use_plan(false);
   Rng rng(42);
   const Tensor probe = random_frame(rng, 1, 9, 9);
   const Tensor first = planned.upscale(probe);
@@ -370,20 +363,20 @@ TEST(PlannedExecutor, PlanCacheEvictionRecompilesCorrectly) {
   }
   const Tensor recompiled = planned.upscale(probe);
   expect_bitwise(recompiled, first);
-  expect_bitwise(recompiled, direct.upscale(probe));
+  expect_bitwise(recompiled, planned.upscale_direct(probe));
 }
 
 TEST(PlannedExecutor, TiledUpscaleRunsThroughThePlan) {
+  // Exact-halo tiles run through the plan and must reproduce the full-frame
+  // reference: tiling and the plan checked together.
   SesrInference planned = make_inference(make_config(2, 2, true, true, false), 51);
-  SesrInference direct = planned;
-  direct.set_use_plan(false);
   Rng rng(52);
   const Tensor frame = random_frame(rng, 1, 20, 17);
   TilingOptions options;
   options.tile_h = 7;
   options.tile_w = 6;
   options.halo = receptive_field_radius(planned);
-  expect_bitwise(upscale_tiled(planned, frame, options), upscale_tiled(direct, frame, options));
+  expect_bitwise(upscale_tiled(planned, frame, options), planned.upscale_direct(frame));
 }
 
 TEST(PlannedExecutor, ReserveAndTrimGovernArenaBytes) {
@@ -402,10 +395,8 @@ TEST(PlannedExecutor, ReserveAndTrimGovernArenaBytes) {
   net.plan_trim(24 * 24);
   EXPECT_EQ(net.plan_arena_bytes(), f.bytes(24 * 24));
   // Still correct after the trim.
-  SesrInference direct = net;
-  direct.set_use_plan(false);
   const Tensor frame = random_frame(rng, 1, 10, 10);
-  expect_bitwise(net.upscale(frame), direct.upscale(frame));
+  expect_bitwise(net.upscale(frame), net.upscale_direct(frame));
 }
 
 // ------------------------------------------------------------- scratch seams

@@ -11,7 +11,6 @@
 #include "core/collapse.hpp"
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
-#include "core/streaming.hpp"
 #include "core/tiled_inference.hpp"
 #include "data/augment.hpp"
 #include "data/synthetic.hpp"
@@ -134,41 +133,6 @@ INSTANTIATE_TEST_SUITE_P(
                       NetConfig{4, 2, 4, false, false, true, true, true},     // everything odd
                       NetConfig{6, 4, 2, true, false, true, false, false}));
 
-// --------------- streaming inference across the config space -----------------
-
-class StreamingEquivalence : public ::testing::TestWithParam<NetConfig> {};
-
-TEST_P(StreamingEquivalence, RowPipelineEqualsBatch) {
-  const auto [f, m, scl, prelu, in_res, short_res, bias, expanded] = GetParam();
-  if (bias) GTEST_SKIP() << "streaming does not support biased nets";
-  core::SesrConfig cfg;
-  cfg.f = f;
-  cfg.m = m;
-  cfg.scale = scl;
-  cfg.expand = 16;
-  cfg.prelu = prelu;
-  cfg.input_residual = in_res;
-  cfg.short_residuals = short_res;
-  cfg.mode = expanded ? core::BlockMode::kExpanded : core::BlockMode::kCollapsedForward;
-  Rng rng(103);
-  core::SesrNetwork net(cfg, rng);
-  core::SesrInference deployed(net);
-  core::StreamingUpscaler streamer(deployed);
-  Rng xrng(107);
-  Tensor x(1, 11, 13, 1);  // odd dims stress the row pipeline
-  x.fill_uniform(xrng, 0.0F, 1.0F);
-  EXPECT_LT(max_abs_diff(streamer.upscale(x), deployed.upscale(x)), 1e-5F);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Space, StreamingEquivalence,
-    ::testing::Values(NetConfig{4, 1, 2, true, true, true, false, false},
-                      NetConfig{8, 3, 2, true, true, true, false, false},
-                      NetConfig{4, 2, 4, true, true, true, false, false},
-                      NetConfig{4, 2, 2, false, false, true, false, false},
-                      NetConfig{4, 2, 2, true, true, false, false, false},
-                      NetConfig{6, 4, 2, true, false, true, false, false}));
-
 // ------------------ metric invariances under dihedral moves ------------------
 
 class MetricInvariance : public ::testing::TestWithParam<int> {};
@@ -190,7 +154,7 @@ INSTANTIATE_TEST_SUITE_P(AllTransforms, MetricInvariance, ::testing::Range(0, 8)
 
 // -------------- deployment paths agree pairwise on the same net --------------
 
-TEST(DeploymentAgreement, BatchTiledAndStreamingCoincide) {
+TEST(DeploymentAgreement, BatchAndTiledCoincide) {
   core::SesrConfig cfg;
   cfg.f = 6;
   cfg.m = 2;
@@ -199,7 +163,6 @@ TEST(DeploymentAgreement, BatchTiledAndStreamingCoincide) {
   Rng rng(301);
   core::SesrNetwork net(cfg, rng);
   core::SesrInference deployed(net);
-  core::StreamingUpscaler streamer(deployed);
   Rng irng(303);
   Tensor image = data::synthesize_image(data::ImageFamily::kObjects, 36, 44, irng);
   Tensor batch = deployed.upscale(image);
@@ -207,9 +170,7 @@ TEST(DeploymentAgreement, BatchTiledAndStreamingCoincide) {
   tiles.tile_h = 16;
   tiles.tile_w = 20;
   Tensor tiled = core::upscale_tiled(deployed, image, tiles);
-  Tensor streamed = streamer.upscale(image);
   EXPECT_LT(max_abs_diff(batch, tiled), 1e-5F);
-  EXPECT_LT(max_abs_diff(batch, streamed), 1e-5F);
 }
 
 // ------------- tiled-inference edge cases the eval server dispatches ---------

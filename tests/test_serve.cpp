@@ -679,19 +679,6 @@ TEST(NetworkRegistry, AddRejectsQuantizedRoutesWithoutCalibrationOrPlan) {
   EXPECT_EQ(registry.size(), 2U);
 }
 
-TEST(PlanTileUnits, PartitionsTasksIntoContiguousRanges) {
-  const auto units = core::plan_tile_units(10, 3);
-  ASSERT_EQ(units.size(), 4U);
-  EXPECT_EQ(units[0].first, 0U);
-  EXPECT_EQ(units[0].count, 3U);
-  EXPECT_EQ(units[3].first, 9U);
-  EXPECT_EQ(units[3].count, 1U);
-  EXPECT_EQ(core::plan_tile_units(10, 0).size(), 10U);  // <1 treated as 1
-  ASSERT_EQ(core::plan_tile_units(5, 100).size(), 1U);
-  EXPECT_EQ(core::plan_tile_units(5, 100)[0].count, 5U);
-  EXPECT_TRUE(core::plan_tile_units(0, 3).empty());
-}
-
 // ------------------------------------------------------------ ShardedServer
 
 TEST(ShardedServer, MultiNetworkRoutingBitIdentical) {
@@ -1364,19 +1351,6 @@ TEST(ServeClock, NextWaitSurvivesSimulatedClockJumps) {
     EXPECT_GE(next_wait(now, deadline).count(), 0) << "step " << i;
     EXPECT_EQ(remaining_budget_us(now, deadline), want_us[i]) << "step " << i;
   }
-}
-
-TEST(ServeClock, WaitUntilSteadyHonorsPredicateAndDeadline) {
-  std::condition_variable cv;
-  std::mutex mutex;
-  std::unique_lock<std::mutex> lock(mutex);
-  // Already-satisfied predicate: returns true without waiting.
-  EXPECT_TRUE(wait_until_steady(cv, lock, ServeClock::now(), [] { return true; }));
-  // Expired deadline with a false predicate: returns false immediately
-  // instead of blocking (the wait loop must not round a negative remaining
-  // time up into a sleep).
-  EXPECT_FALSE(wait_until_steady(cv, lock, ServeClock::now() - std::chrono::seconds(1),
-                                 [] { return false; }));
 }
 
 // --------------------------------------------------- admission controller
