@@ -35,9 +35,6 @@ void BM_AuditTrial_GemmScalar(benchmark::State& state) {
 void BM_AuditTrial_Conv2dStriped(benchmark::State& state) {
   run_pair_trials(state, "conv2d_striped");
 }
-void BM_AuditTrial_Winograd(benchmark::State& state) {
-  run_pair_trials(state, "conv2d_winograd");
-}
 void BM_AuditTrial_Int8NetworkReplay(benchmark::State& state) {
   run_pair_trials(state, "int8_network_vs_replay");
 }
@@ -47,7 +44,6 @@ void BM_AuditTrial_ResizeBicubic(benchmark::State& state) {
 
 BENCHMARK(BM_AuditTrial_GemmScalar)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AuditTrial_Conv2dStriped)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AuditTrial_Winograd)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AuditTrial_Int8NetworkReplay)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AuditTrial_ResizeBicubic)->Unit(benchmark::kMillisecond);
 

@@ -6,8 +6,7 @@
 //      kInt8 path: per-channel s8 weights, calibrated activation scales) —
 //      PSNR loss vs the float network;
 //   2. functional tiling (Section 5.6): exactness with a full halo, the
-//      compute overhead of that halo, and quality with truncated halos;
-//   3. the Winograd 3x3 fast path as a CPU deployment option.
+//      compute overhead of that halo, and quality with truncated halos.
 #include <chrono>
 #include <cstdio>
 
@@ -17,7 +16,6 @@
 #include "core/tiled_inference.hpp"
 #include "data/synthetic.hpp"
 #include "metrics/psnr.hpp"
-#include "nn/winograd.hpp"
 #include "tensor/tensor_ops.hpp"
 
 using namespace sesr;
@@ -41,7 +39,7 @@ double best_ms(int iters, Fn&& fn) {
 }  // namespace
 
 int main() {
-  bench::print_header("Deployment — int8 quantization, functional tiling, Winograd",
+  bench::print_header("Deployment — int8 quantization, functional tiling",
                       "Table 3 premise + Section 5.6 boundary-correctness remark");
   data::SrDataset corpus = bench::training_corpus(2);
   Rng rng(7);
@@ -160,27 +158,7 @@ int main() {
                                               halo));
   }
   std::printf("(paper Sec. 5.6: tiling needs 'boundary overhead ... to maintain the\n"
-              " functional correctness' — the halo column quantifies it.)\n\n");
+              " functional correctness' — the halo column quantifies it.)\n");
 
-  // --- Winograd --------------------------------------------------------------
-  Rng wrng(13);
-  Tensor x(1, 64, 64, 16);
-  x.fill_uniform(wrng, -1.0F, 1.0F);
-  Tensor w3 = deployed.convolutions()[1].weight;  // a real collapsed 3x3 kernel
-  const auto time_ms = [](auto&& fn) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < 5; ++i) fn();
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count() / 5 * 1e3;
-  };
-  const double ms_im2col =
-      time_ms([&] { volatile float v = nn::conv2d(x, w3, nn::Padding::kSame).raw()[0]; (void)v; });
-  Tensor u = nn::winograd_weight_transform(w3);
-  const double ms_winograd = time_ms([&] {
-    volatile float v = nn::conv2d_winograd_3x3_pretransformed(x, u, 16).raw()[0];
-    (void)v;
-  });
-  std::printf("3x3 conv, 64x64x16: im2col %.2f ms, Winograd F(2,3) %.2f ms (%.2fx; 2.25x\n"
-              "fewer multiplies in theory, transform overhead eats part of it)\n",
-              ms_im2col, ms_winograd, ms_im2col / ms_winograd);
   return 0;
 }

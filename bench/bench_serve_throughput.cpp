@@ -12,8 +12,8 @@
 // Three follow-on sweeps ride along (all emitted via SESR_BENCH_JSON):
 //   cache:    repeated-frame serial closed loop, response cache off vs on —
 //             acceptance bar >= 3x throughput with the cache.
-//   fairness: small-request p99 isolated vs mixed with large tiled frames,
-//             round-robin tile scheduler on vs off — acceptance bar: mixed
+//   fairness: small-request p99 isolated vs mixed with large tiled frames
+//             under the round-robin lane scheduler — acceptance bar: mixed
 //             fair p99 <= 2x isolated p99.
 //   sharded:  mixed-network closed loop over two routes of a ShardedServer.
 //
@@ -98,11 +98,10 @@ double repeated_frame_fps(const core::SesrInference& inference, std::size_t cach
 }
 
 // p99 latency (ms) of serial small-frame requests, optionally while a
-// background client keeps a window of large tiled frames in flight. `fair`
-// toggles the round-robin tile scheduler; with it off, every small request
-// queues behind the full tile fan-out of whatever large frames got there
-// first (the starvation mode the lane scheduler exists to prevent).
-double small_request_p99_ms(const core::SesrInference& inference, bool fair, bool with_large,
+// background client keeps a window of large tiled frames in flight. The lane
+// scheduler keeps a small request from queueing behind the full tile fan-out
+// of whatever large frames got there first.
+double small_request_p99_ms(const core::SesrInference& inference, bool with_large,
                             std::int64_t small_count) {
   serve::ServeOptions options;
   // Don't oversubscribe a 1-core box: with more workers than cores the
@@ -114,7 +113,6 @@ double small_request_p99_ms(const core::SesrInference& inference, bool fair, boo
   options.tiled_threshold_pixels = 10'000;  // 64x64 full-frame, 192x192 tiled
   options.tiling.tile_h = 32;  // fine units: preemption latency ~ one 32px tile
   options.tiling.tile_w = 32;
-  options.fair_tiles = fair;
   serve::EvalServer server(inference, options);
 
   Rng rng(77);
@@ -214,18 +212,14 @@ int main() {
 
   // --- tile-fairness sweep ----------------------------------------------
   const std::int64_t small_count = fast_mode() ? 60 : 200;
-  const double isolated_p99 = small_request_p99_ms(inference, true, false, small_count);
-  const double mixed_fair_p99 = small_request_p99_ms(inference, true, true, small_count);
-  const double mixed_fifo_p99 = small_request_p99_ms(inference, false, true, small_count);
+  const double isolated_p99 = small_request_p99_ms(inference, false, small_count);
+  const double mixed_fair_p99 = small_request_p99_ms(inference, true, small_count);
   std::printf("\nsmall-request p99 (64x64 full-frame) vs background 192x192 tile fan-out:\n");
   std::printf("  isolated    %8.2f ms\n", isolated_p99);
   std::printf("  mixed fair  %8.2f ms  (%.1fx isolated, target <= 2x)\n", mixed_fair_p99,
               mixed_fair_p99 / isolated_p99);
-  std::printf("  mixed fifo  %8.2f ms  (%.1fx isolated)\n", mixed_fifo_p99,
-              mixed_fifo_p99 / isolated_p99);
   json.add("fairness/isolated_p99", isolated_p99 * 1e6, 0.0, 2);
   json.add("fairness/mixed_fair_p99", mixed_fair_p99 * 1e6, 0.0, 2);
-  json.add("fairness/mixed_fifo_p99", mixed_fifo_p99 * 1e6, 0.0, 2);
 
   // --- wire deframing: pipelined small requests --------------------------
   // The FrameReader regression guard: one recv() can carry hundreds of

@@ -34,7 +34,6 @@
 #include "nn/depth_to_space.hpp"
 #include "nn/gemm.hpp"
 #include "nn/gemm_s8.hpp"
-#include "nn/winograd.hpp"
 #include "serve/server.hpp"
 #include "serve/sharded_server.hpp"
 #include "tensor/fp16.hpp"
@@ -278,33 +277,6 @@ TrialResult conv2d_zero_skip_trial(std::uint64_t seed) {
   std::ostringstream os;
   os << "in=" << shape_str(input.shape()) << " k=" << kk << (valid ? " valid" : " same")
      << " sparse";
-  r.detail = os.str();
-  return r;
-}
-
-TrialResult winograd_trial(std::uint64_t seed) {
-  TrialResult r;
-  Rng rng(seed);
-  // Odd/tiny sizes on purpose: every partial-tile and sub-tile-size branch of
-  // the F(2x2, 3x3) path gets exercised, including H or W in {1, 2}.
-  const std::int64_t h = rng.uniform_int(1, 17);
-  const std::int64_t w = rng.uniform_int(1, 13);
-  const std::int64_t in_c = rng.uniform_int(1, 4);
-  const std::int64_t out_c = rng.uniform_int(1, 4);
-  const Tensor input = random_tensor(rng, 1, h, w, in_c);
-  const Tensor weight = random_tensor(rng, 3, 3, in_c, out_c);
-  const bool pretransformed = rng.bernoulli(0.5);
-  const Tensor got =
-      pretransformed
-          ? nn::conv2d_winograd_3x3_pretransformed(input, nn::winograd_weight_transform(weight),
-                                                   out_c)
-          : nn::conv2d_winograd_3x3(input, weight);
-  const DTensor want =
-      ref_conv2d(input, weight, nn::conv_geometry(input, weight, nn::Padding::kSame));
-  r.stats = compare_f32(got.data(), want.data);
-  r.output_hash = hash_bits(got.data());
-  std::ostringstream os;
-  os << "in=" << shape_str(input.shape()) << (pretransformed ? " pretransformed" : "");
   r.detail = os.str();
   return r;
 }
@@ -1044,8 +1016,6 @@ std::vector<AuditPair> make_builtin_pairs() {
       {"conv2d_1x1", "pointwise conv fast path (no im2col)", 1e-5, 64.0, conv2d_1x1_trial});
   pairs.push_back({"conv2d_zero_skip", "zero-skipping conv on sparse inputs", 1e-4, 256.0,
                    conv2d_zero_skip_trial});
-  pairs.push_back({"conv2d_winograd", "Winograd F(2x2,3x3) incl. partial boundary tiles", 1e-4,
-                   512.0, winograd_trial});
   pairs.push_back({"collapse_linear_block",
                    "collapsed kernel vs expanded chain run in double (Algorithm 1)", 5e-4, 512.0,
                    collapse_trial});

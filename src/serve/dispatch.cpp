@@ -13,11 +13,8 @@ namespace sesr::serve {
 
 // ------------------------------------------------------- FairDispatchQueue
 
-FairDispatchQueue::FairDispatchQueue(std::size_t shard_count, std::size_t shard_capacity,
-                                     bool fair)
-    : shard_capacity_(std::max<std::size_t>(1, shard_capacity)),
-      fair_(fair),
-      shards_(shard_count) {}
+FairDispatchQueue::FairDispatchQueue(std::size_t shard_count, std::size_t shard_capacity)
+    : shard_capacity_(std::max<std::size_t>(1, shard_capacity)), shards_(shard_count) {}
 
 FairDispatchQueue::PushResult FairDispatchQueue::push(std::size_t shard, std::uint64_t lane,
                                                       Unit&& unit, std::size_t weight,
@@ -35,7 +32,6 @@ FairDispatchQueue::PushResult FairDispatchQueue::push(std::size_t shard, std::ui
     // A tile job's first unit: no worker can see the job before this push.
     std::get<TileUnit>(unit).job->request.dispatch_time = ServeClock::now();
   }
-  if (!fair_) lane = 0;  // single FIFO lane per shard
   auto it = sl.by_id.find(lane);
   if (it == sl.by_id.end()) {
     // A new logical request: schedule it ahead of lanes that already had a

@@ -18,9 +18,8 @@
 // themselves), then cycles already-served lanes round-robin, one unit per
 // turn: a newly arrived small request is scheduled after at most the units
 // already executing, and a 100-tile frame interleaves 1:1 with its peers
-// instead of holding the workers for its entire fan-out. With fair == false
-// every unit lands in a single FIFO lane per shard, which is exactly the
-// pre-fairness behaviour (and the bench's comparison baseline).
+// instead of holding the workers for its entire fan-out. This lane scheduler
+// is the only dispatch policy.
 //
 // Depth is counted in logical requests, not units: push() takes a weight, and
 // the submit path pushes a tiled job's first unit with weight 1 and the rest
@@ -75,7 +74,7 @@ class FairDispatchQueue {
 
   // `shard_capacity` bounds each shard's weighted depth: the logical requests
   // admitted to it whose weighted unit no worker has popped yet.
-  FairDispatchQueue(std::size_t shard_count, std::size_t shard_capacity, bool fair);
+  FairDispatchQueue(std::size_t shard_count, std::size_t shard_capacity);
 
   // On kAccepted the unit has been moved into the queue and its request's
   // dispatch_time stamped; on kFull/kClosed the unit is NOT consumed — a
@@ -118,7 +117,6 @@ class FairDispatchQueue {
   };
 
   const std::size_t shard_capacity_;
-  const bool fair_;
   mutable std::mutex mutex_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;

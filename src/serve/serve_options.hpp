@@ -82,13 +82,6 @@ struct ServeOptions {
   // bit-exact LRU cache (src/serve/response_cache.hpp). 0 disables caching.
   std::size_t cache_entries = 0;
 
-  // Cross-request tile fairness: with true, each request (and each tiled
-  // frame's whole fan-out) occupies one dispatch lane and workers serve lanes
-  // round-robin, so a large frame's tiles interleave with small requests.
-  // With false, dispatch is a single FIFO per shard (a large fan-out runs to
-  // completion ahead of everything submitted after it).
-  bool fair_tiles = true;
-
   // SLO-aware admission control for submit_admitted / the TCP front end.
   SloOptions slo;
 

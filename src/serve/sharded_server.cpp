@@ -16,13 +16,13 @@ void validate(const ServeOptions& o, const NetworkRegistry& registry) {
   if (registry.empty()) {
     throw std::invalid_argument("ShardedServer: registry has no networks");
   }
-  if (o.workers < 1) throw std::invalid_argument("EvalServer: workers must be >= 1");
+  if (o.workers < 1) throw std::invalid_argument("ShardedServer: workers must be >= 1");
   if (o.queue_capacity < 1) {
-    throw std::invalid_argument("EvalServer: queue_capacity must be >= 1");
+    throw std::invalid_argument("ShardedServer: queue_capacity must be >= 1");
   }
   if ((o.mode == ExecMode::kTiled || o.mode == ExecMode::kAuto) &&
       (o.tiling.tile_h < 1 || o.tiling.tile_w < 1)) {
-    throw std::invalid_argument("EvalServer: tile dims must be positive");
+    throw std::invalid_argument("ShardedServer: tile dims must be positive");
   }
 }
 
@@ -70,7 +70,7 @@ ShardedServer::ShardedServer(const NetworkRegistry& registry, ServeOptions optio
     : options_(std::move(options)),
       cache_(options_.cache_entries),
       sessions_(options_.video_sessions),
-      dispatch_(registry.size(), options_.queue_capacity, options_.fair_tiles),
+      dispatch_(registry.size(), options_.queue_capacity),
       admission_(registry.entries(), options_.slo, options_.workers) {
   validate(options_, registry);
   for (const RegisteredNetwork& entry : registry.entries()) {

@@ -145,9 +145,8 @@ TEST(Audit, BuiltinRegistryCoversTheFastPaths) {
   const auto& pairs = builtin_pairs();
   EXPECT_GE(pairs.size(), 8U);
   for (const char* name :
-       {"gemm_scalar", "conv2d_striped", "conv2d_winograd", "collapse_linear_block",
-        "conv2d_int8_vs_ref", "int8_network_vs_replay", "tiled_inference", "resize_bicubic",
-        "ssim"}) {
+       {"gemm_scalar", "conv2d_striped", "collapse_linear_block", "conv2d_int8_vs_ref",
+        "int8_network_vs_replay", "tiled_inference", "resize_bicubic", "ssim"}) {
     EXPECT_NE(find_pair(name), nullptr) << name;
   }
   EXPECT_EQ(find_pair("no_such_pair"), nullptr);

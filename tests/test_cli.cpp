@@ -191,18 +191,18 @@ TEST(ServeCli, BadNetworksRaiseUsageError) {
   EXPECT_THROW(parse_serve({"--networks=m5:2,,m3:2"}), UsageError);  // empty entry
 }
 
-TEST(ServeCli, CacheAndFairnessKnobsParse) {
+TEST(ServeCli, CacheKnobsParse) {
   const ServeCliConfig defaults = parse_serve({});
   EXPECT_EQ(defaults.serve.cache_entries, 0U);
   EXPECT_EQ(defaults.unique_frames, 1);
-  EXPECT_TRUE(defaults.serve.fair_tiles);
-  const ServeCliConfig config =
-      parse_serve({"--cache-entries=128", "--unique-frames=5", "--fair-tiles=0"});
+  const ServeCliConfig config = parse_serve({"--cache-entries=128", "--unique-frames=5"});
   EXPECT_EQ(config.serve.cache_entries, 128U);
   EXPECT_EQ(config.unique_frames, 5);
-  EXPECT_FALSE(config.serve.fair_tiles);
   EXPECT_THROW(parse_serve({"--cache-entries=-1"}), UsageError);
   EXPECT_THROW(parse_serve({"--unique-frames=0"}), UsageError);
+  // The lane scheduler is the only dispatch policy: the FIFO switch is an
+  // unknown option, whatever its value.
+  EXPECT_THROW(parse_serve({"--fair-tiles=0"}), UsageError);
 }
 
 TEST(ServeCli, VideoKnobsParse) {

@@ -1,7 +1,6 @@
 // Tests for the deployment extensions: functional tiled inference
 // (Section 5.6 boundary correctness), the int8 conv against float (the NPU
-// execution premise; the int8 network is covered in test_int8), and the
-// Winograd 3x3 fast path.
+// execution premise; the int8 network is covered in test_int8).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,7 +13,6 @@
 #include "nn/conv2d.hpp"
 #include "nn/conv2d_s8.hpp"
 #include "nn/init.hpp"
-#include "nn/winograd.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace sesr::core {
@@ -191,79 +189,6 @@ TEST(Quantize, ConvRejectsChannelMismatch) {
   EXPECT_THROW(nn::conv2d_s8(x, 1.0F / 127.0F, nn::quantize_conv_weights(w), nullptr,
                              nn::Epilogue{}, nn::Padding::kSame),
                std::invalid_argument);
-}
-
-TEST(Winograd, MatchesIm2colConv) {
-  Rng rng(29);
-  for (const auto [h, w, in_c, out_c] :
-       {std::array<std::int64_t, 4>{8, 8, 4, 4}, std::array<std::int64_t, 4>{9, 7, 3, 5},
-        std::array<std::int64_t, 4>{16, 16, 16, 16}, std::array<std::int64_t, 4>{5, 5, 1, 2}}) {
-    Tensor x(1, h, w, in_c);
-    x.fill_uniform(rng, -1.0F, 1.0F);
-    Tensor weight = nn::glorot_uniform_kernel(3, 3, in_c, out_c, rng);
-    Tensor reference = nn::conv2d(x, weight, nn::Padding::kSame);
-    Tensor winograd = nn::conv2d_winograd_3x3(x, weight);
-    EXPECT_EQ(winograd.shape(), reference.shape());
-    EXPECT_LT(max_abs_diff(reference, winograd), 1e-4F) << h << "x" << w;
-  }
-}
-
-TEST(Winograd, BoundaryTilesMatchNaiveOnOddSizes) {
-  // Property sweep over odd / tiny spatial sizes: F(2x2, 3x3) tiles the output
-  // in 2x2 blocks, so every H or W that is not a multiple of 2 ends in partial
-  // tiles, and H or W in {1, 2} makes EVERY tile a border tile. Each case must
-  // match the direct convolution.
-  Rng rng(47);
-  for (std::int64_t h = 1; h <= 17; h += 2) {
-    for (std::int64_t w = 1; w <= 13; w += 4) {
-      for (const std::int64_t in_c : {1, 3}) {
-        Tensor x(1, h, w, in_c);
-        x.fill_uniform(rng, -1.0F, 1.0F);
-        Tensor weight = nn::glorot_uniform_kernel(3, 3, in_c, 2, rng);
-        Tensor reference = nn::conv2d_naive(x, weight, nn::Padding::kSame);
-        Tensor winograd = nn::conv2d_winograd_3x3(x, weight);
-        ASSERT_EQ(winograd.shape(), reference.shape()) << h << "x" << w << "x" << in_c;
-        EXPECT_LT(max_abs_diff(reference, winograd), 1e-4F) << h << "x" << w << "x" << in_c;
-      }
-    }
-  }
-  // Even-but-small sizes where the image is narrower than one 4x4 input tile.
-  for (const auto [h, w] : {std::pair<std::int64_t, std::int64_t>{2, 2}, {2, 6}, {6, 2}, {1, 2}}) {
-    Tensor x(1, h, w, 2);
-    x.fill_uniform(rng, -1.0F, 1.0F);
-    Tensor weight = nn::glorot_uniform_kernel(3, 3, 2, 3, rng);
-    EXPECT_LT(max_abs_diff(nn::conv2d_naive(x, weight, nn::Padding::kSame),
-                           nn::conv2d_winograd_3x3(x, weight)),
-              1e-4F)
-        << h << "x" << w;
-  }
-}
-
-TEST(Winograd, PretransformedPathMatches) {
-  Rng rng(31);
-  Tensor x(2, 10, 10, 8);
-  x.fill_uniform(rng, -1.0F, 1.0F);
-  Tensor weight = nn::glorot_uniform_kernel(3, 3, 8, 8, rng);
-  Tensor u = nn::winograd_weight_transform(weight);
-  EXPECT_EQ(u.shape(), Shape(4, 4, 8, 8));
-  Tensor a = nn::conv2d_winograd_3x3(x, weight);
-  Tensor b = nn::conv2d_winograd_3x3_pretransformed(x, u, 8);
-  EXPECT_EQ(max_abs_diff(a, b), 0.0F);
-}
-
-TEST(Winograd, RejectsNon3x3) {
-  Rng rng(37);
-  Tensor w = nn::glorot_uniform_kernel(5, 5, 2, 2, rng);
-  EXPECT_THROW(nn::winograd_weight_transform(w), std::invalid_argument);
-}
-
-TEST(Winograd, IdentityKernelIsIdentity) {
-  Rng rng(41);
-  Tensor x(1, 6, 6, 3);
-  x.fill_uniform(rng, -1.0F, 1.0F);
-  Tensor id = nn::identity_kernel(3, 3, 3);
-  Tensor y = nn::conv2d_winograd_3x3(x, id);
-  EXPECT_LT(max_abs_diff(x, y), 1e-5F);
 }
 
 }  // namespace

@@ -439,7 +439,7 @@ std::uint64_t unit_tag(const Unit& unit) { return std::get<FrameRequest>(unit).i
 using PushResult = FairDispatchQueue::PushResult;
 
 TEST(FairDispatchQueue, FreshLanesFirstThenRoundRobin) {
-  FairDispatchQueue queue(1, 64, /*fair=*/true);
+  FairDispatchQueue queue(1, 64);
   // Three lanes, pushed fully before any pop: a has 3 units, b has 2, c has 1.
   ASSERT_EQ(queue.push(0, 1, tagged_unit(10)), PushResult::kAccepted);
   ASSERT_EQ(queue.push(0, 1, tagged_unit(11)), PushResult::kAccepted);
@@ -456,7 +456,7 @@ TEST(FairDispatchQueue, FreshLanesFirstThenRoundRobin) {
 }
 
 TEST(FairDispatchQueue, NewLanePreemptsServedLanes) {
-  FairDispatchQueue queue(1, 64, /*fair=*/true);
+  FairDispatchQueue queue(1, 64);
   ASSERT_EQ(queue.push(0, 1, tagged_unit(10)), PushResult::kAccepted);
   ASSERT_EQ(queue.push(0, 1, tagged_unit(11)), PushResult::kAccepted);
   Unit unit;
@@ -470,20 +470,8 @@ TEST(FairDispatchQueue, NewLanePreemptsServedLanes) {
   EXPECT_EQ(unit_tag(unit), 11U);
 }
 
-TEST(FairDispatchQueue, UnfairModeIsPlainFifo) {
-  FairDispatchQueue queue(1, 64, /*fair=*/false);
-  ASSERT_EQ(queue.push(0, 1, tagged_unit(10)), PushResult::kAccepted);
-  ASSERT_EQ(queue.push(0, 2, tagged_unit(20)), PushResult::kAccepted);
-  ASSERT_EQ(queue.push(0, 1, tagged_unit(11)), PushResult::kAccepted);
-  queue.close();
-  std::vector<std::uint64_t> order;
-  Unit unit;
-  while (queue.pop(0, unit)) order.push_back(unit_tag(unit));
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{10, 20, 11}));
-}
-
 TEST(FairDispatchQueue, WeightZeroPushNeverBlocksAtDepthLimit) {
-  FairDispatchQueue queue(1, /*shard_capacity=*/1, /*fair=*/true);
+  FairDispatchQueue queue(1, /*shard_capacity=*/1);
   ASSERT_EQ(queue.push(0, 1, tagged_unit(10), 1), PushResult::kAccepted);  // fills the bound
   // A fan-out continuation (weight 0) must go through without blocking.
   ASSERT_EQ(queue.push(0, 1, tagged_unit(11), 0), PushResult::kAccepted);
@@ -501,7 +489,7 @@ TEST(FairDispatchQueue, WeightZeroPushNeverBlocksAtDepthLimit) {
 }
 
 TEST(FairDispatchQueue, RejectPolicyFailsFastWhenFull) {
-  FairDispatchQueue queue(1, /*shard_capacity=*/2, /*fair=*/true);
+  FairDispatchQueue queue(1, /*shard_capacity=*/2);
   for (std::uint64_t lane = 1; lane <= 2; ++lane) {
     ASSERT_EQ(queue.push(0, lane, tagged_unit(lane), 1, OverloadPolicy::kReject),
               PushResult::kAccepted);
@@ -515,7 +503,7 @@ TEST(FairDispatchQueue, RejectPolicyFailsFastWhenFull) {
 }
 
 TEST(FairDispatchQueue, BlockedPushReturnsClosedOnShutdown) {
-  FairDispatchQueue queue(1, /*shard_capacity=*/1, /*fair=*/true);
+  FairDispatchQueue queue(1, /*shard_capacity=*/1);
   ASSERT_EQ(queue.push(0, 1, tagged_unit(1)), PushResult::kAccepted);
   std::promise<PushResult> result;
   std::thread blocked([&] { result.set_value(queue.push(0, 2, tagged_unit(2))); });
@@ -528,7 +516,7 @@ TEST(FairDispatchQueue, RejectPushDuringDrainOnCloseReturnsClosed) {
   // After close() the queue drains already-accepted work, but new pushes must
   // report kClosed — never kFull, which would invite a retry loop against a
   // queue that will never accept again.
-  FairDispatchQueue queue(1, /*shard_capacity=*/2, /*fair=*/true);
+  FairDispatchQueue queue(1, /*shard_capacity=*/2);
   for (std::uint64_t lane = 1; lane <= 2; ++lane) {
     ASSERT_EQ(queue.push(0, lane, tagged_unit(lane), 1, OverloadPolicy::kReject),
               PushResult::kAccepted);
@@ -548,7 +536,7 @@ TEST(FairDispatchQueue, BoundCountsLogicalRequestsNotTiles) {
   // A 15-tile frame admits as ONE request: its first unit carries weight 1,
   // the other 14 weight 0, and none of them is refused or waits even though
   // the shard is at its bound while they arrive.
-  FairDispatchQueue queue(1, /*shard_capacity=*/2, /*fair=*/true);
+  FairDispatchQueue queue(1, /*shard_capacity=*/2);
   ASSERT_EQ(queue.push(0, 1, tagged_unit(100), 1, OverloadPolicy::kReject),
             PushResult::kAccepted);
   ASSERT_EQ(queue.push(0, 2, tagged_unit(200), 1, OverloadPolicy::kReject),
@@ -573,7 +561,7 @@ TEST(FairDispatchQueue, BoundCountsLogicalRequestsNotTiles) {
 }
 
 TEST(FairDispatchQueue, FullShardDoesNotBlockAnotherShard) {
-  FairDispatchQueue queue(2, /*shard_capacity=*/1, /*fair=*/true);
+  FairDispatchQueue queue(2, /*shard_capacity=*/1);
   ASSERT_EQ(queue.push(0, 1, tagged_unit(10)), PushResult::kAccepted);
   EXPECT_EQ(queue.push(0, 2, tagged_unit(11), 1, OverloadPolicy::kReject), PushResult::kFull);
   // A blocking push to the other shard must go straight through.
@@ -590,7 +578,7 @@ TEST(FairDispatchQueue, FullShardDoesNotBlockAnotherShard) {
 }
 
 TEST(FairDispatchQueue, CloseRejectsPushesAndDrainsPops) {
-  FairDispatchQueue queue(2, 8, /*fair=*/true);
+  FairDispatchQueue queue(2, 8);
   ASSERT_EQ(queue.push(0, 1, tagged_unit(10)), PushResult::kAccepted);
   ASSERT_EQ(queue.push(1, 1, tagged_unit(40)), PushResult::kAccepted);
   queue.close();
@@ -605,7 +593,7 @@ TEST(FairDispatchQueue, CloseRejectsPushesAndDrainsPops) {
 }
 
 TEST(FairDispatchQueue, CloseDrainsRemainingThenReturnsEmpty) {
-  FairDispatchQueue queue(1, /*shard_capacity=*/4, /*fair=*/true);
+  FairDispatchQueue queue(1, /*shard_capacity=*/4);
   for (std::uint64_t lane = 1; lane <= 3; ++lane) {
     ASSERT_EQ(queue.push(0, lane, tagged_unit(lane), 1, OverloadPolicy::kReject),
               PushResult::kAccepted);
@@ -724,6 +712,36 @@ TEST(ShardedServer, UnknownRouteFailsTheFutureNotTheServer) {
   EXPECT_EQ(max_abs_diff(server.submit(known, frame).get(), inference.upscale(frame)), 0.0F);
 }
 
+TEST(ShardedServer, RejectsInvalidOptions) {
+  const core::SesrInference inference = make_inference(56, small_config());
+  NetworkRegistry registry;
+  registry.add(RouteKey{"a", 2, core::InferencePrecision::kFp32}, inference);
+  // Each invalid configuration must throw invalid_argument naming the class
+  // that rejected it.
+  const auto expect_rejected = [&](const ServeOptions& options, const char* what) {
+    try {
+      ShardedServer server(registry, options);
+      ADD_FAILURE() << what << ": constructed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("ShardedServer:", 0), 0U) << what << ": " << e.what();
+    }
+  };
+  ServeOptions no_workers;
+  no_workers.workers = 0;
+  expect_rejected(no_workers, "workers = 0");
+  ServeOptions no_capacity;
+  no_capacity.queue_capacity = 0;
+  expect_rejected(no_capacity, "queue_capacity = 0");
+  ServeOptions tiled;
+  tiled.mode = ExecMode::kTiled;
+  tiled.tiling.tile_h = 0;
+  expect_rejected(tiled, "kTiled, tile_h = 0");
+  ServeOptions automatic;
+  automatic.mode = ExecMode::kAuto;
+  automatic.tiling.tile_w = 0;
+  expect_rejected(automatic, "kAuto, tile_w = 0");
+}
+
 TEST(ShardedServer, PerRoutePrecisionOverridesGlobalOption) {
   // One network registered under both precisions: each route's replicas are
   // pinned to the route's precision, whatever options.precision says.
@@ -792,7 +810,6 @@ void run_sharded_stress_iteration(std::uint64_t seed) {
   options.tiling.tile_w = 7;
   options.tiled_threshold_pixels = 12 * 12;
   options.cache_entries = seed % 2 == 0 ? 4 : 0;  // alternate: cache on/off
-  options.fair_tiles = seed % 3 != 2;
 
   const StressShape shapes[] = {{10, 10}, {12, 14}, {16, 16}};
   constexpr int kProducers = 3;

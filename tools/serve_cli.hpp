@@ -60,7 +60,6 @@ inline std::vector<Args::Option> serve_cli_options() {
                            "(auto = one route from --net/--scale/--precision)"},
       {"cache-entries", "0", "bit-exact LRU response cache capacity (0 = off)"},
       {"unique-frames", "1", "distinct frames per route+shape; 1 = maximal repetition"},
-      {"fair-tiles", "1", "round-robin tile scheduling across requests (0 = FIFO)"},
       {"workers", "4", "worker sessions (>= 1)"},
       {"queue-capacity", "64", "per-route bound on queued requests"},
       {"policy", "block", "overload policy: block|reject"},
@@ -224,8 +223,6 @@ inline ServeCliConfig parse_serve_cli(const Args& args) {
 
   config.unique_frames = args.get_int("unique-frames");
   if (config.unique_frames < 1) throw UsageError("--unique-frames must be >= 1");
-
-  config.serve.fair_tiles = args.get_int("fair-tiles") != 0;
 
   config.listen_port = args.get_int("listen");
   if (config.listen_port > 65535) throw UsageError("--listen port must be <= 65535");

@@ -251,10 +251,9 @@ int run_local(const cli::ServeCliConfig& config) {
     }
   }
 
-  std::printf(
-      "sesr-serve: %s | workers=%d queue=%zu cache=%zu fair=%d\n",
-      route_list_string(config).c_str(), config.serve.workers, config.serve.queue_capacity,
-      config.serve.cache_entries, config.serve.fair_tiles ? 1 : 0);
+  std::printf("sesr-serve: %s | workers=%d queue=%zu cache=%zu\n",
+              route_list_string(config).c_str(), config.serve.workers,
+              config.serve.queue_capacity, config.serve.cache_entries);
 
   std::mt19937_64 arrivals(config.seed ^ 0x9E3779B97F4A7C15ULL);
   std::exponential_distribution<double> inter_arrival(config.qps > 0.0 ? config.qps : 1.0);
