@@ -211,7 +211,9 @@ int main() {
   json.add("cache/on", 1e9 / cached_fps, 0.0, 2);
 
   // --- tile-fairness sweep ----------------------------------------------
-  const std::int64_t small_count = fast_mode() ? 60 : 200;
+  // 200 samples in both modes: the nearest-rank p99 of fewer than 100 is the
+  // maximum, so a single preempted request would decide the bar.
+  const std::int64_t small_count = 200;
   const double isolated_p99 = small_request_p99_ms(inference, false, small_count);
   const double mixed_fair_p99 = small_request_p99_ms(inference, true, small_count);
   std::printf("\nsmall-request p99 (64x64 full-frame) vs background 192x192 tile fan-out:\n");

@@ -1,6 +1,6 @@
-// Blocking client for the TCP front end — the load generator's and the
-// tests' view of the wire protocol. One connection, synchronous send/recv;
-// run several NetClients (one per thread) for closed-loop concurrency.
+// Blocking client for the TCP front end — the tests' view of the wire
+// protocol. One connection, synchronous send/recv; run several NetClients
+// (one per thread) for closed-loop concurrency.
 //
 // send()/recv_response() are split so a caller can pipeline a few requests on
 // one connection; upscale() is the common send-one-wait-one wrapper. send_raw

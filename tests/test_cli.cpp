@@ -84,46 +84,29 @@ ServeCliConfig parse_serve(std::vector<const char*> argv) {
 
 TEST(ServeCli, DefaultsAreServable) {
   const ServeCliConfig config = parse_serve({});
-  EXPECT_EQ(config.net, "m5");
-  EXPECT_EQ(config.scale, 2);
   EXPECT_EQ(config.serve.workers, 4);
   EXPECT_EQ(config.serve.queue_capacity, 64U);
   EXPECT_EQ(config.serve.overload, serve::OverloadPolicy::kBlock);
   EXPECT_EQ(config.serve.mode, serve::ExecMode::kFullFrame);
-  EXPECT_DOUBLE_EQ(config.qps, 0.0);  // closed loop
-  ASSERT_EQ(config.shapes.size(), 1U);
-  EXPECT_EQ(config.shapes[0].first, 64);
-  EXPECT_EQ(config.shapes[0].second, 64);
+  EXPECT_EQ(config.listen_port, 0);  // ephemeral; the banner prints the port
+  EXPECT_DOUBLE_EQ(config.duration_s, 0.0);  // serve until a signal
 }
 
 TEST(ServeCli, ParsesFullTrafficSpec) {
   const ServeCliConfig config =
-      parse_serve({"--net=m3", "--scale=4", "--workers=2", "--policy=reject",
-                   "--mode=auto", "--qps=120.5", "--shapes=64x64,128x96", "--threads=2"});
-  EXPECT_EQ(config.net, "m3");
-  EXPECT_EQ(config.scale, 4);
+      parse_serve({"--networks=m3:4", "--workers=2", "--policy=reject", "--mode=auto",
+                   "--tile=32", "--threads=2", "--duration-s=2.5", "--listen=7788", "--seed=9"});
+  ASSERT_EQ(config.routes.size(), 1U);
+  EXPECT_EQ(serve::route_string(config.routes[0]), "m3:4:fp32");
   EXPECT_EQ(config.serve.workers, 2);
   EXPECT_EQ(config.serve.overload, serve::OverloadPolicy::kReject);
   EXPECT_EQ(config.serve.mode, serve::ExecMode::kAuto);
-  EXPECT_DOUBLE_EQ(config.qps, 120.5);
-  ASSERT_EQ(config.shapes.size(), 2U);
-  EXPECT_EQ(config.shapes[1].first, 128);
-  EXPECT_EQ(config.shapes[1].second, 96);
-}
-
-TEST(ServeCli, PrecisionParses) {
-  EXPECT_EQ(parse_serve({}).serve.precision, core::InferencePrecision::kFp32);
-  EXPECT_EQ(parse_serve({"--precision=fp32"}).serve.precision, core::InferencePrecision::kFp32);
-  EXPECT_EQ(parse_serve({"--precision=fp16"}).serve.precision, core::InferencePrecision::kFp16);
-  EXPECT_EQ(parse_serve({"--precision=int8"}).serve.precision, core::InferencePrecision::kInt8);
-  EXPECT_EQ(parse_serve({"--precision=hybrid"}).serve.precision,
-            core::InferencePrecision::kHybrid);
-  EXPECT_THROW(parse_serve({"--precision=half"}), UsageError);
-}
-
-TEST(ServeCli, BadQpsRaisesUsageError) {
-  EXPECT_THROW(parse_serve({"--qps=-1"}), UsageError);
-  EXPECT_THROW(parse_serve({"--qps", "-0.5"}), UsageError);
+  EXPECT_EQ(config.serve.tiling.tile_h, 32);
+  EXPECT_EQ(config.serve.tiling.tile_w, 32);
+  EXPECT_EQ(config.threads, 2);
+  EXPECT_DOUBLE_EQ(config.duration_s, 2.5);
+  EXPECT_EQ(config.listen_port, 7788);
+  EXPECT_EQ(config.seed, 9U);
 }
 
 TEST(ServeCli, ZeroWorkersRaisesUsageError) {
@@ -131,27 +114,11 @@ TEST(ServeCli, ZeroWorkersRaisesUsageError) {
   EXPECT_THROW(parse_serve({"--workers=-2"}), UsageError);
 }
 
-TEST(ServeCli, MutuallyExclusiveStopConditionsRaiseUsageError) {
-  EXPECT_THROW(parse_serve({"--frames=10", "--duration-s=2"}), UsageError);
-  // Each alone is fine.
-  EXPECT_EQ(parse_serve({"--frames=10"}).frames, 10);
-  EXPECT_DOUBLE_EQ(parse_serve({"--duration-s=2"}).duration_s, 2.0);
-}
-
 TEST(ServeCli, BadEnumsRaiseUsageError) {
   EXPECT_THROW(parse_serve({"--mode=bogus"}), UsageError);
   // Streaming is not a serving mode; kTiled is the bounded-memory mode.
   EXPECT_THROW(parse_serve({"--mode=streaming"}), UsageError);
   EXPECT_THROW(parse_serve({"--policy=maybe"}), UsageError);
-  EXPECT_THROW(parse_serve({"--net=m4"}), UsageError);
-  EXPECT_THROW(parse_serve({"--scale=3"}), UsageError);
-}
-
-TEST(ServeCli, BadShapesRaiseUsageError) {
-  EXPECT_THROW(parse_serve({"--shapes=64"}), UsageError);
-  EXPECT_THROW(parse_serve({"--shapes=64x"}), UsageError);
-  EXPECT_THROW(parse_serve({"--shapes=0x64"}), UsageError);
-  EXPECT_THROW(parse_serve({"--shapes=64x64,,32x32"}), UsageError);
 }
 
 TEST(ServeCli, BadBatchingKnobsRaiseUsageError) {
@@ -163,12 +130,26 @@ TEST(ServeCli, BadBatchingKnobsRaiseUsageError) {
   EXPECT_THROW(parse_serve({"--threads=0"}), UsageError);
 }
 
+TEST(ServeCli, LoadGeneratorAndSingleRouteFlagsRaiseUsageError) {
+  // sesr-serve is only the server: load generation lives in servebench/ and
+  // bench_serve_throughput, and --networks is the one way to name a route.
+  // Each retired flag is an unknown option, whatever its value.
+  for (const char* flag : {"--qps=30", "--frames=10", "--shapes=64x64", "--unique-frames=5",
+                           "--connect=127.0.0.1:9", "--clients=2", "--deadline-ms=5",
+                           "--chaos=malformed", "--video=pan", "--net=m5", "--scale=2",
+                           "--precision=fp32"}) {
+    EXPECT_THROW(parse_serve({flag}), UsageError) << flag;
+  }
+  EXPECT_THROW(parse_serve({"--listen=-1"}), UsageError);
+}
+
 TEST(ServeCli, DefaultRoutesMirrorSingleNetworkFlags) {
-  const ServeCliConfig config = parse_serve({"--net=m11", "--scale=4", "--precision=fp16"});
+  // With no --networks the server loads exactly one route, m5:2:fp32.
+  const ServeCliConfig config = parse_serve({});
   ASSERT_EQ(config.routes.size(), 1U);
-  EXPECT_EQ(config.routes[0].network, "m11");
-  EXPECT_EQ(config.routes[0].scale, 4);
-  EXPECT_EQ(config.routes[0].precision, core::InferencePrecision::kFp16);
+  EXPECT_EQ(config.routes[0].network, "m5");
+  EXPECT_EQ(config.routes[0].scale, 2);
+  EXPECT_EQ(config.routes[0].precision, core::InferencePrecision::kFp32);
 }
 
 TEST(ServeCli, NetworksFlagParsesShardedRoutes) {
@@ -192,27 +173,17 @@ TEST(ServeCli, BadNetworksRaiseUsageError) {
 }
 
 TEST(ServeCli, CacheKnobsParse) {
-  const ServeCliConfig defaults = parse_serve({});
-  EXPECT_EQ(defaults.serve.cache_entries, 0U);
-  EXPECT_EQ(defaults.unique_frames, 1);
-  const ServeCliConfig config = parse_serve({"--cache-entries=128", "--unique-frames=5"});
-  EXPECT_EQ(config.serve.cache_entries, 128U);
-  EXPECT_EQ(config.unique_frames, 5);
+  EXPECT_EQ(parse_serve({}).serve.cache_entries, 0U);
+  EXPECT_EQ(parse_serve({"--cache-entries=128"}).serve.cache_entries, 128U);
   EXPECT_THROW(parse_serve({"--cache-entries=-1"}), UsageError);
-  EXPECT_THROW(parse_serve({"--unique-frames=0"}), UsageError);
   // The lane scheduler is the only dispatch policy: the FIFO switch is an
   // unknown option, whatever its value.
   EXPECT_THROW(parse_serve({"--fair-tiles=0"}), UsageError);
 }
 
 TEST(ServeCli, VideoKnobsParse) {
-  const ServeCliConfig defaults = parse_serve({});
-  EXPECT_EQ(defaults.video, "none");
-  EXPECT_EQ(defaults.serve.video_sessions, 64U);
-  const ServeCliConfig config = parse_serve({"--video=pan", "--video-sessions=8"});
-  EXPECT_EQ(config.video, "pan");
-  EXPECT_EQ(config.serve.video_sessions, 8U);
-  EXPECT_EQ(parse_serve({"--video=mixed"}).video, "mixed");
+  EXPECT_EQ(parse_serve({}).serve.video_sessions, 64U);
+  EXPECT_EQ(parse_serve({"--video-sessions=8"}).serve.video_sessions, 8U);
   EXPECT_EQ(parse_serve({"--video-sessions=0"}).serve.video_sessions, 0U);
 }
 
@@ -221,30 +192,28 @@ TEST(ServeCli, DeploymentKnobsParse) {
   EXPECT_EQ(defaults.bind_address, "127.0.0.1");
   EXPECT_TRUE(defaults.auth_token.empty());  // "none" sentinel → no auth
   EXPECT_EQ(defaults.io_shards, 1);
-  const ServeCliConfig config = parse_serve(
-      {"--listen=0", "--bind=0.0.0.0", "--auth-token=s3cret", "--io-shards=4"});
+  const ServeCliConfig config =
+      parse_serve({"--bind=0.0.0.0", "--auth-token=s3cret", "--io-shards=4"});
   EXPECT_EQ(config.bind_address, "0.0.0.0");
   EXPECT_EQ(config.auth_token, "s3cret");
   EXPECT_EQ(config.io_shards, 4);
-  // A client can carry a token too (it is sent with every request).
-  EXPECT_EQ(parse_serve({"--connect=127.0.0.1:9", "--auth-token=s3cret"}).auth_token, "s3cret");
+  // A token is allowed, not required, on loopback.
+  EXPECT_EQ(parse_serve({"--auth-token=s3cret"}).auth_token, "s3cret");
 }
 
 TEST(ServeCli, BadDeploymentKnobsRaiseUsageError) {
   // An open bind without a shared secret is refused outright.
-  EXPECT_THROW(parse_serve({"--listen=0", "--bind=0.0.0.0"}), UsageError);
+  EXPECT_THROW(parse_serve({"--bind=0.0.0.0"}), UsageError);
+  EXPECT_THROW(parse_serve({"--bind=10.0.0.1"}), UsageError);
   // Loopback binds stay tokenless-friendly.
-  EXPECT_EQ(parse_serve({"--listen=0", "--bind=127.0.0.1"}).bind_address, "127.0.0.1");
-  // Server-only knobs outside server mode.
-  EXPECT_THROW(parse_serve({"--bind=10.0.0.1", "--auth-token=x"}), UsageError);
-  EXPECT_THROW(parse_serve({"--io-shards=2"}), UsageError);
-  // Shard-count and bind sanity.
-  EXPECT_THROW(parse_serve({"--listen=0", "--io-shards=0"}), UsageError);
-  EXPECT_THROW(parse_serve({"--listen=0", "--io-shards=65"}), UsageError);
-  EXPECT_THROW(parse_serve({"--listen=0", "--bind="}), UsageError);
+  EXPECT_EQ(parse_serve({"--bind=127.0.0.1"}).bind_address, "127.0.0.1");
+  // Shard-count, port and bind sanity.
+  EXPECT_THROW(parse_serve({"--io-shards=0"}), UsageError);
+  EXPECT_THROW(parse_serve({"--io-shards=65"}), UsageError);
+  EXPECT_THROW(parse_serve({"--bind="}), UsageError);
   EXPECT_THROW(parse_serve({"--listen=65536"}), UsageError);
   const std::string oversized = "--auth-token=" + std::string(4097, 'a');
-  EXPECT_THROW(parse_serve({"--listen=0", oversized.c_str()}), UsageError);
+  EXPECT_THROW(parse_serve({oversized.c_str()}), UsageError);
   // SLO headroom is a fraction of the budget.
   EXPECT_DOUBLE_EQ(parse_serve({"--slo-headroom=0.5"}).serve.slo.headroom, 0.5);
   EXPECT_THROW(parse_serve({"--slo-headroom=0"}), UsageError);
@@ -252,13 +221,7 @@ TEST(ServeCli, BadDeploymentKnobsRaiseUsageError) {
 }
 
 TEST(ServeCli, BadVideoKnobsRaiseUsageError) {
-  EXPECT_THROW(parse_serve({"--video=strobe"}), UsageError);
   EXPECT_THROW(parse_serve({"--video-sessions=-1"}), UsageError);
-  // Sessions replay closed-loop; an open-loop rate would only measure gaps.
-  EXPECT_THROW(parse_serve({"--video=static", "--qps=30"}), UsageError);
-  // The malformed chaos case never sends a video frame.
-  EXPECT_THROW(parse_serve({"--video=static", "--chaos=malformed", "--connect=127.0.0.1:1"}),
-               UsageError);
 }
 
 // ------------------------------ bench JSON escaping --------------------------

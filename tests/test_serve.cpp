@@ -1050,7 +1050,9 @@ TEST(VideoSession, DeltaBitIdenticalAllModes) {
       const Tensor want = server.submit(key, frames[i]).get();
       ASSERT_EQ(max_abs_diff(got, want), 0.0F) << "frame " << i;
       EXPECT_EQ(admitted.delta, i > 0) << "frame " << i;
-      if (i > 0) EXPECT_LE(admitted.tiles_recomputed, admitted.tiles_total) << "frame " << i;
+      if (i > 0) {
+        EXPECT_LE(admitted.tiles_recomputed, admitted.tiles_total) << "frame " << i;
+      }
     }
     server.shutdown();
     const ShardedStats stats = server.stats();

@@ -23,6 +23,7 @@
 
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
+#include "data/video.hpp"
 #include "serve/net/client.hpp"
 #include "serve/net/http.hpp"
 #include "serve/net/server.hpp"
@@ -613,6 +614,70 @@ TEST(NetServer, MidRequestDisconnectLeavesOtherConnectionsServing) {
               0.0F);
   }
   EXPECT_GE(fx.net->stats().disconnects, 2U);
+}
+
+std::vector<Tensor> video_sequence(data::VideoPattern pattern, std::int64_t frames,
+                                   std::uint64_t seed) {
+  data::VideoSequenceOptions options;
+  options.pattern = pattern;
+  options.frames = frames;
+  options.h = 48;
+  options.w = 48;
+  return data::synthesize_video(options, seed);
+}
+
+TEST(NetServer, VideoSessionOverTheWireReusesTilesBitExactly) {
+  NetFixture fx;
+  NetClient client("127.0.0.1", fx.net->port());
+  const std::vector<Tensor> frames = video_sequence(data::VideoPattern::kPan, 2, 96);
+  for (std::uint32_t seq = 1; seq <= 2; ++seq) {
+    const Tensor& frame = frames[seq - 1];
+    const WireResponse response = client.upscale_video("m5:2:fp32", frame, 5001, seq);
+    ASSERT_EQ(response.status, Status::kOk) << "seq " << seq;
+    // Seq 1 has no predecessor; seq 2 deltas against seq 1's snapshot.
+    EXPECT_EQ((response.flags & kFlagDeltaReuse) != 0, seq == 2) << "seq " << seq;
+    EXPECT_EQ(max_abs_diff(pixels_to_frame(response.h, response.w, response.pixels),
+                           fx.inference.upscale(frame)),
+              0.0F)
+        << "seq " << seq;
+  }
+}
+
+TEST(NetServer, VideoSessionSurvivesMidFrameDisconnect) {
+  // A session is keyed by (route, session id), not by the connection, so
+  // its tile-delta state must outlive a client that vanishes mid-frame.
+  NetFixture fx;
+  const std::vector<Tensor> frames = video_sequence(data::VideoPattern::kSparkle, 3, 97);
+  const std::uint64_t session_id = 7001;
+  {
+    NetClient first("127.0.0.1", fx.net->port());
+    for (std::uint32_t seq = 1; seq <= 2; ++seq) {
+      ASSERT_EQ(first.upscale_video("m5:2:fp32", frames[seq - 1], session_id, seq).status,
+                Status::kOk);
+    }
+    WireRequest torn;
+    torn.id = 3;
+    torn.video = true;
+    torn.session_id = session_id;
+    torn.frame_seq = 3;
+    torn.route = "m5:2:fp32";
+    torn.h = frames[2].shape().h();
+    torn.w = frames[2].shape().w();
+    torn.pixels = frame_to_pixels(frames[2]);
+    std::vector<std::uint8_t> bytes = encode_request(torn);
+    bytes.resize(bytes.size() / 2);  // half of seq 3, then gone
+    first.send_raw(bytes);
+    first.disconnect();
+  }
+  // The session resumes on a fresh connection and still deltas against
+  // seq 2's snapshot.
+  NetClient second("127.0.0.1", fx.net->port());
+  const WireResponse resumed = second.upscale_video("m5:2:fp32", frames[2], session_id, 3);
+  ASSERT_EQ(resumed.status, Status::kOk);
+  EXPECT_NE(resumed.flags & kFlagDeltaReuse, 0);
+  EXPECT_EQ(max_abs_diff(pixels_to_frame(resumed.h, resumed.w, resumed.pixels),
+                         fx.inference.upscale(frames[2])),
+            0.0F);
 }
 
 TEST(NetServer, ShutdownFlushesInFlightResponses) {
