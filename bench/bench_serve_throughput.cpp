@@ -1,4 +1,4 @@
-// Throughput/latency sweep of the eval server over worker count on 64x64 x2
+// Throughput/latency sweep of the sharded server over worker count on 64x64 x2
 // Y frames, against the single-threaded full-frame baseline (one
 // SesrInference::upscale per frame, intra-op pool pinned to 1).
 //
@@ -34,7 +34,6 @@
 #include "core/sesr_network.hpp"
 #include "serve/net/wire.hpp"
 #include "serve/registry.hpp"
-#include "serve/server.hpp"
 #include "serve/sharded_server.hpp"
 #include "serve/stats.hpp"
 #include "tensor/thread_pool.hpp"
@@ -47,6 +46,19 @@ using Clock = std::chrono::steady_clock;
 bool fast_mode() {
   const char* v = std::getenv("SESR_BENCH_FAST");
   return v != nullptr && std::string(v) != "0";
+}
+
+// The M5 x2 route every single-network sweep serves, at fp32 unless the
+// precision sweep picks another precision.
+serve::RouteKey m5_route(core::InferencePrecision precision = core::InferencePrecision::kFp32) {
+  return {"m5", 2, precision};
+}
+
+serve::NetworkRegistry one_route(const core::SesrInference& inference,
+                                 const serve::RouteKey& route) {
+  serve::NetworkRegistry registry;
+  registry.add(route, inference);
+  return registry;
 }
 
 struct SweepPoint {
@@ -62,18 +74,18 @@ SweepPoint run_point(const core::SesrInference& inference, const Tensor& frame, 
                      core::InferencePrecision precision = core::InferencePrecision::kFp32) {
   serve::ServeOptions options;
   options.workers = workers;
-  options.precision = precision;
   options.queue_capacity = static_cast<std::size_t>(4 * workers);
   options.overload = serve::OverloadPolicy::kBlock;  // closed loop: saturation probe
-  serve::EvalServer server(inference, options);
+  const serve::RouteKey route = m5_route(precision);
+  serve::ShardedServer server(one_route(inference, route), options);
   std::vector<std::future<Tensor>> pending;
   pending.reserve(static_cast<std::size_t>(frames));
   const auto start = Clock::now();
-  for (std::int64_t i = 0; i < frames; ++i) pending.push_back(server.submit(frame));
+  for (std::int64_t i = 0; i < frames; ++i) pending.push_back(server.submit(route, frame));
   for (auto& f : pending) f.get();
   const double wall = std::chrono::duration<double>(Clock::now() - start).count();
   server.shutdown();
-  const serve::ServerStats stats = server.stats();
+  const serve::ServerStats stats = server.stats().total;
   return {workers, static_cast<double>(frames) / wall, stats.p50_us / 1e3, stats.p95_us / 1e3,
           stats.p99_us / 1e3};
 }
@@ -87,10 +99,11 @@ double repeated_frame_fps(const core::SesrInference& inference, std::size_t cach
   options.workers = 2;
   options.queue_capacity = 8;
   options.cache_entries = cache_entries;
-  serve::EvalServer server(inference, options);
+  const serve::RouteKey route = m5_route();
+  serve::ShardedServer server(one_route(inference, route), options);
   const auto start = Clock::now();
   for (std::int64_t i = 0; i < frames; ++i) {
-    server.submit(pool[static_cast<std::size_t>(i) % pool.size()]).get();
+    server.submit(route, pool[static_cast<std::size_t>(i) % pool.size()]).get();
   }
   const double wall = std::chrono::duration<double>(Clock::now() - start).count();
   server.shutdown();
@@ -113,7 +126,8 @@ double small_request_p99_ms(const core::SesrInference& inference, bool with_larg
   options.tiled_threshold_pixels = 10'000;  // 64x64 full-frame, 192x192 tiled
   options.tiling.tile_h = 32;  // fine units: preemption latency ~ one 32px tile
   options.tiling.tile_w = 32;
-  serve::EvalServer server(inference, options);
+  const serve::RouteKey route = m5_route();
+  serve::ShardedServer server(one_route(inference, route), options);
 
   Rng rng(77);
   Tensor small(1, 64, 64, 1);
@@ -127,7 +141,7 @@ double small_request_p99_ms(const core::SesrInference& inference, bool with_larg
     large_client = std::thread([&] {
       std::deque<std::future<Tensor>> window;
       while (!stop.load(std::memory_order_acquire)) {
-        window.push_back(server.submit(large));
+        window.push_back(server.submit(route, large));
         if (window.size() > 4) {
           window.front().get();
           window.pop_front();
@@ -141,7 +155,7 @@ double small_request_p99_ms(const core::SesrInference& inference, bool with_larg
   latency_ms.reserve(static_cast<std::size_t>(small_count));
   for (std::int64_t i = 0; i < small_count; ++i) {
     const auto t0 = Clock::now();
-    server.submit(small).get();
+    server.submit(route, small).get();
     latency_ms.push_back(std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
   }
 
@@ -304,7 +318,7 @@ int main() {
 
   // --- precision sweep ---------------------------------------------------
   // Serve-side counterpart of bench_deployment_int8: the same M5 x2 model
-  // behind EvalServer at each InferencePrecision, once single-worker and once
+  // served as a one-route ShardedServer at each InferencePrecision, once single-worker and once
   // with the worker count saturating the machine. The saturation row is the
   // check that the int8 advantage survives contention: worker sessions run
   // with intra-op threads = 1, so per-worker quantize/pack scratch must not
@@ -319,7 +333,7 @@ int main() {
     quant.set_hybrid_plan(plan);
     const int sat_workers =
         static_cast<int>(std::max(2U, std::thread::hardware_concurrency()));
-    std::printf("\nprecision sweep (EvalServer; saturation = %d workers):\n",
+    std::printf("\nprecision sweep (one route per precision; saturation = %d workers):\n",
                 sat_workers);
     std::printf("%8s %12s %12s %14s\n", "prec", "fps w1", "fps sat", "sat vs fp32");
     double fp32_sat_fps = 0.0;

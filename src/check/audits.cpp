@@ -34,7 +34,6 @@
 #include "nn/depth_to_space.hpp"
 #include "nn/gemm.hpp"
 #include "nn/gemm_s8.hpp"
-#include "serve/server.hpp"
 #include "serve/sharded_server.hpp"
 #include "tensor/fp16.hpp"
 #include "tensor/rng.hpp"
@@ -362,7 +361,7 @@ TrialResult tiled_trial(std::uint64_t seed) {
   return r;
 }
 
-// Serve-regime tiling: the eval server routes arbitrary request shapes
+// Serve-regime tiling: the sharded server routes arbitrary request shapes
 // through upscale_tiled, so this pair sweeps the geometry corners the
 // original tiled_inference pair never draws — frames down to 1x1, tiles
 // larger than the image, extra halo beyond the receptive field, and extreme
@@ -409,9 +408,10 @@ TrialResult tiled_vs_fullframe_trial(std::uint64_t seed) {
 
 // A served response-cache hit must be BIT-IDENTICAL to the cold inference
 // that populated it, for every execution mode and both precisions. The trial
-// spins up a cached EvalServer, submits the same frame twice (the first run
-// is the cold reference, the second must come from the cache — asserted via
-// the server's cache_hits counter), and compares bitwise with zero tolerance.
+// spins up a cached one-route ShardedServer at the drawn precision, submits
+// the same frame twice (the first run is the cold reference, the second must
+// come from the cache — asserted via the server's cache_hits counter), and
+// compares bitwise with zero tolerance.
 TrialResult cached_vs_cold_serve_trial(std::uint64_t seed) {
   TrialResult r;
   Rng rng(seed);
@@ -425,29 +425,32 @@ TrialResult cached_vs_cold_serve_trial(std::uint64_t seed) {
                                    serve::ExecMode::kAuto};
   serve::ServeOptions options;
   options.mode = modes[rng.uniform_int(0, 2)];
-  options.precision = rng.bernoulli(0.5) ? core::InferencePrecision::kFp16
-                                         : core::InferencePrecision::kFp32;
+  const serve::RouteKey route{"default", config.scale,
+                              rng.bernoulli(0.5) ? core::InferencePrecision::kFp16
+                                                 : core::InferencePrecision::kFp32};
   options.workers = 1 + static_cast<int>(rng.uniform_int(0, 2));
   options.tiling.tile_h = rng.uniform_int(4, 12);
   options.tiling.tile_w = rng.uniform_int(4, 12);
   options.tiled_threshold_pixels = 10 * 10;  // kAuto: larger trial frames tile
   options.cache_entries = 8;
-  serve::EvalServer server(inference, options);
+  serve::NetworkRegistry registry;
+  registry.add(route, inference);
+  serve::ShardedServer server(registry, options);
 
   const std::int64_t h = rng.uniform_int(4, 20);
   const std::int64_t w = rng.uniform_int(4, 20);
   const Tensor frame = random_tensor(rng, 1, h, w, 1, 0.0F, 1.0F);
-  const Tensor cold = server.submit(frame).get();  // executes, populates the cache
-  const Tensor hit = server.submit(frame).get();   // must be served from the cache
+  const Tensor cold = server.submit(route, frame).get();  // executes, populates the cache
+  const Tensor hit = server.submit(route, frame).get();   // must be served from the cache
   server.shutdown();
-  const std::uint64_t cache_hits = server.stats().cache_hits;
+  const std::uint64_t cache_hits = server.stats().total.cache_hits;
 
   const DTensor want = to_dtensor(cold);
   r.stats = compare_f32(hit.data(), want.data);
   r.output_hash = hash_bits(hit.data());
   std::ostringstream os;
   os << "in=" << shape_str(frame.shape()) << " mode=" << static_cast<int>(options.mode)
-     << " prec=" << (options.precision == core::InferencePrecision::kFp16 ? "fp16" : "fp32")
+     << " prec=" << (route.precision == core::InferencePrecision::kFp16 ? "fp16" : "fp32")
      << " workers=" << options.workers << " bias=" << config.with_bias << " "
      << config.describe();
   if (cache_hits != 1) {

@@ -137,14 +137,4 @@ std::string to_string(VideoPattern pattern) {
   return "unknown";
 }
 
-VideoPattern parse_video_pattern(const std::string& name) {
-  if (name == "static") return VideoPattern::kStatic;
-  if (name == "pan") return VideoPattern::kPan;
-  if (name == "cut") return VideoPattern::kCut;
-  if (name == "sparkle") return VideoPattern::kSparkle;
-  if (name == "mixed") return VideoPattern::kMixed;
-  throw std::invalid_argument("unknown video pattern '" + name +
-                              "' (want static|pan|cut|sparkle|mixed)");
-}
-
 }  // namespace sesr::data

@@ -47,8 +47,4 @@ std::vector<Tensor> synthesize_video(const VideoSequenceOptions& options, std::u
 
 std::string to_string(VideoPattern pattern);
 
-// Parse "static" / "pan" / "cut" / "sparkle" / "mixed" (throws
-// std::invalid_argument otherwise) — the CLI's --video argument.
-VideoPattern parse_video_pattern(const std::string& name);
-
 }  // namespace sesr::data

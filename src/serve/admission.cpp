@@ -7,6 +7,14 @@ namespace sesr::serve {
 
 namespace {
 
+// Smoothing factor of the per-route service-time EWMA: higher reacts faster
+// to load shifts, lower is steadier under bursty traffic.
+constexpr double kEwmaAlpha = 0.2;
+
+// Warmup: a route with fewer completed samples than this is always
+// admittable — the estimator has nothing trustworthy to shed on yet.
+constexpr std::uint64_t kMinSamples = 4;
+
 // Relative arithmetic cost of a precision; lower = cheaper. Orders the
 // degrade ladder fp32 -> fp16 -> hybrid -> int8 (gentlest downgrade first).
 int precision_cost(core::InferencePrecision p) {
@@ -31,7 +39,6 @@ AdmissionController::AdmissionController(const std::vector<RegisteredNetwork>& r
       workers_(std::max(1, workers)),
       ewma_(std::make_unique<Ewma[]>(routes.size())),
       ladder_(routes.size()) {
-  slo_.ewma_alpha = std::clamp(slo_.ewma_alpha, 1e-3, 1.0);
   slo_.headroom = std::max(slo_.headroom, 1e-3);
   for (std::size_t i = 0; i < routes.size(); ++i) {
     const RouteKey& self = routes[i].key;
@@ -95,8 +102,7 @@ AdmissionController::Decision AdmissionController::admit(
   const std::size_t rungs = slo_.allow_degrade ? ladder.size() : 1;
   for (std::size_t r = 0; r < rungs; ++r) {
     const Rung& rung = ladder[r];
-    const bool warmed = ewma_[rung.route].count.load(std::memory_order_relaxed) >=
-                        slo_.min_samples;
+    const bool warmed = ewma_[rung.route].count.load(std::memory_order_relaxed) >= kMinSamples;
     const std::int64_t est = estimate_us(rung, in_system);
     d.estimate_us = est;
     if (!warmed || static_cast<double>(est) <= allowed) {
@@ -106,12 +112,7 @@ AdmissionController::Decision AdmissionController::admit(
       return d;
     }
   }
-  if (slo_.allow_shed) {
-    d.action = Action::kShed;
-    d.route = route;
-    return d;
-  }
-  d.action = Action::kAdmit;  // monitor-only: over budget but admitted anyway
+  d.action = Action::kShed;
   d.route = route;
   return d;
 }
@@ -123,7 +124,7 @@ void AdmissionController::record(std::size_t route, std::int64_t service_us) {
   double cur = e.value.load(std::memory_order_relaxed);
   double next;
   do {
-    next = cur <= 0.0 ? sample : cur + slo_.ewma_alpha * (sample - cur);
+    next = cur <= 0.0 ? sample : cur + kEwmaAlpha * (sample - cur);
     // First-sample seeding: keep a strictly positive value so 0.0 stays the
     // "unwarmed" sentinel even for a 0us sample.
     if (next <= 0.0) next = 1.0;

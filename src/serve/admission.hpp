@@ -22,9 +22,9 @@
 // unboundedly — under sustained overload, shedding is what keeps admitted
 // requests inside the budget.
 //
-// A route with fewer than min_samples completed observations admits
-// optimistically: the estimator has nothing trustworthy to shed on yet, and
-// admitting is the only way to warm it.
+// A route with fewer than 4 completed observations admits optimistically:
+// the estimator has nothing trustworthy to shed on yet, and admitting is the
+// only way to warm it. The EWMA smoothing factor is a fixed 0.2.
 #pragma once
 
 #include <atomic>
@@ -45,7 +45,7 @@ namespace sesr::serve {
 class ShedError : public std::runtime_error {
  public:
   explicit ShedError(std::int64_t estimate_us, std::int64_t budget_us)
-      : std::runtime_error("eval server: shed (estimated " + std::to_string(estimate_us) +
+      : std::runtime_error("server: shed (estimated " + std::to_string(estimate_us) +
                            "us over budget " + std::to_string(budget_us) + "us)"),
         estimate_us(estimate_us),
         budget_us(budget_us) {}
@@ -90,8 +90,6 @@ class AdmissionController {
   // tests.
   double ewma_us(std::size_t route) const;
   std::uint64_t samples(std::size_t route) const;
-
-  const SloOptions& slo() const { return slo_; }
 
  private:
   struct Ewma {

@@ -116,10 +116,11 @@ void finish_request(FrameRequest& request) {
 
 }  // namespace
 
-// Completion bookkeeping shared by the frame and tile paths. Every side
-// effect — cache insert, route counter, stats sample — precedes set_value, so
-// a caller whose future has resolved observes the completion in stats() and
-// gets a cache hit on the next identical submission.
+// Completion bookkeeping shared by the frame and tile paths and the submit
+// path's synchronous successes. Every side effect — cache insert or session
+// publish, route counter, stats sample — precedes set_value, so a caller whose
+// future has resolved observes the completion in stats() and gets a cache hit
+// on the next identical submission.
 void complete_request(FrameRequest& request, Tensor output, StatsRecorder& stats) {
   record_service(request);
   if (request.continuation) {

@@ -1,6 +1,5 @@
 // Execution units, the shared fair dispatch queue, and the worker-session
-// execution core — the machinery common to EvalServer (one network) and
-// ShardedServer (a registry of networks).
+// execution core of ShardedServer.
 //
 // Units flow   submit path ──push──> FairDispatchQueue ──pop──> worker sessions
 //
@@ -43,7 +42,7 @@
 
 #include "core/sesr_inference.hpp"
 #include "core/tiled_inference.hpp"
-#include "serve/request_queue.hpp"
+#include "serve/request.hpp"
 #include "serve/serve_options.hpp"
 #include "serve/stats.hpp"
 
@@ -153,9 +152,10 @@ struct WorkerSession {
 void execute_unit(WorkerSession& session, Unit& unit, StatsRecorder& stats);
 
 // Resolve one request with a value / an error. Shared by the execution core
-// and the server's submit/drain paths so every resolution runs the same
-// ordered epilogue: cache insert (success only) -> route counter -> stats ->
-// admission EWMA sample -> promise -> done_hook -> inflight done. When the
+// and the server's submit path (cache hits, zero-dirty video frames) so every
+// resolution runs the same ordered epilogue: admission EWMA sample (dispatched
+// requests only) -> cache insert or session publish (success only) -> route
+// counter -> stats -> promise -> done_hook -> inflight done. When the
 // request carries a two-stage continuation, complete_request hands it
 // (request, output) INSTEAD of fulfilling the promise — stage 2 owns the
 // promise, done_hook, and inflight from then on.

@@ -25,7 +25,7 @@ namespace sesr::serve {
 class UnknownRouteError : public std::runtime_error {
  public:
   explicit UnknownRouteError(const std::string& route)
-      : std::runtime_error("eval server: unknown route '" + route + "'") {}
+      : std::runtime_error("server: unknown route '" + route + "'") {}
 };
 
 // The routing coordinate of one served network variant.

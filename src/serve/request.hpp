@@ -30,13 +30,13 @@ namespace sesr::serve {
 // under kReject.
 class QueueFullError : public std::runtime_error {
  public:
-  QueueFullError() : std::runtime_error("eval server: submission queue full") {}
+  QueueFullError() : std::runtime_error("server: submission queue full") {}
 };
 
 // submit() arrived after shutdown began.
 class ServerClosedError : public std::runtime_error {
  public:
-  ServerClosedError() : std::runtime_error("eval server: shut down") {}
+  ServerClosedError() : std::runtime_error("server: shut down") {}
 
  protected:
   explicit ServerClosedError(const std::string& what) : std::runtime_error(what) {}
@@ -48,7 +48,7 @@ class ServerClosedError : public std::runtime_error {
 // catch the drain case first.
 class ServerDrainingError : public ServerClosedError {
  public:
-  ServerDrainingError() : ServerClosedError("eval server: draining") {}
+  ServerDrainingError() : ServerClosedError("server: draining") {}
 };
 
 class AdmissionController;

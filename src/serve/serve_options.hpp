@@ -1,5 +1,4 @@
-// Policy knobs for the eval server (src/serve/server.hpp and
-// sharded_server.hpp).
+// Policy knobs for the sharded server (src/serve/sharded_server.hpp).
 //
 // The server pushes each admitted (1, H, W, 1) Y-frame request straight into
 // a bounded dispatch queue, and a pool of worker sessions takes units from it
@@ -34,21 +33,13 @@ struct SloOptions {
   // Per-route p99 latency budget (microseconds). 0 disables SLO admission;
   // per-request deadlines still apply when callers pass them.
   std::int64_t p99_budget_us = 0;
-  // Smoothing factor of the per-route service-time EWMA, in (0, 1]. Higher
-  // reacts faster to load shifts; lower is steadier under bursty traffic.
-  double ewma_alpha = 0.2;
   // Admit while estimate <= headroom * budget. Below 1.0 sheds early (keeps
   // slack for estimation error); above 1.0 tolerates mild overshoot.
   double headroom = 1.0;
   // Degrade before shedding: rewrite to a cheaper registered route whose
-  // estimate fits the budget.
+  // estimate fits the budget. With false, an over-budget request sheds at
+  // once.
   bool allow_degrade = true;
-  // Shed (fail the future with ShedError) when no rung fits. With false,
-  // over-budget requests are admitted anyway (monitor-only mode).
-  bool allow_shed = true;
-  // Warmup: a route with fewer completed samples than this is always
-  // admittable — the estimator has nothing trustworthy to shed on yet.
-  std::uint64_t min_samples = 4;
 };
 
 // Which execution path a worker session uses for a frame.
@@ -72,11 +63,6 @@ struct ServeOptions {
   ExecMode mode = ExecMode::kFullFrame;
   core::TilingOptions tiling;                        // kTiled / kAuto tile geometry
   std::int64_t tiled_threshold_pixels = 128 * 128;   // kAuto: LR pixels >= this tile
-
-  // Arithmetic precision of every worker replica (full-frame and tiled
-  // paths both follow it; see core::InferencePrecision). The
-  // sharded server overrides this per shard with each route's own precision.
-  core::InferencePrecision precision = core::InferencePrecision::kFp32;
 
   // Response cache: maximum (route, LR frame) -> HR frame entries kept in the
   // bit-exact LRU cache (src/serve/response_cache.hpp). 0 disables caching.

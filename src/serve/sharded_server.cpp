@@ -111,9 +111,10 @@ std::future<Tensor> ShardedServer::submit(const RouteKey& route, Tensor frame) {
   return submit_admitted(route, std::move(frame)).future;
 }
 
-AdmitResult ShardedServer::submit_admitted(const RouteKey& route, Tensor frame,
-                                           SubmitOptions opts) {
-  FrameRequest request;
+ShardedServer::Admitted ShardedServer::admit(const RouteKey& route, Tensor frame,
+                                             SubmitOptions& opts) {
+  Admitted a;
+  FrameRequest& request = a.request;
   request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   request.frame = std::move(frame);
   request.enqueue_time = ServeClock::now();
@@ -122,22 +123,19 @@ AdmitResult ShardedServer::submit_admitted(const RouteKey& route, Tensor frame,
         saturating_deadline(request.enqueue_time, std::chrono::microseconds(opts.deadline_us));
   }
   request.done_hook = std::move(opts.done_hook);
-
-  AdmitResult result;
-  result.future = request.promise.get_future();
-  result.served_route = route_string(route);
+  a.result.future = request.promise.get_future();
+  a.result.served_route = route_string(route);
 
   const Shape& s = request.frame.shape();
   if (s.n() != 1 || s.c() != 1 || s.h() < 1 || s.w() < 1) {
     resolve_rejected(request, std::make_exception_ptr(std::invalid_argument(
-                                  "ShardedServer::submit expects a (1, H, W, 1) Y frame")));
-    return result;
+                                  "ShardedServer: submit expects a (1, H, W, 1) Y frame")));
+    return a;
   }
-  const auto it = route_index_.find(result.served_route);
+  const auto it = route_index_.find(a.result.served_route);
   if (it == route_index_.end()) {
-    resolve_rejected(request,
-                     std::make_exception_ptr(UnknownRouteError(result.served_route)));
-    return result;
+    resolve_rejected(request, std::make_exception_ptr(UnknownRouteError(a.result.served_route)));
+    return a;
   }
   Shard* shard = shards_[it->second].get();
 
@@ -145,148 +143,98 @@ AdmitResult ShardedServer::submit_admitted(const RouteKey& route, Tensor frame,
   // this submitter observes draining/closed and backs out, or the drainer's
   // wait_zero() observes the increment and waits for this request.
   inflight_.add();
-  if (closed_.load(std::memory_order_seq_cst)) {
+  const bool closed = closed_.load(std::memory_order_seq_cst);
+  if (closed || draining_.load(std::memory_order_seq_cst)) {
     inflight_.done();
-    resolve_rejected(request, std::make_exception_ptr(ServerClosedError()));
-    return result;
-  }
-  if (draining_.load(std::memory_order_seq_cst)) {
-    inflight_.done();
-    resolve_rejected(request, std::make_exception_ptr(ServerDrainingError()));
-    return result;
+    resolve_rejected(request, closed ? std::make_exception_ptr(ServerClosedError())
+                                     : std::make_exception_ptr(ServerDrainingError()));
+    return a;
   }
 
-  // SLO admission: shed, or rewrite to a cheaper route, before queueing.
+  // SLO admission: shed here, before queueing; the callers apply a degrade.
   const std::int64_t deadline_budget =
       opts.deadline_us > 0
           ? std::max<std::int64_t>(1, remaining_budget_us(request.enqueue_time, request.deadline))
           : 0;
-  const AdmissionController::Decision decision = admission_.admit(
-      shard->index, deadline_budget, [this](std::size_t idx) { return in_system(idx); });
-  switch (decision.action) {
-    case AdmissionController::Action::kShed:
-      stats_.on_shed();
-      inflight_.done();
-      resolve_rejected(request, std::make_exception_ptr(
-                                    ShedError(decision.estimate_us, decision.budget_us)));
-      result.shed = true;
-      return result;
-    case AdmissionController::Action::kDegrade:
-      shard = shards_[decision.route].get();
-      result.degraded = true;
-      result.served_route = route_string(shard->net.key);
-      stats_.on_degraded();
-      break;
-    case AdmissionController::Action::kDegradeTwoStage:
-      shard = shards_[decision.route].get();
-      result.degraded = true;
-      result.two_stage = true;
-      result.served_route = route_string(shard->net.key);
-      stats_.on_degraded();
-      stats_.on_two_stage();
-      break;
-    case AdmissionController::Action::kAdmit:
-      break;
+  a.decision = admission_.admit(shard->index, deadline_budget,
+                                [this](std::size_t idx) { return in_system(idx); });
+  if (a.decision.action == AdmissionController::Action::kShed) {
+    stats_.on_shed();
+    inflight_.done();
+    resolve_rejected(request, std::make_exception_ptr(
+                                  ShedError(a.decision.estimate_us, a.decision.budget_us)));
+    a.result.shed = true;
+    return a;
   }
+  request.inflight = &inflight_;
   request.admission = &admission_;
-  request.admit_route = shard->index;
+  bind(*shard, request);
+  a.shard = shard;
+  return a;
+}
 
-  if (result.two_stage) {
+void ShardedServer::bind(Shard& shard, FrameRequest& request) {
+  request.route = &shard.counters;
+  request.route_id = shard.index;
+  request.admit_route = shard.index;
+}
+
+void ShardedServer::complete_on_submit(Shard& shard, FrameRequest& request, Tensor output) {
+  stats_.on_submitted();
+  shard.counters.submitted.fetch_add(1, std::memory_order_relaxed);
+  complete_request(request, std::move(output), stats_);
+}
+
+AdmitResult ShardedServer::submit_admitted(const RouteKey& route, Tensor frame,
+                                           SubmitOptions opts) {
+  Admitted a = admit(route, std::move(frame), opts);
+  Shard* shard = a.shard;
+  if (shard == nullptr) return std::move(a.result);
+
+  using Action = AdmissionController::Action;
+  if (a.decision.action != Action::kAdmit) {  // kDegrade or kDegradeTwoStage
+    shard = shards_[a.decision.route].get();
+    bind(*shard, a.request);
+    a.result.degraded = true;
+    a.result.served_route = route_string(shard->net.key);
+    stats_.on_degraded();
+  }
+  if (a.decision.action == Action::kDegradeTwoStage) {
     // Stage 1 hands its intermediate to the continuation instead of the
     // promise; the continuation enqueues stage 2 on the same x2 shard. The
     // response cache is bypassed: its entries are keyed by the executing
     // route, and a degraded output must never shadow the direct path.
+    a.result.two_stage = true;
+    stats_.on_two_stage();
     const std::size_t x2_shard = shard->index;
-    request.continuation = [this, x2_shard](FrameRequest&& stage1, Tensor&& intermediate) {
+    a.request.continuation = [this, x2_shard](FrameRequest&& stage1, Tensor&& intermediate) {
       enqueue_second_stage(x2_shard, std::move(stage1), std::move(intermediate));
     };
   } else if (cache_.enabled()) {
     // Response cache: a hit never touches the pipeline — the stored output is
     // bit-identical to a cold run because the cache confirmed the LR bytes.
-    if (std::optional<Tensor> hit = cache_.lookup(shard->index, request.frame)) {
-      stats_.on_submitted();
+    if (std::optional<Tensor> hit = cache_.lookup(shard->index, a.request.frame)) {
       stats_.on_cache_hit();
-      shard->counters.submitted.fetch_add(1, std::memory_order_relaxed);
       shard->counters.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      shard->counters.completed.fetch_add(1, std::memory_order_relaxed);
-      stats_.on_completed(request.enqueue_time);
-      request.promise.set_value(*std::move(hit));
-      if (request.done_hook) request.done_hook();
-      inflight_.done();
-      return result;
+      complete_on_submit(*shard, a.request, *std::move(hit));
+      return std::move(a.result);
     }
-    request.cache = &cache_;
+    a.request.cache = &cache_;
   }
-  request.route = &shard->counters;
-  request.route_id = shard->index;
-  request.inflight = &inflight_;
-  enqueue(*shard, request, opts.never_block);
-  return result;
+  enqueue(*shard, a.request, opts.never_block);
+  return std::move(a.result);
 }
 
 AdmitResult ShardedServer::submit_video(const RouteKey& route, Tensor frame,
                                         const VideoOptions& video, SubmitOptions opts) {
-  FrameRequest request;
-  request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  request.frame = std::move(frame);
-  request.enqueue_time = ServeClock::now();
-  if (opts.deadline_us > 0) {
-    request.deadline =
-        saturating_deadline(request.enqueue_time, std::chrono::microseconds(opts.deadline_us));
-  }
-  request.done_hook = std::move(opts.done_hook);
-
-  AdmitResult result;
-  result.future = request.promise.get_future();
-  result.served_route = route_string(route);
-
-  const Shape& s = request.frame.shape();
-  if (s.n() != 1 || s.c() != 1 || s.h() < 1 || s.w() < 1) {
-    resolve_rejected(request, std::make_exception_ptr(std::invalid_argument(
-                                  "ShardedServer::submit_video expects a (1, H, W, 1) Y frame")));
-    return result;
-  }
-  const auto it = route_index_.find(result.served_route);
-  if (it == route_index_.end()) {
-    resolve_rejected(request,
-                     std::make_exception_ptr(UnknownRouteError(result.served_route)));
-    return result;
-  }
-  Shard* shard = shards_[it->second].get();
-
-  // Drain gate, exactly as submit_admitted.
-  inflight_.add();
-  if (closed_.load(std::memory_order_seq_cst)) {
-    inflight_.done();
-    resolve_rejected(request, std::make_exception_ptr(ServerClosedError()));
-    return result;
-  }
-  if (draining_.load(std::memory_order_seq_cst)) {
-    inflight_.done();
-    resolve_rejected(request, std::make_exception_ptr(ServerDrainingError()));
-    return result;
-  }
-
-  // SLO admission, shed only: a session pins its route. Serving one frame
-  // from a degraded sibling would key the session's bit-history to a
-  // different network, so kDegrade/kDegradeTwoStage admit on the requested
-  // route instead.
-  const std::int64_t deadline_budget =
-      opts.deadline_us > 0
-          ? std::max<std::int64_t>(1, remaining_budget_us(request.enqueue_time, request.deadline))
-          : 0;
-  const AdmissionController::Decision decision = admission_.admit(
-      shard->index, deadline_budget, [this](std::size_t idx) { return in_system(idx); });
-  if (decision.action == AdmissionController::Action::kShed) {
-    stats_.on_shed();
-    inflight_.done();
-    resolve_rejected(request,
-                     std::make_exception_ptr(ShedError(decision.estimate_us, decision.budget_us)));
-    result.shed = true;
-    return result;
-  }
-  request.admission = &admission_;
-  request.admit_route = shard->index;
+  // Shed only: a session pins its route. Serving one frame from a degraded
+  // sibling would key the session's bit-history to a different network, so
+  // kDegrade/kDegradeTwoStage admit on the requested route instead.
+  Admitted a = admit(route, std::move(frame), opts);
+  Shard* shard = a.shard;
+  if (shard == nullptr) return std::move(a.result);
+  FrameRequest& request = a.request;
+  AdmitResult& result = a.result;
 
   stats_.on_video_frame();
   // Every video frame publishes its (LR, HR) pair on completion, re-priming
@@ -295,14 +243,12 @@ AdmitResult ShardedServer::submit_video(const RouteKey& route, Tensor frame,
   request.video = &sessions_;
   request.video_session = video.session_id;
   request.video_seq = video.seq;
-  request.route = &shard->counters;
-  request.route_id = shard->index;
-  request.inflight = &inflight_;
 
   // Tile-delta probe: an exact predecessor snapshot (seq - 1, same shape)
   // enables the delta path. The plan byte-compares every tile's haloed
   // footprint against the snapshot LR — tile-granular byte confirmation, so a
   // stale snapshot only makes tiles dirty, never splices a wrong pixel.
+  const Shape& s = request.frame.shape();
   if (std::optional<VideoSessionTable::Snapshot> prev =
           sessions_.lookup_prev(shard->index, video.session_id, video.seq)) {
     if (prev->lr.shape() == s) {
@@ -320,17 +266,10 @@ AdmitResult ShardedServer::submit_video(const RouteKey& route, Tensor frame,
       stats_.on_video_delta(plan.tasks.size() - plan.dirty_count, plan.dirty_count);
       if (plan.dirty_count == 0) {
         // Bitwise-identical frame: the previous HR output IS this frame's
-        // output. Resolved synchronously like a cache hit; the publication
-        // advances the session to this seq first.
-        sessions_.publish(shard->index, video.session_id, video.seq, request.frame, prev->hr);
-        stats_.on_submitted();
-        shard->counters.submitted.fetch_add(1, std::memory_order_relaxed);
-        shard->counters.completed.fetch_add(1, std::memory_order_relaxed);
-        stats_.on_completed(request.enqueue_time);
-        request.promise.set_value(std::move(prev->hr));
-        if (request.done_hook) request.done_hook();
-        inflight_.done();
-        return result;
+        // output. Resolved synchronously like a cache hit; the completion
+        // publishes it and advances the session to this seq.
+        complete_on_submit(*shard, request, std::move(prev->hr));
+        return std::move(result);
       }
       auto delta = std::make_shared<VideoDeltaPlan>();
       delta->total_tiles = plan.tasks.size();
@@ -346,7 +285,7 @@ AdmitResult ShardedServer::submit_video(const RouteKey& route, Tensor frame,
   }
 
   enqueue(*shard, request, opts.never_block);
-  return result;
+  return std::move(result);
 }
 
 void ShardedServer::enqueue(Shard& shard, FrameRequest& request, bool never_block) {

@@ -55,7 +55,7 @@
 #include "serve/admission.hpp"
 #include "serve/dispatch.hpp"
 #include "serve/registry.hpp"
-#include "serve/request_queue.hpp"
+#include "serve/request.hpp"
 #include "serve/response_cache.hpp"
 #include "serve/serve_options.hpp"
 #include "serve/stats.hpp"
@@ -132,7 +132,8 @@ class ShardedServer {
   // Builds one shard per registry entry. The registry is snapshotted (its
   // checkpoints are copied into the shards), so it need not outlive the
   // server. `options` applies to every shard (workers, queue depth, mode,
-  // tiling, overload, slo) except `precision`, which each route overrides.
+  // tiling, overload, slo); each route's replicas run at the route's own
+  // precision.
   ShardedServer(const NetworkRegistry& registry, ServeOptions options);
   ~ShardedServer();
   ShardedServer(const ShardedServer&) = delete;
@@ -192,12 +193,31 @@ class ShardedServer {
     RouteCounters counters;
   };
 
+  // What the shared admission step hands to submit_admitted / submit_video.
+  struct Admitted {
+    FrameRequest request;
+    AdmitResult result;
+    Shard* shard = nullptr;  // the requested route's shard; nullptr = resolved
+    AdmissionController::Decision decision;
+  };
+
+  // The admission step of both submit calls: builds the request (id, enqueue
+  // time, deadline, done_hook) and its result, checks the (1, H, W, 1) shape,
+  // looks up the route, passes the drain/closed gate and asks the admission
+  // controller. A refused or shed request comes back resolved with its typed
+  // error and no shard. An admitted one holds an inflight token and is bound
+  // to the requested shard; applying a degrade decision is the caller's job.
+  Admitted admit(const RouteKey& route, Tensor frame, SubmitOptions& opts);
+  // Point the request's counters and admission sample at the executing shard.
+  static void bind(Shard& shard, FrameRequest& request);
+  // Resolve an admitted request on the submit path (cache hit, zero-dirty
+  // video frame): count it as submitted, then run complete_request.
+  void complete_on_submit(Shard& shard, FrameRequest& request, Tensor output);
   ExecMode resolve_mode(const Shape& shape) const;
   void worker_loop(Shard& shard, WorkerSession& session);
   std::int64_t in_system(std::size_t shard) const;
   // Push an admitted request into the shard's dispatch lanes and count it, or
   // resolve it with QueueFullError / ServerClosedError when push refuses it.
-  // Shared by submit_admitted and submit_video.
   void enqueue(Shard& shard, FrameRequest& request, bool never_block);
   // The push itself: an untiled frame as one unit; a kTiled frame or a video
   // delta plan as a TiledJob whose first unit admits with weight 1 and whose

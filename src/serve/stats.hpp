@@ -1,4 +1,4 @@
-// Request-level counters and latency percentiles for the eval server.
+// Request-level counters and latency percentiles for the sharded server.
 //
 // Workers record one sample per completed request (submit-to-completion,
 // microseconds); counters are plain atomics. snapshot() is safe to call while
@@ -13,7 +13,7 @@
 
 namespace sesr::serve {
 
-// Immutable view returned by EvalServer::stats().
+// Immutable view of the server-wide counters (ShardedStats::total).
 struct ServerStats {
   std::uint64_t submitted = 0;   // accepted (queued or served from cache)
   std::uint64_t rejected = 0;    // refused by the kReject overload policy

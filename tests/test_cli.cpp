@@ -60,6 +60,12 @@ TEST(CliArgs, UnknownOptionThrows) {
   EXPECT_THROW(parse({"--stepz", "10"}), UsageError);
 }
 
+TEST(CliArgs, MalformedNumberThrowsUsageError) {
+  EXPECT_THROW(parse({"--steps=ten"}).get_int("steps"), UsageError);
+  EXPECT_THROW(parse({"--steps=99999999999999999999"}).get_int("steps"), UsageError);
+  EXPECT_THROW(parse({"--lr=fast"}).get_double("lr"), UsageError);
+}
+
 TEST(CliArgs, PositionalArgumentsCollected) {
   Args args = parse({"input.pgm", "--steps=5", "output.pgm"});
   ASSERT_EQ(args.positional().size(), 2U);

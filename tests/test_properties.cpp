@@ -173,7 +173,7 @@ TEST(DeploymentAgreement, BatchAndTiledCoincide) {
   EXPECT_LT(max_abs_diff(batch, tiled), 1e-5F);
 }
 
-// ------------- tiled-inference edge cases the eval server dispatches ---------
+// ------------- tiled-inference edge cases the server dispatches --------------
 
 // The serve layer routes arbitrary request shapes through upscale_tiled; these
 // pin down the geometry corners it will hit in production.

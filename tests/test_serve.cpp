@@ -1,4 +1,4 @@
-// Deterministic concurrency tests for the eval server (src/serve).
+// Deterministic concurrency tests for the sharded server (src/serve).
 //
 // The load-bearing promises under test:
 //   1. Every accepted future completes — under multi-producer stress, under
@@ -15,6 +15,7 @@
 // which lets a test hold all workers on a latch.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -29,9 +30,8 @@
 #include "serve/clock.hpp"
 #include "serve/dispatch.hpp"
 #include "serve/registry.hpp"
-#include "serve/request_queue.hpp"
+#include "serve/request.hpp"
 #include "serve/response_cache.hpp"
-#include "serve/server.hpp"
 #include "serve/sharded_server.hpp"
 #include "serve/stats.hpp"
 #include "data/video.hpp"
@@ -74,15 +74,25 @@ int stress_iterations() {
 
 // ------------------------------------------------------- end-to-end server
 
-TEST(EvalServer, SingleFrameRoundTrip) {
+const RouteKey kFp32Route{"a", 2, core::InferencePrecision::kFp32};
+
+// A registry holding `inference` under one route: the smallest server.
+NetworkRegistry one_route(const core::SesrInference& inference,
+                          const RouteKey& route = kFp32Route) {
+  NetworkRegistry registry;
+  registry.add(route, inference);
+  return registry;
+}
+
+TEST(OneRouteServer, SingleFrameRoundTrip) {
   const core::SesrInference inference = make_inference(21, small_config());
   ServeOptions options;
   options.workers = 2;
-  EvalServer server(inference, options);
+  ShardedServer server(one_route(inference), options);
   const Tensor frame = make_frame(77, 16, 16);
-  Tensor out = server.submit(frame).get();
+  Tensor out = server.submit(kFp32Route, frame).get();
   EXPECT_EQ(max_abs_diff(out, inference.upscale(frame)), 0.0F);
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats().total;
   EXPECT_EQ(stats.submitted, 1U);
   EXPECT_EQ(stats.completed, 1U);
   EXPECT_EQ(stats.rejected, 0U);
@@ -93,7 +103,7 @@ TEST(EvalServer, SingleFrameRoundTrip) {
 // are inside it. A server that held the frames for a batch partner and ran
 // them as one unit on one worker never opens it; the latch then gives up at a
 // generous timeout, so the test fails instead of hanging.
-TEST(EvalServer, TwoFramesRunOnTwoWorkersAtOnce) {
+TEST(OneRouteServer, TwoFramesRunOnTwoWorkersAtOnce) {
   const core::SesrInference inference = make_inference(28, small_config());
   std::atomic<int> inside{0};
   std::atomic<bool> timed_out{false};
@@ -110,71 +120,71 @@ TEST(EvalServer, TwoFramesRunOnTwoWorkersAtOnce) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   };
-  EvalServer server(inference, options);
+  ShardedServer server(one_route(inference), options);
   const Tensor a = make_frame(14, 16, 16);
   const Tensor b = make_frame(15, 16, 16);
-  std::future<Tensor> fa = server.submit(a);
-  std::future<Tensor> fb = server.submit(b);
+  std::future<Tensor> fa = server.submit(kFp32Route, a);
+  std::future<Tensor> fb = server.submit(kFp32Route, b);
   EXPECT_EQ(max_abs_diff(fa.get(), inference.upscale(a)), 0.0F);
   EXPECT_EQ(max_abs_diff(fb.get(), inference.upscale(b)), 0.0F);
   EXPECT_FALSE(timed_out.load(std::memory_order_acquire))
       << "the two frames never ran on two workers at the same time";
-  EXPECT_EQ(server.stats().batches, 2U);  // one dispatched unit per frame
+  EXPECT_EQ(server.stats().total.batches, 2U);  // one dispatched unit per frame
 }
 
-TEST(EvalServer, Fp16PrecisionBitIdenticalToDirectFp16Upscale) {
+TEST(OneRouteServer, Fp16PrecisionBitIdenticalToDirectFp16Upscale) {
   // Worker replicas round their weight caches at construction; a served fp16
   // frame must match a direct fp16 upscale on the source network bit for bit,
   // and must actually differ from the fp32 answer (the knob is not a no-op).
   core::SesrInference inference = make_inference(31, small_config());
   ServeOptions options;
   options.workers = 2;
-  options.precision = core::InferencePrecision::kFp16;
-  EvalServer server(inference, options);
+  const RouteKey fp16_route{"a", 2, core::InferencePrecision::kFp16};
+  ShardedServer server(one_route(inference, fp16_route), options);
   const Tensor frame = make_frame(79, 16, 16);
-  Tensor served = server.submit(frame).get();
+  Tensor served = server.submit(fp16_route, frame).get();
   const Tensor fp32_ref = inference.upscale(frame);
   inference.set_precision(core::InferencePrecision::kFp16);
   EXPECT_EQ(max_abs_diff(served, inference.upscale(frame)), 0.0F);
   EXPECT_GT(max_abs_diff(served, fp32_ref), 0.0F);
 }
 
-TEST(EvalServer, BadFrameShapeFailsTheFutureNotTheServer) {
+TEST(OneRouteServer, BadFrameShapeFailsTheFutureNotTheServer) {
   const core::SesrInference inference = make_inference(22, small_config());
-  EvalServer server(inference, ServeOptions{});
-  EXPECT_THROW(server.submit(Tensor(2, 8, 8, 1)).get(), std::invalid_argument);
-  EXPECT_THROW(server.submit(Tensor(1, 8, 8, 3)).get(), std::invalid_argument);
+  ShardedServer server(one_route(inference), ServeOptions{});
+  EXPECT_THROW(server.submit(kFp32Route, Tensor(2, 8, 8, 1)).get(), std::invalid_argument);
+  EXPECT_THROW(server.submit(kFp32Route, Tensor(1, 8, 8, 3)).get(), std::invalid_argument);
   // The server still serves after bad submissions.
   const Tensor frame = make_frame(5, 8, 8);
-  EXPECT_EQ(max_abs_diff(server.submit(frame).get(), inference.upscale(frame)), 0.0F);
+  EXPECT_EQ(max_abs_diff(server.submit(kFp32Route, frame).get(), inference.upscale(frame)), 0.0F);
 }
 
-TEST(EvalServer, SubmitAfterShutdownFailsWithServerClosed) {
+TEST(OneRouteServer, SubmitAfterShutdownFailsWithServerClosed) {
   const core::SesrInference inference = make_inference(23, small_config());
-  EvalServer server(inference, ServeOptions{});
+  ShardedServer server(one_route(inference), ServeOptions{});
   server.shutdown();
-  EXPECT_THROW(server.submit(make_frame(6, 8, 8)).get(), ServerClosedError);
+  EXPECT_THROW(server.submit(kFp32Route, make_frame(6, 8, 8)).get(), ServerClosedError);
 }
 
-TEST(EvalServer, TiledFanOutBitIdenticalToUpscaleTiled) {
+TEST(OneRouteServer, TiledFanOutBitIdenticalToUpscaleTiled) {
   const core::SesrInference inference = make_inference(25, small_config());
   ServeOptions options;
   options.workers = 3;
   options.mode = ExecMode::kTiled;
   options.tiling.tile_h = 16;
   options.tiling.tile_w = 16;
-  EvalServer server(inference, options);
+  ShardedServer server(one_route(inference), options);
   const Tensor frame = make_frame(88, 40, 52);
-  const Tensor out = server.submit(frame).get();
+  const Tensor out = server.submit(kFp32Route, frame).get();
   EXPECT_EQ(max_abs_diff(out, core::upscale_tiled(inference, frame, options.tiling)), 0.0F);
   // Exact halo: the fan-out result also matches the full frame to tolerance.
   EXPECT_LT(max_abs_diff(out, inference.upscale(frame)), 1e-5F);
-  EXPECT_GE(server.stats().tiles, 6U);  // ceil(40/16) * ceil(52/16) = 3 * 4
+  EXPECT_GE(server.stats().total.tiles, 6U);  // ceil(40/16) * ceil(52/16) = 3 * 4
 }
 
 // Deterministic overload: all workers held on a latch, so the pipeline's
 // absorption capacity is finite and a bounded burst MUST trip kReject.
-TEST(EvalServer, RejectPolicyFiresUnderOverloadAndAcceptedWorkCompletes) {
+TEST(OneRouteServer, RejectPolicyFiresUnderOverloadAndAcceptedWorkCompletes) {
   const core::SesrInference inference = make_inference(26, small_config());
   std::atomic<bool> release{false};
   ServeOptions options;
@@ -186,15 +196,15 @@ TEST(EvalServer, RejectPolicyFiresUnderOverloadAndAcceptedWorkCompletes) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   };
-  EvalServer server(inference, options);
+  ShardedServer server(one_route(inference), options);
   const Tensor frame = make_frame(9, 10, 10);
   // Shard bound (2) + the unit the held worker popped (1) bounds absorption;
   // with nothing draining, 50 submissions must see at least one rejection.
   std::vector<std::future<Tensor>> futures;
   bool saw_reject = false;
   for (int i = 0; i < 50 && !saw_reject; ++i) {
-    futures.push_back(server.submit(frame));
-    saw_reject = server.stats().rejected > 0;
+    futures.push_back(server.submit(kFp32Route, frame));
+    saw_reject = server.stats().total.rejected > 0;
   }
   ASSERT_TRUE(saw_reject);
   release.store(true, std::memory_order_release);
@@ -216,7 +226,7 @@ TEST(EvalServer, RejectPolicyFiresUnderOverloadAndAcceptedWorkCompletes) {
 
 // Shutdown with a saturated pipeline and blocked producers: every accepted
 // request must still complete, and shutdown() must not deadlock.
-TEST(EvalServer, ShutdownWhileFullDrainsWithoutDeadlock) {
+TEST(OneRouteServer, ShutdownWhileFullDrainsWithoutDeadlock) {
   const core::SesrInference inference = make_inference(27, small_config());
   std::atomic<bool> release{false};
   ServeOptions options;
@@ -228,7 +238,7 @@ TEST(EvalServer, ShutdownWhileFullDrainsWithoutDeadlock) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   };
-  EvalServer server(inference, options);
+  ShardedServer server(one_route(inference), options);
   const Tensor frame = make_frame(13, 10, 12);
   const Tensor want = inference.upscale(frame);
   std::vector<std::future<Tensor>> futures(8);
@@ -237,7 +247,7 @@ TEST(EvalServer, ShutdownWhileFullDrainsWithoutDeadlock) {
   for (int t = 0; t < 2; ++t) {
     producers.emplace_back([&, t] {
       for (int i = 0; i < 4; ++i) {
-        futures[static_cast<std::size_t>(t * 4 + i)] = server.submit(frame);
+        futures[static_cast<std::size_t>(t * 4 + i)] = server.submit(kFp32Route, frame);
         submitted.fetch_add(1);
       }
     });
@@ -253,7 +263,7 @@ TEST(EvalServer, ShutdownWhileFullDrainsWithoutDeadlock) {
   for (auto& f : futures) {
     EXPECT_EQ(max_abs_diff(f.get(), want), 0.0F);
   }
-  EXPECT_EQ(server.stats().completed, 8U);
+  EXPECT_EQ(server.stats().total.completed, 8U);
 }
 
 // --------------------------------------------------- seeded stress harness
@@ -286,7 +296,7 @@ void run_stress_iteration(std::uint64_t seed) {
   constexpr int kProducers = 3;
   constexpr int kFramesPerProducer = 6;
 
-  EvalServer server(inference, options);
+  ShardedServer server(one_route(inference), options);
   std::vector<std::vector<std::future<Tensor>>> futures(kProducers);
   std::vector<std::vector<Tensor>> sent(kProducers);
   std::vector<std::thread> producers;
@@ -301,7 +311,7 @@ void run_stress_iteration(std::uint64_t seed) {
         frame.fill_uniform(rng, 0.0F, 1.0F);
         sent[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)] = frame;
         futures[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)] =
-            server.submit(std::move(frame));
+            server.submit(kFp32Route, std::move(frame));
       }
     });
   }
@@ -328,13 +338,13 @@ void run_stress_iteration(std::uint64_t seed) {
     }
   }
   server.shutdown();
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.stats().total;
   ASSERT_EQ(stats.completed, static_cast<std::uint64_t>(kProducers * kFramesPerProducer))
       << "seed=" << seed;
   ASSERT_EQ(stats.failed, 0U) << "seed=" << seed;
 }
 
-TEST(EvalServerStress, SeededMultiProducerBitIdentical) {
+TEST(OneRouteServerStress, SeededMultiProducerBitIdentical) {
   const int iterations = stress_iterations();
   for (int i = 0; i < iterations; ++i) {
     SCOPED_TRACE("iteration " + std::to_string(i));
@@ -701,9 +711,7 @@ TEST(ShardedServer, MultiNetworkRoutingBitIdentical) {
 TEST(ShardedServer, UnknownRouteFailsTheFutureNotTheServer) {
   const core::SesrInference inference = make_inference(53, small_config());
   const RouteKey known{"a", 2, core::InferencePrecision::kFp32};
-  NetworkRegistry registry;
-  registry.add(known, inference);
-  ShardedServer server(registry, ServeOptions{});
+  ShardedServer server(one_route(inference, known), ServeOptions{});
   EXPECT_THROW(
       server.submit(RouteKey{"nope", 2, core::InferencePrecision::kFp32}, make_frame(1, 8, 8))
           .get(),
@@ -742,9 +750,9 @@ TEST(ShardedServer, RejectsInvalidOptions) {
   expect_rejected(automatic, "kAuto, tile_w = 0");
 }
 
-TEST(ShardedServer, PerRoutePrecisionOverridesGlobalOption) {
+TEST(ShardedServer, EachRouteRunsAtItsOwnPrecision) {
   // One network registered under both precisions: each route's replicas are
-  // pinned to the route's precision, whatever options.precision says.
+  // pinned to the route's precision.
   core::SesrInference inference = make_inference(54, small_config());
   const RouteKey fp32_route{"a", 2, core::InferencePrecision::kFp32};
   const RouteKey fp16_route{"a", 2, core::InferencePrecision::kFp16};
@@ -1038,9 +1046,7 @@ TEST(VideoSession, DeltaBitIdenticalAllModes) {
   const std::vector<Tensor> frames = data::synthesize_video(vopts, 7);
   for (const ExecMode mode : modes) {
     SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
-    NetworkRegistry registry;
-    registry.add(key, net);
-    ShardedServer server(registry, video_serve_options(mode));
+    ShardedServer server(one_route(net, key), video_serve_options(mode));
     for (std::size_t i = 0; i < frames.size(); ++i) {
       VideoOptions video;
       video.session_id = 9;
@@ -1069,9 +1075,7 @@ TEST(VideoSession, DeltaBitIdenticalAllModes) {
 TEST(VideoSession, SeqGapFallsBackToFull) {
   const core::SesrInference net = make_inference(503, small_config());
   const RouteKey key{"m", 2, core::InferencePrecision::kFp32};
-  NetworkRegistry registry;
-  registry.add(key, net);
-  ShardedServer server(registry, video_serve_options(ExecMode::kTiled));
+  ShardedServer server(one_route(net, key), video_serve_options(ExecMode::kTiled));
   const Tensor frame = make_frame(31, 14, 14);
   const std::uint64_t seqs[] = {1, 2, 4, 5};
   const bool want_delta[] = {false, true, false, true};  // 4 breaks the chain, 5 re-deltas
@@ -1092,9 +1096,7 @@ TEST(VideoSession, SeqGapFallsBackToFull) {
 TEST(VideoSession, ShapeChangeFallsBackToFull) {
   const core::SesrInference net = make_inference(505, small_config());
   const RouteKey key{"m", 2, core::InferencePrecision::kFp32};
-  NetworkRegistry registry;
-  registry.add(key, net);
-  ShardedServer server(registry, video_serve_options(ExecMode::kTiled));
+  ShardedServer server(one_route(net, key), video_serve_options(ExecMode::kTiled));
   const Tensor big = make_frame(37, 16, 16);
   const Tensor small = make_frame(41, 10, 12);
   VideoOptions video;
@@ -1118,9 +1120,7 @@ TEST(VideoSession, ShapeChangeFallsBackToFull) {
 TEST(VideoSession, ZeroDirtyResolvesSynchronously) {
   const core::SesrInference net = make_inference(507, small_config());
   const RouteKey key{"m", 2, core::InferencePrecision::kFp32};
-  NetworkRegistry registry;
-  registry.add(key, net);
-  ShardedServer server(registry, video_serve_options(ExecMode::kTiled));
+  ShardedServer server(one_route(net, key), video_serve_options(ExecMode::kTiled));
   const Tensor frame = make_frame(43, 13, 15);
   VideoOptions video;
   video.session_id = 3;
@@ -1139,14 +1139,67 @@ TEST(VideoSession, ZeroDirtyResolvesSynchronously) {
   EXPECT_EQ(stats.total.video_tiles_reused, repeat.tiles_total);
 }
 
+// submit_video runs the same admission step as submit_admitted: a bad shape,
+// an unknown route, a draining server and a closed server each fail the
+// future with their typed error, every path (these four, a served frame and
+// a zero-dirty frame) fires done_hook exactly once, and no path leaks an
+// inflight token — begin_drain() returns.
+TEST(ShardedServer, VideoSubmitSharesTheAdmissionGates) {
+  const core::SesrInference net = make_inference(513, small_config());
+  const RouteKey key{"m", 2, core::InferencePrecision::kFp32};
+  ShardedServer server(one_route(net, key), video_serve_options(ExecMode::kTiled));
+  std::array<std::atomic<int>, 6> fired{};
+  const auto submit = [&](std::size_t path, const RouteKey& route, Tensor frame,
+                          std::uint64_t seq) {
+    SubmitOptions opts;
+    opts.done_hook = [&fired, path] { fired[path].fetch_add(1); };
+    return server.submit_video(route, std::move(frame), VideoOptions{7, seq}, std::move(opts));
+  };
+  const Tensor frame = make_frame(44, 13, 15);
+
+  EXPECT_THROW(submit(0, key, Tensor(1, 13, 15, 3), 1).future.get(), std::invalid_argument);
+  EXPECT_EQ(fired[0].load(), 1);
+  EXPECT_THROW(submit(1, RouteKey{"nope", 2, core::InferencePrecision::kFp32}, frame, 1)
+                   .future.get(),
+               UnknownRouteError);
+  EXPECT_EQ(fired[1].load(), 1);
+  const Tensor first = submit(2, key, frame, 1).future.get();
+  AdmitResult repeat = submit(3, key, frame, 2);  // zero dirty tiles: resolved on submit
+  EXPECT_EQ(fired[3].load(), 1);
+  EXPECT_TRUE(repeat.delta);
+  EXPECT_EQ(repeat.tiles_recomputed, 0U);
+  EXPECT_EQ(max_abs_diff(repeat.future.get(), first), 0.0F);
+
+  server.begin_drain();  // returns once every admitted request gave its token back
+  EXPECT_EQ(fired[2].load(), 1);
+  EXPECT_THROW(submit(4, key, frame, 3).future.get(), ServerDrainingError);
+  EXPECT_EQ(fired[4].load(), 1);
+  server.begin_drain();  // the refused frame holds no token either
+  server.shutdown();
+  try {
+    submit(5, key, frame, 3).future.get();
+    ADD_FAILURE() << "closed server accepted a video frame";
+  } catch (const ServerDrainingError&) {
+    ADD_FAILURE() << "closed server answered ServerDrainingError";
+  } catch (const ServerClosedError&) {
+  }
+  EXPECT_EQ(fired[5].load(), 1);
+  for (std::size_t path = 0; path < fired.size(); ++path) {
+    EXPECT_EQ(fired[path].load(), 1) << "path " << path;
+  }
+  const ShardedStats stats = server.stats();
+  EXPECT_EQ(stats.total.video_frames, 2U);  // only admitted frames count
+  EXPECT_EQ(stats.total.submitted, 2U);
+  EXPECT_EQ(stats.total.completed, 2U);
+  EXPECT_EQ(stats.total.failed, 0U);
+}
+
 // reload_routes swaps the network set; stale sessions must not splice HR
 // tiles produced by the previous deployment.
 TEST(VideoSession, ReloadRoutesClearsSessions) {
   const core::SesrInference net = make_inference(509, small_config());
   const RouteKey key{"m", 2, core::InferencePrecision::kFp32};
-  NetworkRegistry registry;
-  registry.add(key, net);
-  ShardedServer server(registry, video_serve_options(ExecMode::kTiled));
+  ShardedServer server(one_route(net, key), video_serve_options(ExecMode::kTiled));
   const Tensor frame = make_frame(47, 14, 14);
   VideoOptions video;
   video.session_id = 4;
@@ -1386,23 +1439,25 @@ TEST(Admission, UnwarmedRouteAdmitsOptimistically) {
   const NetworkRegistry registry = two_precision_registry(70);
   SloOptions slo;
   slo.p99_budget_us = 100;
-  slo.min_samples = 2;
-  const AdmissionController ctrl(registry.entries(), slo, /*workers=*/1);
+  AdmissionController ctrl(registry.entries(), slo, /*workers=*/1);
   const auto idle = [](std::size_t) -> std::int64_t { return 0; };
   // No samples at all: the estimator has nothing to shed on.
   EXPECT_EQ(ctrl.admit(0, 0, idle).action, AdmissionController::Action::kAdmit);
   EXPECT_EQ(ctrl.ewma_us(0), 0.0);
+  // Three samples far over budget are still warmup; the fourth warms it.
+  for (int i = 0; i < 3; ++i) ctrl.record(0, 10'000);
+  EXPECT_EQ(ctrl.admit(0, 0, idle).action, AdmissionController::Action::kAdmit);
+  ctrl.record(0, 10'000);
+  EXPECT_NE(ctrl.admit(0, 0, idle).action, AdmissionController::Action::kAdmit);
 }
 
 TEST(Admission, EwmaSeedsOnFirstSampleThenBlends) {
   const NetworkRegistry registry = two_precision_registry(71);
-  SloOptions slo;
-  slo.ewma_alpha = 0.5;
-  AdmissionController ctrl(registry.entries(), slo, 1);
+  AdmissionController ctrl(registry.entries(), SloOptions{}, 1);
   ctrl.record(0, 100);
   EXPECT_EQ(ctrl.ewma_us(0), 100.0);  // first sample seeds, no decay from 0
   ctrl.record(0, 200);
-  EXPECT_EQ(ctrl.ewma_us(0), 150.0);
+  EXPECT_DOUBLE_EQ(ctrl.ewma_us(0), 120.0);  // 100 + 0.2 * (200 - 100)
   EXPECT_EQ(ctrl.samples(0), 2U);
   EXPECT_EQ(ctrl.ewma_us(1), 0.0);  // the other route is untouched
 }
@@ -1411,16 +1466,18 @@ TEST(Admission, DegradesToCheaperPrecisionThenSheds) {
   const NetworkRegistry registry = two_precision_registry(72);
   SloOptions slo;
   slo.p99_budget_us = 100;
-  slo.min_samples = 1;
   AdmissionController ctrl(registry.entries(), slo, 1);
   const auto idle = [](std::size_t) -> std::int64_t { return 0; };
+  const auto warm = [&](std::size_t route, std::int64_t us) {
+    for (int i = 0; i < 4; ++i) ctrl.record(route, us);
+  };
   // fp32 warmed far over budget, fp16 cold: degrade to the fp16 shard.
-  ctrl.record(0, 10'000);
+  warm(0, 10'000);
   auto decision = ctrl.admit(0, 0, idle);
   EXPECT_EQ(decision.action, AdmissionController::Action::kDegrade);
   EXPECT_EQ(decision.route, 1U);
   // fp16 warmed over budget too: nothing fits, shed with the estimates.
-  ctrl.record(1, 10'000);
+  warm(1, 10'000);
   decision = ctrl.admit(0, 0, idle);
   EXPECT_EQ(decision.action, AdmissionController::Action::kShed);
   EXPECT_GT(decision.estimate_us, decision.budget_us);
@@ -1433,19 +1490,20 @@ TEST(Admission, DegradesToCheaperPrecisionThenSheds) {
   EXPECT_NE(ctrl.admit(0, 0, deep).action, AdmissionController::Action::kAdmit);
 }
 
-TEST(Admission, ShedDisabledMeansMonitorOnly) {
+TEST(Admission, DegradeDisabledShedsAtRungZero) {
   const NetworkRegistry registry = two_precision_registry(73);
   SloOptions slo;
   slo.p99_budget_us = 10;
-  slo.min_samples = 1;
   slo.allow_degrade = false;
-  slo.allow_shed = false;
   AdmissionController ctrl(registry.entries(), slo, 1);
-  ctrl.record(0, 10'000);
+  for (int i = 0; i < 4; ++i) ctrl.record(0, 10'000);
   const auto idle = [](std::size_t) -> std::int64_t { return 0; };
+  // The cold fp16 rung would admit optimistically, but with degrade off the
+  // ladder stops at the requested route: over budget sheds there.
   const auto decision = ctrl.admit(0, 0, idle);
-  EXPECT_EQ(decision.action, AdmissionController::Action::kAdmit);
-  EXPECT_EQ(decision.route, 0U);  // unchanged: over budget is only observed
+  EXPECT_EQ(decision.action, AdmissionController::Action::kShed);
+  EXPECT_EQ(decision.route, 0U);
+  EXPECT_GT(decision.estimate_us, decision.budget_us);
 }
 
 TEST(Admission, X4FallsBackToTwoStageX2Rung) {
@@ -1460,11 +1518,12 @@ TEST(Admission, X4FallsBackToTwoStageX2Rung) {
   registry.add(RouteKey{"a", 2, core::InferencePrecision::kFp32}, net2);
   SloOptions slo;
   slo.p99_budget_us = 1000;
-  slo.min_samples = 1;
   AdmissionController ctrl(registry.entries(), slo, 1);
   const auto idle = [](std::size_t) -> std::int64_t { return 0; };
-  ctrl.record(0, 50'000);  // x4 hopelessly over budget
-  ctrl.record(1, 100);     // x2 cheap: two-stage estimate 5 * 100 fits
+  for (int i = 0; i < 4; ++i) {
+    ctrl.record(0, 50'000);  // x4 hopelessly over budget
+    ctrl.record(1, 100);     // x2 cheap: two-stage estimate 5 * 100 fits
+  }
   const auto decision = ctrl.admit(0, 0, idle);
   EXPECT_EQ(decision.action, AdmissionController::Action::kDegradeTwoStage);
   EXPECT_EQ(decision.route, 1U);
@@ -1484,12 +1543,12 @@ TEST(ShardedServer, DeadlineDegradesToRegisteredFallbackAndSheds) {
   registry.add(fp16_route, inference);
   ServeOptions options;
   options.workers = 1;
-  options.slo.min_samples = 1;  // one observation warms a route
   ShardedServer server(registry, options);
   const Tensor frame = make_frame(93, 32, 32);
 
-  // Warm fp32: no deadline, no SLO budget -> always admitted unchanged.
-  for (int i = 0; i < 2; ++i) {
+  // Warm fp32 (four observations): no deadline, no SLO budget -> always
+  // admitted unchanged.
+  for (int i = 0; i < 4; ++i) {
     AdmitResult r = server.submit_admitted(fp32_route, frame);
     r.future.get();
     EXPECT_FALSE(r.degraded);
@@ -1510,8 +1569,9 @@ TEST(ShardedServer, DeadlineDegradesToRegisteredFallbackAndSheds) {
   fp16_ref.set_precision(core::InferencePrecision::kFp16);
   EXPECT_EQ(max_abs_diff(degraded.future.get(), fp16_ref.upscale(frame)), 0.0F);
 
-  // That completion warmed fp16; now no rung fits 1us -> typed shed.
-  ASSERT_GT(server.admission().ewma_us(1), 0.0);
+  // Three more fp16 completions warm it; now no rung fits 1us -> typed shed.
+  for (int i = 0; i < 3; ++i) server.submit_admitted(fp16_route, frame).future.get();
+  ASSERT_EQ(server.admission().samples(1), 4U);
   AdmitResult shed = server.submit_admitted(fp32_route, frame, tight);
   EXPECT_TRUE(shed.shed);
   EXPECT_THROW(shed.future.get(), ShedError);
@@ -1534,13 +1594,12 @@ TEST(ShardedServer, X4DegradesToTwoStageX2BitIdentical) {
   registry.add(route2, net2);
   ServeOptions options;
   options.workers = 2;
-  options.slo.min_samples = 1;
   ShardedServer server(registry, options);
   const Tensor frame = make_frame(94, 12, 12);
 
-  // Warm the x4 route so its estimate exists; leave x2 cold so the two-stage
-  // rung admits optimistically.
-  server.submit_admitted(route4, frame).future.get();
+  // Warm the x4 route (four observations) so its estimate exists; leave x2
+  // cold so the two-stage rung admits optimistically.
+  for (int i = 0; i < 4; ++i) server.submit_admitted(route4, frame).future.get();
   SubmitOptions tight;
   tight.deadline_us = 1;
   AdmitResult result = server.submit_admitted(route4, frame, tight);
@@ -1636,9 +1695,7 @@ TEST(ShardedServer, ShutdownMidTileFanoutCompletesTheRequest) {
 TEST(ShardedServer, DrainRejectsTypedAndResumeReopens) {
   const core::SesrInference inference = make_inference(80, small_config());
   const RouteKey route{"a", 2, core::InferencePrecision::kFp32};
-  NetworkRegistry registry;
-  registry.add(route, inference);
-  ShardedServer server(registry, ServeOptions{});
+  ShardedServer server(one_route(inference, route), ServeOptions{});
   const Tensor frame = make_frame(96, 10, 10);
   EXPECT_EQ(max_abs_diff(server.submit(route, frame).get(), inference.upscale(frame)), 0.0F);
   server.begin_drain();

@@ -110,7 +110,7 @@ TEST(Wire, ResponseRoundTripsOkAndError) {
   error.id = 8;
   error.status = Status::kOverloaded;
   error.route = "m5:2:fp32";
-  error.message = "eval server: shed (estimated 900us over budget 100us)";
+  error.message = "server: shed (estimated 900us over budget 100us)";
   decoded = decode_response(payload_of(encode_response(error)));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->status, Status::kOverloaded);
@@ -723,15 +723,15 @@ TEST(NetServer, DeadlineShedSurfacesAsOverloadedStatus) {
   registry.add(RouteKey{"m5", 2, core::InferencePrecision::kFp32}, inference);
   ServeOptions options;
   options.workers = 1;
-  options.slo.min_samples = 1;
   ShardedServer server(registry, options);
   NetServer net(server, NetServerOptions{});
   NetClient client("127.0.0.1", net.port());
   const Tensor frame = make_frame(98, 32, 32);
-  // Warm the route's service estimate, then ask for the impossible: a 1us
-  // deadline. With no cheaper registered route the request sheds, and the
-  // wire answer is the typed overload status, not a dead connection.
-  ASSERT_EQ(client.upscale("m5:2:fp32", frame).status, Status::kOk);
+  // Warm the route's service estimate (four observations), then ask for the
+  // impossible: a 1us deadline. With no cheaper registered route the request
+  // sheds, and the wire answer is the typed overload status, not a dead
+  // connection.
+  for (int i = 0; i < 4; ++i) ASSERT_EQ(client.upscale("m5:2:fp32", frame).status, Status::kOk);
   const WireResponse shed = client.upscale("m5:2:fp32", frame, /*deadline_us=*/1);
   EXPECT_EQ(shed.status, Status::kOverloaded);
   EXPECT_FALSE(shed.message.empty());

@@ -133,17 +133,6 @@ TEST(VideoSynthesis, PanShiftsContent) {
   }
 }
 
-TEST(VideoSynthesis, ParsePatternRoundTrips) {
-  const data::VideoPattern patterns[] = {data::VideoPattern::kStatic, data::VideoPattern::kPan,
-                                         data::VideoPattern::kCut, data::VideoPattern::kSparkle,
-                                         data::VideoPattern::kMixed};
-  for (const data::VideoPattern pattern : patterns) {
-    EXPECT_EQ(data::parse_video_pattern(data::to_string(pattern)), pattern);
-  }
-  EXPECT_THROW(data::parse_video_pattern("strobe"), std::invalid_argument);
-  EXPECT_THROW(data::parse_video_pattern(""), std::invalid_argument);
-}
-
 TEST(VideoSynthesis, RejectsInvalidOptions) {
   data::VideoSequenceOptions options;
   options.frames = 0;

@@ -58,8 +58,13 @@ class Args {
   }
 
   std::string get(const std::string& key) const { return values_.at(key); }
-  std::int64_t get_int(const std::string& key) const { return std::stoll(values_.at(key)); }
-  double get_double(const std::string& key) const { return std::stod(values_.at(key)); }
+  // A value that does not parse as a number is a bad command line too.
+  std::int64_t get_int(const std::string& key) const {
+    return number<std::int64_t>(key, [](const std::string& v) { return std::stoll(v); });
+  }
+  double get_double(const std::string& key) const {
+    return number<double>(key, [](const std::string& v) { return std::stod(v); });
+  }
   bool get_flag(const std::string& key) const {
     const std::string v = values_.at(key);
     return !v.empty() && v != "0" && v != "false";
@@ -76,6 +81,16 @@ class Args {
   }
 
  private:
+  template <typename T, typename Parse>
+  T number(const std::string& key, Parse parse) const {
+    const std::string& value = values_.at(key);
+    try {
+      return parse(value);
+    } catch (const std::logic_error&) {  // invalid_argument or out_of_range
+      throw UsageError("bad number for --" + key + ": '" + value + "'");
+    }
+  }
+
   const Option* find(const std::string& key) const {
     for (const Option& o : options_) {
       if (o.key == key) return &o;

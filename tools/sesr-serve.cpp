@@ -1,4 +1,4 @@
-// sesr-serve — the TCP/HTTP front end of the sharded eval server.
+// sesr-serve — the TCP/HTTP front end of the sharded server.
 //
 // Loads one or more freshly initialized collapsed SESR networks
 // (--networks m5:2,m11:2:fp16; m5:2:fp32 by default) into a ShardedServer and
@@ -202,14 +202,19 @@ int run_listen(const cli::ServeCliConfig& config) {
 
 }  // namespace
 
+// Exit codes: 0 after a clean drain, 2 for a bad command line (with the
+// option table), 1 for any runtime failure such as a bind error.
 int main(int argc, char** argv) {
   try {
     const cli::Args args(cli::serve_cli_options(), argc, argv);
     return run_listen(cli::parse_serve_cli(args));
-  } catch (const std::exception& e) {
+  } catch (const cli::UsageError& e) {
     std::fprintf(stderr, "sesr-serve: %s\n\n", e.what());
     const cli::Args usage(cli::serve_cli_options(), 1, argv);
-    usage.usage("sesr-serve", "TCP/HTTP front end for the sharded eval server");
+    usage.usage("sesr-serve", "TCP/HTTP front end for the sharded server");
     return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "sesr-serve: %s\n", e.what());
+    return 1;
   }
 }
