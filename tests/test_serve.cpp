@@ -1158,11 +1158,9 @@ TEST(ShardedServer, VideoSubmitSharesTheAdmissionGates) {
   const Tensor frame = make_frame(44, 13, 15);
 
   EXPECT_THROW(submit(0, key, Tensor(1, 13, 15, 3), 1).future.get(), std::invalid_argument);
-  EXPECT_EQ(fired[0].load(), 1);
   EXPECT_THROW(submit(1, RouteKey{"nope", 2, core::InferencePrecision::kFp32}, frame, 1)
                    .future.get(),
                UnknownRouteError);
-  EXPECT_EQ(fired[1].load(), 1);
   const Tensor first = submit(2, key, frame, 1).future.get();
   AdmitResult repeat = submit(3, key, frame, 2);  // zero dirty tiles: resolved on submit
   EXPECT_EQ(fired[3].load(), 1);
@@ -1171,9 +1169,7 @@ TEST(ShardedServer, VideoSubmitSharesTheAdmissionGates) {
   EXPECT_EQ(max_abs_diff(repeat.future.get(), first), 0.0F);
 
   server.begin_drain();  // returns once every admitted request gave its token back
-  EXPECT_EQ(fired[2].load(), 1);
   EXPECT_THROW(submit(4, key, frame, 3).future.get(), ServerDrainingError);
-  EXPECT_EQ(fired[4].load(), 1);
   server.begin_drain();  // the refused frame holds no token either
   server.shutdown();
   try {
@@ -1183,7 +1179,6 @@ TEST(ShardedServer, VideoSubmitSharesTheAdmissionGates) {
     ADD_FAILURE() << "closed server answered ServerDrainingError";
   } catch (const ServerClosedError&) {
   }
-  EXPECT_EQ(fired[5].load(), 1);
   for (std::size_t path = 0; path < fired.size(); ++path) {
     EXPECT_EQ(fired[path].load(), 1) << "path " << path;
   }
