@@ -276,6 +276,18 @@ void BM_Fp16ConvertToFloat(benchmark::State& state) {
 }
 BENCHMARK(BM_Fp16ConvertToFloat)->Arg(4096)->Arg(1 << 20);
 
+struct HalfRows {
+  const fp16::Half* a;
+  std::int64_t k;
+};
+
+const float* half_row(const void* ctx, std::int64_t row, std::int64_t p0, std::int64_t kc,
+                      float* buf) {
+  const auto& s = *static_cast<const HalfRows*>(ctx);
+  fp16::convert_to_float(s.a + row * s.k + p0, buf, kc);
+  return buf;
+}
+
 void BM_GemmFp16wSesrShape(benchmark::State& state) {
   // The fp16-storage counterpart of BM_GemmSesrShape: same flops, half the
   // operand bytes, staging through the F16C widening kernels.
@@ -290,8 +302,9 @@ void BM_GemmFp16wSesrShape(benchmark::State& state) {
   fp16::convert_to_half(af.data(), a.data(), static_cast<std::int64_t>(af.size()));
   fp16::convert_to_half(bf.data(), b.data(), static_cast<std::int64_t>(bf.size()));
   std::vector<float> c(static_cast<std::size_t>(m * n));
+  const HalfRows rows{a.data(), k};
   for (auto _ : state) {
-    nn::gemm_fp16w(a, b, {}, c, m, k, n, nn::Epilogue{});
+    nn::gemm_rows(half_row, &rows, b, {}, c, m, k, n, nn::Epilogue{});
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * m * k * n);

@@ -133,7 +133,9 @@ TrialResult gemm_trial_with_isa(std::uint64_t seed, nn::GemmIsa isa) {
   if (!guard.ok()) return skipped_trial("avx2+fma");
   Rng rng(seed);
   const std::int64_t m = rng.uniform_int(1, 64);
-  const std::int64_t k = rng.uniform_int(1, 96);
+  // A third of the trials cross the kKc = 256 k-block boundary.
+  const std::int64_t k = rng.bernoulli(1.0 / 3.0) ? rng.uniform_int(257, 600)
+                                                  : rng.uniform_int(1, 96);
   const std::int64_t n = rng.uniform_int(1, 64);
   std::vector<float> a(static_cast<std::size_t>(m * k));
   std::vector<float> b(static_cast<std::size_t>(k * n));
@@ -225,13 +227,31 @@ TrialResult conv2d_trial(std::uint64_t seed) {
   const Tensor input = random_tensor(rng, rng.uniform_int(1, 2), h, w, in_c);
   const Tensor weight = random_tensor(rng, kk, kk, in_c, out_c);
   const nn::Padding pad = valid ? nn::Padding::kValid : nn::Padding::kSame;
-  const Tensor got = nn::conv2d(input, weight, pad, stride);
-  const DTensor want = ref_conv2d(input, weight, nn::conv_geometry(input, weight, pad, stride));
-  r.stats = compare_f32(got.data(), want.data);
-  r.output_hash = hash_bits(got.data());
+  DTensor want = ref_conv2d(input, weight, nn::conv_geometry(input, weight, pad, stride));
   std::ostringstream os;
   os << "in=" << shape_str(input.shape()) << " k=" << kk << " stride=" << stride
      << (valid ? " valid" : " same");
+  Tensor got;
+  if (rng.bernoulli(0.5)) {
+    got = nn::conv2d(input, weight, pad, stride);
+  } else {
+    // The served fp32 path: bias and ReLU/PReLU fused into the GEMM store,
+    // against a bias add and activation in double.
+    const Tensor bias = random_tensor(rng, 1, 1, 1, out_c);
+    const Tensor alpha = random_tensor(rng, 1, 1, 1, out_c, -0.5F, 0.5F);
+    const bool prelu = rng.bernoulli(0.5);
+    const nn::Epilogue epi = prelu ? nn::Epilogue{nn::Epilogue::Act::kPRelu, alpha.raw()}
+                                   : nn::Epilogue{nn::Epilogue::Act::kRelu, nullptr};
+    got = nn::conv2d_fused(input, weight, &bias, epi, pad, stride);
+    for (std::size_t i = 0; i < want.data.size(); ++i) {
+      const std::int64_t c = static_cast<std::int64_t>(i) % out_c;
+      const double v = want.data[i] + static_cast<double>(bias.raw()[c]);
+      want.data[i] = v > 0.0 ? v : (prelu ? static_cast<double>(alpha.raw()[c]) * v : 0.0);
+    }
+    os << " fused bias " << (prelu ? "prelu" : "relu");
+  }
+  r.stats = compare_f32(got.data(), want.data);
+  r.output_hash = hash_bits(got.data());
   r.detail = os.str();
   return r;
 }
@@ -1013,7 +1033,9 @@ std::vector<AuditPair> make_builtin_pairs() {
                    [](std::uint64_t s) { return gemm_trial_with_isa(s, nn::GemmIsa::kAvx2); }});
   pairs.push_back({"gemm_zero_skip", "zero-skipping GEMM on sparse probes vs double GEMM", 1e-4,
                    256.0, gemm_zero_skip_trial});
-  pairs.push_back({"conv2d_striped", "striped im2col conv (k in {3,5,7}, strides, SAME/VALID)",
+  pairs.push_back({"conv2d_striped",
+                   "striped im2col conv (k in {3,5,7}, strides, SAME/VALID; half fused with "
+                   "bias and ReLU/PReLU)",
                    1e-4, 256.0, conv2d_trial});
   pairs.push_back(
       {"conv2d_1x1", "pointwise conv fast path (no im2col)", 1e-5, 64.0, conv2d_1x1_trial});

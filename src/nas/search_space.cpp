@@ -22,12 +22,23 @@ const std::vector<std::int64_t>& channel_menu() {
 }
 
 std::string Genome::describe() const {
-  std::string s = "f=" + std::to_string(f) + " [" + std::to_string(first.kh) + "x" +
-                  std::to_string(first.kw) + " |";
+  // Appended piece by piece: gcc 12 flags `"literal" + std::string&&` with a
+  // false -Wrestrict.
+  const auto kernel = [](const KernelChoice& k) {
+    return std::to_string(k.kh) + "x" + std::to_string(k.kw);
+  };
+  std::string s = "f=";
+  s += std::to_string(f);
+  s += " [";
+  s += kernel(first);
+  s += " |";
   for (const KernelChoice& k : blocks) {
-    s += " " + std::to_string(k.kh) + "x" + std::to_string(k.kw);
+    s += ' ';
+    s += kernel(k);
   }
-  s += " | " + std::to_string(last.kh) + "x" + std::to_string(last.kw) + "]";
+  s += " | ";
+  s += kernel(last);
+  s += ']';
   return s;
 }
 

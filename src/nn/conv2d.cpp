@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "nn/gemm.hpp"
 #include "nn/init.hpp"
@@ -12,25 +13,23 @@
 namespace sesr::nn {
 
 namespace {
-void check_weight(const Tensor& weight) {
-  if (!weight.shape().valid()) {
-    throw std::invalid_argument("conv2d: invalid weight shape " + weight.shape().to_string());
-  }
+void check_weight(const Shape& w) {
+  if (!w.valid()) throw std::invalid_argument("conv2d: invalid weight shape " + w.to_string());
 }
 
-void check_channels(const Shape& input, const Tensor& weight) {
-  if (input.c() != weight.shape().dim(2)) {
+void check_channels(const Shape& input, const Shape& w) {
+  if (input.c() != w.dim(2)) {
     throw std::invalid_argument("conv2d: input channels " + std::to_string(input.c()) +
-                                " != weight in_channels " + std::to_string(weight.shape().dim(2)));
+                                " != weight in_channels " + std::to_string(w.dim(2)));
   }
 }
 
-ConvGeometry conv_geometry_shape(const Shape& s, const Tensor& weight, Padding padding,
+ConvGeometry conv_geometry_shape(const Shape& s, const Shape& w, Padding padding,
                                  std::int64_t stride) {
-  check_weight(weight);
-  check_channels(s, weight);
-  const std::int64_t kh = weight.shape().dim(0);
-  const std::int64_t kw = weight.shape().dim(1);
+  check_weight(w);
+  check_channels(s, w);
+  const std::int64_t kh = w.dim(0);
+  const std::int64_t kw = w.dim(1);
   if (padding == Padding::kSame) return same_geometry(s.h(), s.w(), s.c(), kh, kw, stride);
   if (stride != 1) throw std::invalid_argument("conv2d: VALID padding supports stride 1 only");
   return valid_geometry(s.h(), s.w(), s.c(), kh, kw);
@@ -45,121 +44,31 @@ std::int64_t stripes_per_image(std::int64_t rows) {
   return (rows + kStripePixels - 1) / kStripePixels;
 }
 
-// Shared forward: stripes the im2col row space across the pool and fuses the
-// optional bias into the GEMM store. `zero_skip` selects the branchy
-// zero-skipping kernel kept for Algorithm-1 identity probes. Input and output
-// are raw NHWC images (in_shape describes `input`; `out` must hold
-// batch * out_h * out_w * out_c floats) so planner-owned arena slices work the
-// same as Tensor storage; the Tensor entry points below allocate and delegate.
-void conv2d_impl(const float* input, const Shape& in_shape, const Tensor& weight,
-                 const float* bias, Padding padding, std::int64_t stride, bool zero_skip,
-                 const Epilogue* epi, float* out) {
-  const ConvGeometry g = conv_geometry_shape(in_shape, weight, padding, stride);
-  const std::int64_t out_c = weight.shape().dim(3);
-  const std::int64_t batch = in_shape.n();
-  const Shape out_shape(batch, g.out_h, g.out_w, out_c);
-  ThreadPool& pool = ThreadPool::global();
-  const std::span<const float> bspan =
-      bias != nullptr ? std::span<const float>{bias, static_cast<std::size_t>(out_c)}
-                      : std::span<const float>{};
-
-  // 1x1 stride-1 fast path (dominant in expanded SESR linear blocks): im2col
-  // is the identity, so the whole batch is a single [batch*H*W, C] x
-  // [C, out_c] product straight off the NHWC activations — no lowering, no
-  // copies, bias fused into the epilogue.
-  if (!zero_skip && g.kh == 1 && g.kw == 1 && g.stride == 1) {
-    const std::int64_t cin = g.channels;
-    pool.parallel_for_chunks(
-        0, batch * g.rows(), kStripePixels, [&](std::int64_t lo, std::int64_t hi) {
-          const std::int64_t rows = hi - lo;
-          std::span<const float> src(input + lo * cin, static_cast<std::size_t>(rows * cin));
-          std::span<float> dst(out + lo * out_c, static_cast<std::size_t>(rows * out_c));
-          if (epi != nullptr) {
-            gemm_fused(src, weight.data(), bspan, dst, rows, cin, out_c, *epi);
-          } else if (bias != nullptr) {
-            gemm_bias(src, weight.data(), bspan, dst, rows, cin, out_c);
-          } else {
-            gemm(src, weight.data(), dst, rows, cin, out_c);
-          }
-        });
-    return;
-  }
-
-  // General path: one flat index space over (image, stripe) gives batch
-  // parallelism and intra-image parallelism from the same loop, so N=1
-  // deployment inference still uses the whole machine.
-  const std::int64_t sc = stripes_per_image(g.rows());
-  pool.parallel_for(0, batch * sc, [&](std::int64_t idx) {
-    const std::int64_t n = idx / sc;
-    const std::int64_t r0 = (idx % sc) * kStripePixels;
-    const std::int64_t r1 = std::min(r0 + kStripePixels, g.rows());
-    const std::int64_t rows = r1 - r0;
-    std::span<float> cols =
-        scratch_floats(ScratchSlot::kIm2col, static_cast<std::size_t>(rows * g.cols()));
-    im2col_rows(input + in_shape.offset(n, 0, 0, 0), g, r0, r1, cols.data());
-    std::span<float> dst(out + out_shape.offset(n, 0, 0, 0) + r0 * out_c,
-                         static_cast<std::size_t>(rows * out_c));
-    if (zero_skip) {
-      gemm_zero_skip(cols, weight.data(), dst, rows, g.cols(), out_c);
-      if (bias != nullptr) {
-        for (std::int64_t i = 0; i < rows; ++i) {
-          for (std::int64_t c = 0; c < out_c; ++c) dst[i * out_c + c] += bias[c];
-        }
-      }
-    } else if (epi != nullptr) {
-      gemm_fused(cols, weight.data(), bspan, dst, rows, g.cols(), out_c, *epi);
-    } else if (bias != nullptr) {
-      gemm_bias(cols, weight.data(), bspan, dst, rows, g.cols(), out_c);
-    } else {
-      gemm(cols, weight.data(), dst, rows, g.cols(), out_c);
-    }
-  });
+// One run of NHWC activations into an A row: fp32 is copied, binary16 widened.
+void load_run(const float* src, float* dst, std::int64_t n) { std::copy(src, src + n, dst); }
+void load_run(const fp16::Half* src, float* dst, std::int64_t n) {
+  fp16::convert_to_float(src, dst, n);
 }
 
-// Allocating wrapper around the raw-pointer core.
-Tensor conv2d_alloc(const Tensor& input, const Tensor& weight, const float* bias, Padding padding,
-                    std::int64_t stride, bool zero_skip, const Epilogue* epi = nullptr) {
-  const ConvGeometry g = conv_geometry_shape(input.shape(), weight, padding, stride);
-  Tensor out(input.shape().n(), g.out_h, g.out_w, weight.shape().dim(3));
-  conv2d_impl(input.raw(), input.shape(), weight, bias, padding, stride, zero_skip, epi,
-              out.raw());
-  return out;
-}
-
-ConvGeometry conv_geometry_fp16(const Shape& in_s, const Shape& w_s, Padding padding,
-                                std::int64_t stride) {
-  if (!w_s.valid()) {
-    throw std::invalid_argument("conv2d_fp16: invalid weight shape " + w_s.to_string());
-  }
-  if (in_s.c() != w_s.dim(2)) {
-    throw std::invalid_argument("conv2d_fp16: input channels " + std::to_string(in_s.c()) +
-                                " != weight in_channels " + std::to_string(w_s.dim(2)));
-  }
-  const std::int64_t kh = w_s.dim(0);
-  const std::int64_t kw = w_s.dim(1);
-  if (padding == Padding::kSame) return same_geometry(in_s.h(), in_s.w(), in_s.c(), kh, kw, stride);
-  if (stride != 1) {
-    throw std::invalid_argument("conv2d_fp16: VALID padding supports stride 1 only");
-  }
-  return valid_geometry(in_s.h(), in_s.w(), in_s.c(), kh, kw);
-}
-
-// Implicit im2col source for the fp16 GEMM: widens the k-slice [p0, p0+kc) of
-// im2col row `row` (stripe-local; `row0` rebases to the image row space)
-// straight from the NHWC fp16 activations. The fp16 conv path never builds a
-// column matrix — lowering happens inside the GEMM's A-pack, so the largest
-// intermediate of the explicit scheme (rows x kh*kw*c halves, written by
-// im2col and re-read by the pack) disappears. Values are identical to
-// lowering first and widening after, so conv results stay bit-identical.
-struct Im2colFp16Source {
-  const fp16::Half* img;  // base of batch image n
+// The A operand of one output stripe, for the GEMM's row producer.
+template <typename T>
+struct ConvRows {
+  const T* img;  // base of batch image n
   const ConvGeometry* g;
-  std::int64_t row0;      // first image-space im2col row of this stripe
+  std::int64_t row0;  // first image-space im2col row of this stripe
 };
 
-void im2col_fp16_row(const void* vctx, std::int64_t row, std::int64_t p0, std::int64_t kc,
-                     float* dst) {
-  const auto& s = *static_cast<const Im2colFp16Source*>(vctx);
+// Implicit im2col: writes the k-slice [p0, p0+kc) of im2col row `row`
+// (stripe-local; `row0` rebases it to the image row space) straight from the
+// NHWC activations. The forward never builds a column matrix — lowering
+// happens inside the GEMM's A-pack, so the largest intermediate of the
+// explicit scheme (rows x kh*kw*c values, written by im2col and re-read by the
+// pack) disappears. The values are those im2col_rows would store, so the
+// packed panels, and with them the output bits, are the same.
+template <typename T>
+const float* im2col_row(const void* vctx, std::int64_t row, std::int64_t p0, std::int64_t kc,
+                        float* buf) {
+  const auto& s = *static_cast<const ConvRows<T>*>(vctx);
   const ConvGeometry& g = *s.g;
   const std::int64_t c = g.channels;
   const std::int64_t kwc = g.kw * c;
@@ -170,10 +79,11 @@ void im2col_fp16_row(const void* vctx, std::int64_t row, std::int64_t p0, std::i
   const std::int64_t ix0 = ox * g.stride - g.pad_left;
   // Column q maps to kernel row (q / (kw*c)) and cell (q % (kw*c)); within one
   // kernel row, consecutive kx taps are adjacent in NHWC memory, so the whole
-  // in-bounds cell range [lo, hi) widens as a single contiguous F16C run with
-  // at most one zero-fill on either side for the horizontal padding.
+  // in-bounds cell range [lo, hi) loads as a single contiguous run with at
+  // most one zero-fill on either side for the horizontal padding.
   const std::int64_t lo = std::max<std::int64_t>(0, -ix0) * c;
   const std::int64_t hi = (std::min(g.kw, g.in_w - ix0)) * c;
+  float* dst = buf;
   std::int64_t q = p0;
   const std::int64_t q_end = p0 + kc;
   std::int64_t ky = q / kwc;
@@ -187,8 +97,7 @@ void im2col_fp16_row(const void* vctx, std::int64_t row, std::int64_t p0, std::i
       const std::int64_t cut0 = std::clamp(lo, cell, cell + len);
       const std::int64_t cut1 = std::clamp(hi, cell, cell + len);
       std::fill(dst, dst + (cut0 - cell), 0.0F);
-      fp16::convert_to_float(s.img + (iy * g.in_w + ix0) * c + cut0, dst + (cut0 - cell),
-                             cut1 - cut0);
+      load_run(s.img + (iy * g.in_w + ix0) * c + cut0, dst + (cut0 - cell), cut1 - cut0);
       std::fill(dst + (cut1 - cell), dst + len, 0.0F);
     }
     dst += len;
@@ -196,145 +105,166 @@ void im2col_fp16_row(const void* vctx, std::int64_t row, std::int64_t p0, std::i
     ++ky;
     cell = 0;
   }
+  return buf;
 }
 
-// Shared fp16-storage forward. Exactly one of out_h / out_f receives the
-// result: out_h gets each stripe rounded to binary16 once, out_f stores the
-// fp32 accumulator stripes directly. Raw NHWC in/out (see conv2d_impl); the
-// Tensor entry points allocate and delegate.
-void conv2d_fp16_impl(const fp16::Half* input, const Shape& in_shape,
-                      const fp16::HalfTensor& weight, const Tensor* bias, const Epilogue& epi,
-                      Padding padding, std::int64_t stride, fp16::Half* out_h, float* out_f) {
-  const ConvGeometry g = conv_geometry_fp16(in_shape, weight.shape(), padding, stride);
-  const std::int64_t out_c = weight.shape().dim(3);
-  const std::int64_t batch = in_shape.n();
-  if (bias != nullptr && bias->numel() != out_c) {
-    throw std::invalid_argument("conv2d_fp16: bias numel must equal out_channels");
+// 1x1 stride-1: im2col is the identity, so row r is input pixel r itself,
+// read in place (fp32) or widened into buf (binary16).
+template <typename T>
+const float* pixel_row(const void* vctx, std::int64_t row, std::int64_t p0, std::int64_t kc,
+                       float* buf) {
+  const auto& s = *static_cast<const ConvRows<T>*>(vctx);
+  const T* src = s.img + (s.row0 + row) * s.g->channels + p0;
+  if constexpr (std::is_same_v<T, float>) {
+    return src;
+  } else {
+    load_run(src, buf, kc);
+    return buf;
   }
-  const Shape out_shape(batch, g.out_h, g.out_w, out_c);
-  const std::span<const fp16::Half> wspan(weight.raw(),
-                                          static_cast<std::size_t>(weight.numel()));
+}
+
+// The conv forward for fp32 (T = float) and binary16 (T = fp16::Half)
+// storage. One flat index space over (image, stripe) gives batch parallelism
+// and intra-image parallelism from the same loop, so N=1 deployment inference
+// still uses the whole machine. Each stripe is one gemm_rows call with bias
+// and activation fused into its store. Exactly one of out_f / out_h receives
+// the result: out_f gets the fp32 accumulator stripes directly, out_h each
+// stripe rounded to binary16 once. Input and output are raw NHWC images
+// (in_shape describes `input`) so planner-owned arena slices work the same as
+// Tensor storage; the Tensor entry points below allocate and delegate.
+template <typename T>
+void conv_forward(const T* input, const Shape& in_shape, const Shape& w_shape, const T* weight,
+                  const Tensor* bias, const Epilogue& epi, Padding padding, std::int64_t stride,
+                  float* out_f, fp16::Half* out_h) {
+  const ConvGeometry g = conv_geometry_shape(in_shape, w_shape, padding, stride);
+  const std::int64_t out_c = w_shape.dim(3);
+  if (bias != nullptr && bias->numel() != out_c) {
+    throw std::invalid_argument("conv2d: bias numel must equal out_channels");
+  }
+  const Shape out_shape(in_shape.n(), g.out_h, g.out_w, out_c);
+  const std::span<const T> wspan(weight, static_cast<std::size_t>(w_shape.numel()));
   const std::span<const float> bspan =
       bias != nullptr ? std::span<const float>{bias->raw(), static_cast<std::size_t>(out_c)}
                       : std::span<const float>{};
-  // For 1x1 stride-1 the im2col is the identity, so the GEMM reads straight
-  // off the NHWC fp16 activations (g.cols() == channels there). Everything
-  // else lowers implicitly inside the GEMM's A-pack (see Im2colFp16Source).
-  const bool fast_1x1 = g.kh == 1 && g.kw == 1 && g.stride == 1;
+  const RowSource rows_of =
+      g.kh == 1 && g.kw == 1 && g.stride == 1 ? pixel_row<T> : im2col_row<T>;
   const std::int64_t sc = stripes_per_image(g.rows());
-  ThreadPool::global().parallel_for(0, batch * sc, [&](std::int64_t idx) {
+  ThreadPool::global().parallel_for(0, in_shape.n() * sc, [&](std::int64_t idx) {
     const std::int64_t n = idx / sc;
     const std::int64_t r0 = (idx % sc) * kStripePixels;
-    const std::int64_t r1 = std::min(r0 + kStripePixels, g.rows());
-    const std::int64_t rows = r1 - r0;
+    const std::int64_t rows = std::min(r0 + kStripePixels, g.rows()) - r0;
     const std::int64_t base = out_shape.offset(n, 0, 0, 0) + r0 * out_c;
-    std::span<float> dst;
-    if (out_f != nullptr) {
-      dst = {out_f + base, static_cast<std::size_t>(rows * out_c)};
-    } else {
-      dst = scratch_floats(ScratchSlot::kF16OutStripe, static_cast<std::size_t>(rows * out_c));
-    }
-    if (fast_1x1) {
-      const std::span<const fp16::Half> a{input + (n * g.rows() + r0) * g.channels,
-                                          static_cast<std::size_t>(rows * g.channels)};
-      gemm_fp16w(a, wspan, bspan, dst, rows, g.cols(), out_c, epi);
-    } else {
-      const Im2colFp16Source src{input + in_shape.offset(n, 0, 0, 0), &g, r0};
-      gemm_fp16_rows(im2col_fp16_row, &src, wspan, bspan, dst, rows, g.cols(), out_c, epi);
-    }
-    if (out_h != nullptr) {
-      fp16::convert_to_half(dst.data(), out_h + base, rows * out_c);
-    }
+    const std::size_t len = static_cast<std::size_t>(rows * out_c);
+    const std::span<float> dst = out_f != nullptr
+                                     ? std::span<float>{out_f + base, len}
+                                     : scratch_floats(ScratchSlot::kF16OutStripe, len);
+    const ConvRows<T> src{input + in_shape.offset(n, 0, 0, 0), &g, r0};
+    gemm_rows(rows_of, &src, wspan, bspan, dst, rows, g.cols(), out_c, epi);
+    if (out_h != nullptr) fp16::convert_to_half(dst.data(), out_h + base, rows * out_c);
   });
+}
+
+Tensor conv2d_alloc(const Tensor& input, const Tensor& weight, const Tensor* bias,
+                    const Epilogue& epi, Padding padding, std::int64_t stride) {
+  const ConvGeometry g = conv_geometry_shape(input.shape(), weight.shape(), padding, stride);
+  Tensor out(input.shape().n(), g.out_h, g.out_w, weight.shape().dim(3));
+  conv_forward(input.raw(), input.shape(), weight.shape(), weight.raw(), bias, epi, padding,
+               stride, out.raw(), nullptr);
+  return out;
 }
 }  // namespace
 
 ConvGeometry conv_geometry(const Tensor& input, const Tensor& weight, Padding padding,
                            std::int64_t stride) {
-  return conv_geometry_shape(input.shape(), weight, padding, stride);
+  return conv_geometry_shape(input.shape(), weight.shape(), padding, stride);
 }
 
 Tensor conv2d(const Tensor& input, const Tensor& weight, Padding padding, std::int64_t stride) {
-  return conv2d_alloc(input, weight, nullptr, padding, stride, /*zero_skip=*/false);
+  return conv2d_alloc(input, weight, nullptr, Epilogue{}, padding, stride);
 }
 
 Tensor conv2d_zero_skip(const Tensor& input, const Tensor& weight, Padding padding,
                         std::int64_t stride) {
-  return conv2d_alloc(input, weight, nullptr, padding, stride, /*zero_skip=*/true);
+  // Explicit im2col and the zero-skipping kernel: the Algorithm-1 identity
+  // probes are mostly zeros, and these bits become the collapsed weights.
+  const ConvGeometry g = conv_geometry(input, weight, padding, stride);
+  const std::int64_t out_c = weight.shape().dim(3);
+  Tensor out(input.shape().n(), g.out_h, g.out_w, out_c);
+  const std::int64_t sc = stripes_per_image(g.rows());
+  ThreadPool::global().parallel_for(0, input.shape().n() * sc, [&](std::int64_t idx) {
+    const std::int64_t n = idx / sc;
+    const std::int64_t r0 = (idx % sc) * kStripePixels;
+    const std::int64_t r1 = std::min(r0 + kStripePixels, g.rows());
+    const std::int64_t rows = r1 - r0;
+    std::span<float> cols =
+        scratch_floats(ScratchSlot::kIm2col, static_cast<std::size_t>(rows * g.cols()));
+    im2col_rows(input, n, g, r0, r1, cols.data());
+    std::span<float> dst(out.raw() + out.shape().offset(n, 0, 0, 0) + r0 * out_c,
+                         static_cast<std::size_t>(rows * out_c));
+    gemm_zero_skip(cols, weight.data(), dst, rows, g.cols(), out_c);
+  });
+  return out;
 }
 
 Tensor conv2d_bias(const Tensor& input, const Tensor& weight, const Tensor& bias, Padding padding,
                    std::int64_t stride) {
-  const std::int64_t out_c = weight.shape().dim(3);
-  if (bias.numel() != out_c) {
-    throw std::invalid_argument("conv2d_bias: bias numel must equal out_channels");
-  }
-  return conv2d_alloc(input, weight, bias.raw(), padding, stride, /*zero_skip=*/false);
+  return conv2d_alloc(input, weight, &bias, Epilogue{}, padding, stride);
 }
 
 Tensor conv2d_fused(const Tensor& input, const Tensor& weight, const Tensor* bias,
                     const Epilogue& epilogue, Padding padding, std::int64_t stride) {
-  const std::int64_t out_c = weight.shape().dim(3);
-  if (bias != nullptr && bias->numel() != out_c) {
-    throw std::invalid_argument("conv2d_fused: bias numel must equal out_channels");
-  }
-  return conv2d_alloc(input, weight, bias != nullptr ? bias->raw() : nullptr, padding, stride,
-                      /*zero_skip=*/false, &epilogue);
+  return conv2d_alloc(input, weight, bias, epilogue, padding, stride);
 }
 
 void conv2d_into(const float* input, const Shape& in_shape, const Tensor& weight,
                  const Tensor* bias, const Epilogue* epilogue, Padding padding, float* out,
                  std::int64_t stride) {
-  const std::int64_t out_c = weight.shape().dim(3);
-  if (bias != nullptr && bias->numel() != out_c) {
-    throw std::invalid_argument("conv2d_into: bias numel must equal out_channels");
-  }
-  conv2d_impl(input, in_shape, weight, bias != nullptr ? bias->raw() : nullptr, padding, stride,
-              /*zero_skip=*/false, epilogue, out);
+  conv_forward(input, in_shape, weight.shape(), weight.raw(), bias,
+               epilogue != nullptr ? *epilogue : Epilogue{}, padding, stride, out, nullptr);
 }
 
 fp16::HalfTensor conv2d_fp16(const fp16::HalfTensor& input, const fp16::HalfTensor& weight,
                              const Tensor* bias, const Epilogue& epilogue, Padding padding,
                              std::int64_t stride) {
-  const ConvGeometry g = conv_geometry_fp16(input.shape(), weight.shape(), padding, stride);
+  const ConvGeometry g = conv_geometry_shape(input.shape(), weight.shape(), padding, stride);
   fp16::HalfTensor out(input.shape().n(), g.out_h, g.out_w, weight.shape().dim(3));
-  conv2d_fp16_impl(input.raw(), input.shape(), weight, bias, epilogue, padding, stride, out.raw(),
-                   nullptr);
+  conv2d_fp16_into(input.raw(), input.shape(), weight, bias, epilogue, padding, out.raw(), stride);
   return out;
 }
 
 Tensor conv2d_fp16_to_float(const fp16::HalfTensor& input, const fp16::HalfTensor& weight,
                             const Tensor* bias, const Epilogue& epilogue, Padding padding,
                             std::int64_t stride) {
-  const ConvGeometry g = conv_geometry_fp16(input.shape(), weight.shape(), padding, stride);
+  const ConvGeometry g = conv_geometry_shape(input.shape(), weight.shape(), padding, stride);
   Tensor out(input.shape().n(), g.out_h, g.out_w, weight.shape().dim(3));
-  conv2d_fp16_impl(input.raw(), input.shape(), weight, bias, epilogue, padding, stride, nullptr,
-                   out.raw());
+  conv2d_fp16_to_float_into(input.raw(), input.shape(), weight, bias, epilogue, padding,
+                            out.raw(), stride);
   return out;
 }
 
 void conv2d_fp16_into(const fp16::Half* input, const Shape& in_shape,
                       const fp16::HalfTensor& weight, const Tensor* bias, const Epilogue& epilogue,
                       Padding padding, fp16::Half* out, std::int64_t stride) {
-  conv2d_fp16_impl(input, in_shape, weight, bias, epilogue, padding, stride, out, nullptr);
+  conv_forward(input, in_shape, weight.shape(), weight.raw(), bias, epilogue, padding, stride,
+               nullptr, out);
 }
 
 void conv2d_fp16_to_float_into(const fp16::Half* input, const Shape& in_shape,
                                const fp16::HalfTensor& weight, const Tensor* bias,
                                const Epilogue& epilogue, Padding padding, float* out,
                                std::int64_t stride) {
-  conv2d_fp16_impl(input, in_shape, weight, bias, epilogue, padding, stride, nullptr, out);
+  conv_forward(input, in_shape, weight.shape(), weight.raw(), bias, epilogue, padding, stride, out,
+               nullptr);
 }
 
 Tensor conv2d_backward_input(const Tensor& grad_output, const Tensor& weight,
                              const Shape& input_shape, Padding padding, std::int64_t stride) {
-  check_weight(weight);
+  check_weight(weight.shape());
   const std::int64_t out_c = weight.shape().dim(3);
   if (grad_output.shape().c() != out_c) {
     throw std::invalid_argument("conv2d_backward_input: grad_output channels mismatch");
   }
-  Tensor probe(input_shape);  // only the shape is used
-  const ConvGeometry g = conv_geometry(probe, weight, padding, stride);
+  const ConvGeometry g = conv_geometry_shape(input_shape, weight.shape(), padding, stride);
   if (g.out_h != grad_output.shape().h() || g.out_w != grad_output.shape().w()) {
     throw std::invalid_argument("conv2d_backward_input: grad_output spatial dims mismatch");
   }
@@ -368,8 +298,6 @@ Tensor conv2d_backward_input(const Tensor& grad_output, const Tensor& weight,
 namespace {
 void backward_weight_impl(const Tensor& input, const Tensor& grad_output, Tensor& grad_weight,
                           float* grad_bias, Padding padding, std::int64_t stride) {
-  check_weight(grad_weight);
-  check_channels(input.shape(), grad_weight);
   const ConvGeometry g = conv_geometry(input, grad_weight, padding, stride);
   const std::int64_t out_c = grad_weight.shape().dim(3);
   if (grad_output.shape().h() != g.out_h || grad_output.shape().w() != g.out_w ||

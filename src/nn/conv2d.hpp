@@ -40,10 +40,10 @@ Tensor conv2d_bias(const Tensor& input, const Tensor& weight, const Tensor& bias
 Tensor conv2d_fused(const Tensor& input, const Tensor& weight, const Tensor* bias,
                     const Epilogue& epilogue, Padding padding, std::int64_t stride = 1);
 
-// Reduced-precision forward: input and weight are binary16 storage, the GEMM
-// accumulates in fp32 (gemm_fp16w), bias add and activation ride the fused
-// epilogue in fp32, and each finished output stripe is rounded to binary16
-// exactly once. Deterministic for any thread count (fixed stripe boundaries,
+// Reduced-precision forward: input and weight are binary16 storage, widened
+// inside the GEMM's packs; the same forward as conv2d accumulates in fp32,
+// bias add and activation ride the fused epilogue in fp32, and each finished
+// output stripe is rounded to binary16 exactly once. Deterministic for any thread count (fixed stripe boundaries,
 // fixed k-block order), so tiled and full-frame fp16 inference agree bitwise.
 fp16::HalfTensor conv2d_fp16(const fp16::HalfTensor& input, const fp16::HalfTensor& weight,
                              const Tensor* bias, const Epilogue& epilogue, Padding padding,
@@ -59,10 +59,9 @@ Tensor conv2d_fp16_to_float(const fp16::HalfTensor& input, const fp16::HalfTenso
 // Output-span forms for the execution-plan path (src/core/plan): input and
 // output are raw NHWC images in caller-provided storage (planner arena
 // slices), `in_shape` describes `input`, and `out` must hold
-// n * out_h * out_w * out_c elements. The dispatch mirrors the allocating
-// entry points exactly — epilogue == nullptr selects the gemm / gemm_bias
-// forms conv2d / conv2d_bias use, non-null selects conv2d_fused's kernel — so
-// results are bit-identical to the Tensor-returning calls.
+// n * out_h * out_w * out_c elements. epilogue == nullptr applies no
+// activation. The allocating entry points run the same forward, so results
+// are bit-identical to the Tensor-returning calls.
 void conv2d_into(const float* input, const Shape& in_shape, const Tensor& weight,
                  const Tensor* bias, const Epilogue* epilogue, Padding padding, float* out,
                  std::int64_t stride = 1);

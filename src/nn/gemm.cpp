@@ -31,85 +31,97 @@ constexpr std::int64_t kKc = 256;
 constexpr std::int64_t kMc = 96;  // multiple of kMr
 constexpr std::int64_t kNc = 1024;
 
-// Logical matrix element (r, c) of A/B is src[r * rs + c * cs]; the stride
-// pair folds the transposed variants into one packing routine.
-void pack_a_block(const float* a, std::int64_t rs, std::int64_t cs, std::int64_t i0,
-                  std::int64_t mc, std::int64_t p0, std::int64_t kc, float* dst) {
-  for (std::int64_t ii = 0; ii < mc; ii += kMr) {
-    const std::int64_t ib = std::min(kMr, mc - ii);
-    float* panel = dst + ii * kc;
-    for (std::int64_t p = 0; p < kc; ++p) {
-      const float* src = a + (i0 + ii) * rs + (p0 + p) * cs;
-      std::int64_t i = 0;
-      for (; i < ib; ++i) panel[p * kMr + i] = src[i * rs];
-      for (; i < kMr; ++i) panel[p * kMr + i] = 0.0F;  // pad so tiles are full
-    }
-  }
-}
+// Register tile of the narrow-N kernel (see micro_tile_narrow_body below).
+constexpr std::int64_t kMrN = 16;  // rows per narrow tile (2 vectors of 8)
+constexpr std::int64_t kNrN = 4;   // columns per narrow tile
 
-void pack_b_block(const float* b, std::int64_t rs, std::int64_t cs, std::int64_t p0,
-                  std::int64_t kc, std::int64_t j0, std::int64_t nc, float* dst) {
-  for (std::int64_t jj = 0; jj < nc; jj += kNr) {
-    const std::int64_t jb = std::min(kNr, nc - jj);
-    float* panel = dst + jj * kc;
-    for (std::int64_t p = 0; p < kc; ++p) {
-      const float* src = b + (p0 + p) * rs + (j0 + jj) * cs;
-      std::int64_t j = 0;
-      for (; j < jb; ++j) panel[p * kNr + j] = src[j * cs];
-      for (; j < kNr; ++j) panel[p * kNr + j] = 0.0F;
-    }
-  }
-}
-
-// Fp16 packing fuses the F16C widening into the pack: each source row is
-// converted once into `rowbuf` (kc or nc floats — L1-resident) and scattered
-// straight into the packed panel. Staging whole mc x kc / kc x nc blocks to
-// fp32 first (the obvious factoring) doubles the pack traffic through L2/L3
-// and erases the bandwidth the half-width operands were meant to save.
-// Conversion and panel layout are identical to convert_to_float +
-// pack_a_block/pack_b_block, so results stay bit-identical to widening up
-// front (tests/test_nn.cpp, Gemm.Fp16WeightsMatchWidenedFp32).
-// The A side generalizes one step further: rows come from an Fp16RowSource
-// callback rather than a stored matrix, so the conv path can run im2col
-// inside the pack (implicit lowering — no column matrix in memory at all).
-// The contiguous-matrix case is just the trivial producer below.
-void pack_a_fp16_rows(Fp16RowSource src, const void* ctx, std::int64_t mr_panel, std::int64_t i0,
-                      std::int64_t mc, std::int64_t p0, std::int64_t kc, float* rowbuf,
-                      float* dst) {
+// Every A operand reaches the pack through a RowSource: one call per (row,
+// k-block) yields the row's fp32 values, and the pack interleaves one panel's
+// rows into the MR-row layout. A stored fp32 matrix is just the strided
+// producer below; the conv forward passes an im2col producer, so the column
+// matrix of the explicit scheme is never written (the lowering happens inside
+// the pack). The panel height is a template argument so the interleave loop
+// unrolls; the narrow-N convs (4 MACs per packed A value) are pack-bound.
+// rowbuf holds mr_panel rows of kc floats.
+template <std::int64_t mr_panel>
+void pack_a_rows(RowSource src, const void* ctx, std::int64_t i0, std::int64_t mc,
+                 std::int64_t p0, std::int64_t kc, float* rowbuf, float* dst) {
+  const float* rows[mr_panel];
   for (std::int64_t ii = 0; ii < mc; ii += mr_panel) {
     const std::int64_t ib = std::min(mr_panel, mc - ii);
+    for (std::int64_t i = 0; i < ib; ++i) rows[i] = src(ctx, i0 + ii + i, p0, kc, rowbuf + i * kc);
     float* panel = dst + ii * kc;
-    for (std::int64_t i = 0; i < ib; ++i) {
-      src(ctx, i0 + ii + i, p0, kc, rowbuf);
-      for (std::int64_t p = 0; p < kc; ++p) panel[p * mr_panel + i] = rowbuf[p];
+    if (ib == mr_panel) {
+      for (std::int64_t p = 0; p < kc; ++p) {
+        for (std::int64_t i = 0; i < mr_panel; ++i) panel[p * mr_panel + i] = rows[i][p];
+      }
+      continue;
     }
-    for (std::int64_t i = ib; i < mr_panel; ++i) {
-      for (std::int64_t p = 0; p < kc; ++p) panel[p * mr_panel + i] = 0.0F;
+    for (std::int64_t p = 0; p < kc; ++p) {
+      std::int64_t i = 0;
+      for (; i < ib; ++i) panel[p * mr_panel + i] = rows[i][p];
+      for (; i < mr_panel; ++i) panel[p * mr_panel + i] = 0.0F;  // pad to full tiles
     }
   }
 }
 
-struct ContigFp16A {
-  const fp16::Half* a;
-  std::int64_t k;
+// Logical A element (i, p) is a[i * rs + p * cs]; the stride pair folds the
+// transposed variant (gemm_at_b) into the same producer. Contiguous rows are
+// read in place.
+struct StridedRows {
+  const float* a;
+  std::int64_t rs;
+  std::int64_t cs;
 };
 
-void contig_fp16_row(const void* vctx, std::int64_t row, std::int64_t p0, std::int64_t kc,
-                     float* dst) {
-  const auto& ctx = *static_cast<const ContigFp16A*>(vctx);
-  fp16::convert_to_float(ctx.a + row * ctx.k + p0, dst, kc);
+const float* strided_row(const void* vctx, std::int64_t row, std::int64_t p0, std::int64_t kc,
+                         float* buf) {
+  const auto& s = *static_cast<const StridedRows*>(vctx);
+  const float* src = s.a + row * s.rs + p0 * s.cs;
+  if (s.cs == 1) return src;
+  for (std::int64_t p = 0; p < kc; ++p) buf[p] = src[p * s.cs];
+  return buf;
 }
 
-void pack_b_fp16(const fp16::Half* b, std::int64_t n, std::int64_t p0, std::int64_t kc,
-                 std::int64_t j0, std::int64_t nc, float* rowbuf, float* dst) {
+// B operand: fp32 with logical element (p, j) at f32[p * rs + j * cs] (cs != 1
+// for gemm_a_bt), or row-major binary16 with row stride rs.
+struct BOperand {
+  const float* f32 = nullptr;
+  const fp16::Half* f16 = nullptr;
+  std::int64_t rs = 0;
+  std::int64_t cs = 1;
+};
+
+// Row p, columns [j0, j0 + nc) of B as fp32: the source itself when it is a
+// contiguous fp32 row, else gathered or widened into rowbuf.
+const float* b_row(const BOperand& b, std::int64_t p, std::int64_t j0, std::int64_t nc,
+                   float* rowbuf) {
+  if (b.f16 != nullptr) {
+    fp16::convert_to_float(b.f16 + p * b.rs + j0, rowbuf, nc);
+    return rowbuf;
+  }
+  const float* src = b.f32 + p * b.rs + j0 * b.cs;
+  if (b.cs == 1) return src;
+  for (std::int64_t j = 0; j < nc; ++j) rowbuf[j] = src[j * b.cs];
+  return rowbuf;
+}
+
+// Each B row is read (and widened, for binary16) once into an L1-sized row
+// and scattered into the NR-column panels. Staging a whole kc x nc block to
+// fp32 first would double the pack traffic through L2 and erase the bandwidth
+// the half-width weights save. The panels hold the same values whatever the
+// storage type, so fp16 results are bit-identical to widening B up front.
+template <std::int64_t nr_panel>
+void pack_b(const BOperand& b, std::int64_t p0, std::int64_t kc, std::int64_t j0, std::int64_t nc,
+            float* rowbuf, float* dst) {
   for (std::int64_t p = 0; p < kc; ++p) {
-    fp16::convert_to_float(b + (p0 + p) * n + j0, rowbuf, nc);
-    for (std::int64_t jj = 0; jj < nc; jj += kNr) {
-      const std::int64_t jb = std::min(kNr, nc - jj);
-      float* panel = dst + jj * kc + p * kNr;
+    const float* row = b_row(b, p0 + p, j0, nc, rowbuf);
+    for (std::int64_t jj = 0; jj < nc; jj += nr_panel) {
+      const std::int64_t jb = std::min(nr_panel, nc - jj);
+      float* panel = dst + jj * kc + p * nr_panel;
       std::int64_t j = 0;
-      for (; j < jb; ++j) panel[j] = rowbuf[jj + j];
-      for (; j < kNr; ++j) panel[j] = 0.0F;
+      for (; j < jb; ++j) panel[j] = row[jj + j];
+      for (; j < nr_panel; ++j) panel[j] = 0.0F;
     }
   }
 }
@@ -252,16 +264,13 @@ MicroKernelFn pick_micro_kernel() {
 }
 
 // ---------------------------------------------------------------------------
-// Narrow-N register tile for the fp16 deployment GEMM. Collapsed SESR tails
-// are n = 4 (out_c = 4 * scale^2 / 4 at x2), and the 6x16 tile then burns 3/4
-// of every FMA on masked-out columns (~7 GFLOP/s measured). Flipping the tile
-// — vector lanes along ROWS, scalar broadcast along the 4 columns — keeps
-// every lane live: acc[j] spans kMrN packed rows, B values broadcast. The
-// per-element summation order is still p-sequential within the k-block, so
-// results are bit-identical to the wide tile.
-constexpr std::int64_t kMrN = 16;  // rows per narrow tile (2 vectors of 8)
-constexpr std::int64_t kNrN = 4;   // columns per narrow tile
-
+// Narrow-N register tile. Collapsed SESR tails are n = 4 (out_c = 4 at x2),
+// and the 6x16 tile then burns 3/4 of every FMA on masked-out columns
+// (~7 GFLOP/s measured). Flipping the tile — vector lanes along ROWS, scalar
+// broadcast along the 4 columns — keeps every lane live: acc[j] spans kMrN
+// packed rows, B values broadcast. The per-element summation order is still
+// p-sequential within the k-block, so results are bit-identical to the wide
+// tile (Gemm.NarrowTileMatchesWideTile).
 __attribute__((always_inline)) inline void micro_tile_narrow_body(
     const float* ap, const float* bp, std::int64_t kc, float* c, std::int64_t ldc,
     std::int64_t mr, std::int64_t nr, bool accumulate, const float* bias, const Epilogue* epi) {
@@ -316,13 +325,16 @@ MicroKernelFn pick_narrow_kernel() {
 std::atomic<MicroKernelFn> g_micro_kernel{pick_micro_kernel()};
 std::atomic<MicroKernelFn> g_narrow_kernel{pick_narrow_kernel()};
 
-// Shared macro-kernel: packs panels and walks register tiles. Summation over k
-// happens in kKc blocks in a fixed order, so results for a given (m, k, n) are
-// bit-identical regardless of how callers partition the row space.
-void gemm_tiled(const float* a, std::int64_t a_rs, std::int64_t a_cs, const float* b,
-                std::int64_t b_rs, std::int64_t b_cs, const float* bias, float* c, std::int64_t m,
-                std::int64_t k, std::int64_t n, bool accumulate,
-                const Epilogue* epi = nullptr) {
+// The one macro-kernel: packs panels and walks register tiles. Summation
+// over k happens in kKc blocks in a fixed order, so results for a given
+// (m, k, n) are bit-identical regardless of how callers partition the row
+// space. n <= kNrN takes the narrow tile (one column block, A packed kMrN rows
+// per panel, B packed into a kNrN-wide panel); everything else the 6x16 one.
+// Bias rides on the first k-block's store (unless accumulating into C) and
+// the epilogue on the last block's, once every partial sum has landed.
+void gemm_tiled(RowSource a_rows, const void* a_ctx, const BOperand& b, const float* bias,
+                float* c, std::int64_t m, std::int64_t k, std::int64_t n, bool accumulate,
+                const Epilogue* epi) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     if (!accumulate) {
@@ -333,31 +345,45 @@ void gemm_tiled(const float* a, std::int64_t a_rs, std::int64_t a_cs, const floa
     }
     return;
   }
-  const MicroKernelFn micro_kernel = g_micro_kernel.load(std::memory_order_relaxed);
+  const bool narrow = n <= kNrN;
+  const std::int64_t mr = narrow ? kMrN : kMr;
+  const std::int64_t nr = narrow ? kNrN : kNr;
+  const MicroKernelFn micro_kernel =
+      (narrow ? g_narrow_kernel : g_micro_kernel).load(std::memory_order_relaxed);
   const std::int64_t nc_max = std::min(n, kNc);
-  const std::int64_t nc_round = (nc_max + kNr - 1) / kNr * kNr;
+  const std::int64_t nc_round = (nc_max + nr - 1) / nr * nr;
   const std::int64_t kc_max = std::min(k, kKc);
   float* bpack = scratch_floats(ScratchSlot::kGemmPackB,
                                 static_cast<std::size_t>(nc_round * kc_max))
                      .data();
   float* apack =
       scratch_floats(ScratchSlot::kGemmPackA, static_cast<std::size_t>(kMc * kc_max)).data();
+  float* browbuf =
+      scratch_floats(ScratchSlot::kGemmRowB, static_cast<std::size_t>(nc_max)).data();
+  float* arowbuf =
+      scratch_floats(ScratchSlot::kGemmRowA, static_cast<std::size_t>(mr * kc_max)).data();
   for (std::int64_t j0 = 0; j0 < n; j0 += kNc) {
     const std::int64_t nc = std::min(kNc, n - j0);
     for (std::int64_t p0 = 0; p0 < k; p0 += kKc) {
       const std::int64_t kc = std::min(kKc, k - p0);
-      const bool first_k = p0 == 0;
       const bool last_k = p0 + kKc >= k;
-      const bool acc_block = accumulate || !first_k;
+      const bool acc_block = accumulate || p0 > 0;
       const float* bias_block = (!acc_block && bias != nullptr) ? bias : nullptr;
       // Activation fires only once every k-partial has been summed into C.
       const Epilogue* epi_block = (last_k && epi != nullptr) ? epi : nullptr;
-      pack_b_block(b, b_rs, b_cs, p0, kc, j0, nc, bpack);
+      if (narrow) {
+        pack_b<kNrN>(b, p0, kc, j0, nc, browbuf, bpack);
+      } else {
+        pack_b<kNr>(b, p0, kc, j0, nc, browbuf, bpack);
+      }
       for (std::int64_t i0 = 0; i0 < m; i0 += kMc) {
         const std::int64_t mc = std::min(kMc, m - i0);
-        pack_a_block(a, a_rs, a_cs, i0, mc, p0, kc, apack);
-        for (std::int64_t jj = 0; jj < nc; jj += kNr) {
-          const std::int64_t nr = std::min(kNr, nc - jj);
+        if (narrow) {
+          pack_a_rows<kMrN>(a_rows, a_ctx, i0, mc, p0, kc, arowbuf, apack);
+        } else {
+          pack_a_rows<kMr>(a_rows, a_ctx, i0, mc, p0, kc, arowbuf, apack);
+        }
+        for (std::int64_t jj = 0; jj < nc; jj += nr) {
           // Bias and PReLU slopes are per output column: shift both to this
           // tile's column origin.
           Epilogue tile_epi;
@@ -369,11 +395,10 @@ void gemm_tiled(const float* a, std::int64_t a_rs, std::int64_t a_cs, const floa
                                        : nullptr;
             tile_epi_ptr = &tile_epi;
           }
-          for (std::int64_t ii = 0; ii < mc; ii += kMr) {
-            micro_kernel(apack + ii * kc, bpack + jj * kc, kc,
-                           c + (i0 + ii) * n + (j0 + jj), n, std::min(kMr, mc - ii), nr,
-                           acc_block,
-                           bias_block != nullptr ? bias_block + j0 + jj : nullptr, tile_epi_ptr);
+          for (std::int64_t ii = 0; ii < mc; ii += mr) {
+            micro_kernel(apack + ii * kc, bpack + jj * kc, kc, c + (i0 + ii) * n + (j0 + jj), n,
+                         std::min(mr, mc - ii), std::min(nr, nc - jj), acc_block,
+                         bias_block != nullptr ? bias_block + j0 + jj : nullptr, tile_epi_ptr);
           }
         }
       }
@@ -381,105 +406,37 @@ void gemm_tiled(const float* a, std::int64_t a_rs, std::int64_t a_cs, const floa
   }
 }
 
-// fp16-storage macro-kernel: same blocking and k-summation order as
-// gemm_tiled, but A rows come from an Fp16RowSource (widened fp32 values) and
-// the B panel is widened during its pack. Because conversion is elementwise
-// and the packed panels end up identical, the output is bit-identical to
-// widening A and B up front and calling gemm_tiled — without an fp32 copy of
-// either operand ever existing (only row-sized L1 conversion buffers).
-void gemm_tiled_fp16(Fp16RowSource src, const void* ctx, const fp16::Half* b, const float* bias,
-                     float* c, std::int64_t m, std::int64_t k, std::int64_t n,
-                     const Epilogue* epi) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t j = 0; j < n; ++j) c[i * n + j] = bias != nullptr ? bias[j] : 0.0F;
-      apply_epilogue_rows(c + i * n, n, 1, n, epi);
-    }
-    return;
+// Dense fp32 GEMM on a stored A (logical element (i, p) at a[i * a_rs + p * a_cs]).
+void gemm_strided(const float* a, std::int64_t a_rs, std::int64_t a_cs, const BOperand& b,
+                  const float* bias, float* c, std::int64_t m, std::int64_t k, std::int64_t n,
+                  bool accumulate, const Epilogue* epi = nullptr) {
+  const StridedRows rows{a, a_rs, a_cs};
+  gemm_tiled(strided_row, &rows, b, bias, c, m, k, n, accumulate, epi);
+}
+
+BOperand fp32_b(const float* b, std::int64_t rs, std::int64_t cs) {
+  return BOperand{.f32 = b, .rs = rs, .cs = cs};
+}
+
+void check_epilogue(std::span<const float> bias, std::int64_t n, const Epilogue& epilogue) {
+  if (!bias.empty() && static_cast<std::int64_t>(bias.size()) < n) {
+    throw std::invalid_argument("gemm: bias must hold n elements");
   }
-  const std::int64_t kc_max = std::min(k, kKc);
-  // n <= kNrN takes the narrow tile (see micro_tile_narrow_body): one column
-  // block, A packed kMrN rows per panel, B widened into a kNrN-strided panel.
-  if (n <= kNrN) {
-    const MicroKernelFn narrow = g_narrow_kernel.load(std::memory_order_relaxed);
-    float* bpack = scratch_floats(ScratchSlot::kGemmPackB,
-                                  static_cast<std::size_t>(kNrN * kc_max))
-                       .data();
-    float* apack =
-        scratch_floats(ScratchSlot::kGemmPackA, static_cast<std::size_t>(kMc * kc_max)).data();
-    float* arowbuf =
-        scratch_floats(ScratchSlot::kF16StageA, static_cast<std::size_t>(kc_max)).data();
-    float browbuf[kNrN];
-    for (std::int64_t p0 = 0; p0 < k; p0 += kKc) {
-      const std::int64_t kc = std::min(kKc, k - p0);
-      const bool first_k = p0 == 0;
-      const bool last_k = p0 + kKc >= k;
-      const float* bias_block = (first_k && bias != nullptr) ? bias : nullptr;
-      const Epilogue* epi_block = (last_k && epi != nullptr) ? epi : nullptr;
-      for (std::int64_t p = 0; p < kc; ++p) {
-        fp16::convert_to_float(b + (p0 + p) * n, browbuf, n);
-        std::int64_t j = 0;
-        for (; j < n; ++j) bpack[p * kNrN + j] = browbuf[j];
-        for (; j < kNrN; ++j) bpack[p * kNrN + j] = 0.0F;
-      }
-      for (std::int64_t i0 = 0; i0 < m; i0 += kMc) {
-        const std::int64_t mc = std::min(kMc, m - i0);
-        pack_a_fp16_rows(src, ctx, kMrN, i0, mc, p0, kc, arowbuf, apack);
-        for (std::int64_t ii = 0; ii < mc; ii += kMrN) {
-          narrow(apack + ii * kc, bpack, kc, c + (i0 + ii) * n, n, std::min(kMrN, mc - ii), n,
-                 !first_k, bias_block, epi_block);
-        }
-      }
-    }
-    return;
+  if (epilogue.act == Epilogue::Act::kPRelu && epilogue.prelu_alpha == nullptr) {
+    throw std::invalid_argument("gemm: kPRelu requires prelu_alpha");
   }
-  const MicroKernelFn micro_kernel = g_micro_kernel.load(std::memory_order_relaxed);
-  const std::int64_t nc_max = std::min(n, kNc);
-  const std::int64_t nc_round = (nc_max + kNr - 1) / kNr * kNr;
-  float* bpack = scratch_floats(ScratchSlot::kGemmPackB,
-                                static_cast<std::size_t>(nc_round * kc_max))
-                     .data();
-  float* apack =
-      scratch_floats(ScratchSlot::kGemmPackA, static_cast<std::size_t>(kMc * kc_max)).data();
-  // Row-sized conversion buffers for the fused convert+pack (see pack_b_fp16).
-  float* browbuf =
-      scratch_floats(ScratchSlot::kF16StageB, static_cast<std::size_t>(nc_max)).data();
-  float* arowbuf =
-      scratch_floats(ScratchSlot::kF16StageA, static_cast<std::size_t>(kc_max)).data();
-  for (std::int64_t j0 = 0; j0 < n; j0 += kNc) {
-    const std::int64_t nc = std::min(kNc, n - j0);
-    for (std::int64_t p0 = 0; p0 < k; p0 += kKc) {
-      const std::int64_t kc = std::min(kKc, k - p0);
-      const bool first_k = p0 == 0;
-      const bool last_k = p0 + kKc >= k;
-      const float* bias_block = (first_k && bias != nullptr) ? bias : nullptr;
-      const Epilogue* epi_block = (last_k && epi != nullptr) ? epi : nullptr;
-      pack_b_fp16(b, n, p0, kc, j0, nc, browbuf, bpack);
-      for (std::int64_t i0 = 0; i0 < m; i0 += kMc) {
-        const std::int64_t mc = std::min(kMc, m - i0);
-        pack_a_fp16_rows(src, ctx, kMr, i0, mc, p0, kc, arowbuf, apack);
-        for (std::int64_t jj = 0; jj < nc; jj += kNr) {
-          const std::int64_t nr = std::min(kNr, nc - jj);
-          Epilogue tile_epi;
-          const Epilogue* tile_epi_ptr = nullptr;
-          if (epi_block != nullptr && epi_block->act != Epilogue::Act::kNone) {
-            tile_epi.act = epi_block->act;
-            tile_epi.prelu_alpha = epi_block->prelu_alpha != nullptr
-                                       ? epi_block->prelu_alpha + j0 + jj
-                                       : nullptr;
-            tile_epi_ptr = &tile_epi;
-          }
-          for (std::int64_t ii = 0; ii < mc; ii += kMr) {
-            micro_kernel(apack + ii * kc, bpack + jj * kc, kc,
-                           c + (i0 + ii) * n + (j0 + jj), n, std::min(kMr, mc - ii), nr,
-                           !first_k,
-                           bias_block != nullptr ? bias_block + j0 + jj : nullptr, tile_epi_ptr);
-          }
-        }
-      }
-    }
+}
+
+// Shared by both gemm_rows overloads.
+void check_rows(RowSource src, std::size_t b_size, std::span<const float> bias,
+                std::span<float> c, std::int64_t m, std::int64_t k, std::int64_t n,
+                const Epilogue& epilogue) {
+  if (src == nullptr) throw std::invalid_argument("gemm_rows: null row source");
+  if (m < 0 || k < 0 || n < 0 || static_cast<std::int64_t>(b_size) < k * n ||
+      static_cast<std::int64_t>(c.size()) < m * n) {
+    throw std::invalid_argument("gemm_rows: buffer sizes inconsistent with m/k/n");
   }
+  check_epilogue(bias, n, epilogue);
 }
 }  // namespace
 
@@ -517,95 +474,52 @@ bool set_gemm_isa(GemmIsa isa) {
 void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c, std::int64_t m,
           std::int64_t k, std::int64_t n) {
   check_sizes(a, b, c, m, k, n, false, false);
-  gemm_tiled(a.data(), k, 1, b.data(), n, 1, nullptr, c.data(), m, k, n, false);
-}
-
-void gemm_bias(std::span<const float> a, std::span<const float> b, std::span<const float> bias,
-               std::span<float> c, std::int64_t m, std::int64_t k, std::int64_t n) {
-  check_sizes(a, b, c, m, k, n, false, false);
-  if (static_cast<std::int64_t>(bias.size()) < n) {
-    throw std::invalid_argument("gemm_bias: bias must hold n elements");
-  }
-  gemm_tiled(a.data(), k, 1, b.data(), n, 1, bias.data(), c.data(), m, k, n, false);
+  gemm_strided(a.data(), k, 1, fp32_b(b.data(), n, 1), nullptr, c.data(), m, k, n, false);
 }
 
 void gemm_fused(std::span<const float> a, std::span<const float> b, std::span<const float> bias,
                 std::span<float> c, std::int64_t m, std::int64_t k, std::int64_t n,
                 const Epilogue& epilogue) {
   check_sizes(a, b, c, m, k, n, false, false);
-  if (!bias.empty() && static_cast<std::int64_t>(bias.size()) < n) {
-    throw std::invalid_argument("gemm_fused: bias must hold n elements");
-  }
-  if (epilogue.act == Epilogue::Act::kPRelu && epilogue.prelu_alpha == nullptr) {
-    throw std::invalid_argument("gemm_fused: kPRelu requires prelu_alpha");
-  }
-  gemm_tiled(a.data(), k, 1, b.data(), n, 1, bias.empty() ? nullptr : bias.data(), c.data(), m, k,
-             n, false, &epilogue);
+  check_epilogue(bias, n, epilogue);
+  gemm_strided(a.data(), k, 1, fp32_b(b.data(), n, 1), bias.empty() ? nullptr : bias.data(),
+               c.data(), m, k, n, false, &epilogue);
 }
 
-void gemm_fp16w(std::span<const fp16::Half> a, std::span<const fp16::Half> b,
-                std::span<const float> bias, std::span<float> c, std::int64_t m, std::int64_t k,
-                std::int64_t n, const Epilogue& epilogue) {
-  if (m < 0 || k < 0 || n < 0 || static_cast<std::int64_t>(a.size()) < m * k ||
-      static_cast<std::int64_t>(b.size()) < k * n ||
-      static_cast<std::int64_t>(c.size()) < m * n) {
-    throw std::invalid_argument("gemm_fp16w: buffer sizes inconsistent with m/k/n");
-  }
-  if (!bias.empty() && static_cast<std::int64_t>(bias.size()) < n) {
-    throw std::invalid_argument("gemm_fp16w: bias must hold n elements");
-  }
-  if (epilogue.act == Epilogue::Act::kPRelu && epilogue.prelu_alpha == nullptr) {
-    throw std::invalid_argument("gemm_fp16w: kPRelu requires prelu_alpha");
-  }
-  const ContigFp16A ctx{a.data(), k};
-  gemm_tiled_fp16(contig_fp16_row, &ctx, b.data(), bias.empty() ? nullptr : bias.data(), c.data(),
-                  m, k, n, &epilogue);
+void gemm_rows(RowSource src, const void* ctx, std::span<const float> b,
+               std::span<const float> bias, std::span<float> c, std::int64_t m, std::int64_t k,
+               std::int64_t n, const Epilogue& epilogue) {
+  check_rows(src, b.size(), bias, c, m, k, n, epilogue);
+  gemm_tiled(src, ctx, fp32_b(b.data(), n, 1), bias.empty() ? nullptr : bias.data(), c.data(), m,
+             k, n, false, &epilogue);
 }
 
-void gemm_fp16_rows(Fp16RowSource src, const void* ctx, std::span<const fp16::Half> b,
-                    std::span<const float> bias, std::span<float> c, std::int64_t m,
-                    std::int64_t k, std::int64_t n, const Epilogue& epilogue) {
-  if (src == nullptr) {
-    throw std::invalid_argument("gemm_fp16_rows: null row source");
-  }
-  if (m < 0 || k < 0 || n < 0 || static_cast<std::int64_t>(b.size()) < k * n ||
-      static_cast<std::int64_t>(c.size()) < m * n) {
-    throw std::invalid_argument("gemm_fp16_rows: buffer sizes inconsistent with m/k/n");
-  }
-  if (!bias.empty() && static_cast<std::int64_t>(bias.size()) < n) {
-    throw std::invalid_argument("gemm_fp16_rows: bias must hold n elements");
-  }
-  if (epilogue.act == Epilogue::Act::kPRelu && epilogue.prelu_alpha == nullptr) {
-    throw std::invalid_argument("gemm_fp16_rows: kPRelu requires prelu_alpha");
-  }
-  gemm_tiled_fp16(src, ctx, b.data(), bias.empty() ? nullptr : bias.data(), c.data(), m, k, n,
-                  &epilogue);
-}
-
-void gemm_accumulate(std::span<const float> a, std::span<const float> b, std::span<float> c,
-                     std::int64_t m, std::int64_t k, std::int64_t n) {
-  check_sizes(a, b, c, m, k, n, false, false);
-  gemm_tiled(a.data(), k, 1, b.data(), n, 1, nullptr, c.data(), m, k, n, true);
+void gemm_rows(RowSource src, const void* ctx, std::span<const fp16::Half> b,
+               std::span<const float> bias, std::span<float> c, std::int64_t m, std::int64_t k,
+               std::int64_t n, const Epilogue& epilogue) {
+  check_rows(src, b.size(), bias, c, m, k, n, epilogue);
+  gemm_tiled(src, ctx, BOperand{.f16 = b.data(), .rs = n}, bias.empty() ? nullptr : bias.data(),
+             c.data(), m, k, n, false, &epilogue);
 }
 
 void gemm_at_b(std::span<const float> a, std::span<const float> b, std::span<float> c,
                std::int64_t m, std::int64_t k, std::int64_t n) {
   check_sizes(a, b, c, m, k, n, true, false);
   // A is [k x m] row-major; logical A^T element (i, p) lives at a[p * m + i].
-  gemm_tiled(a.data(), 1, m, b.data(), n, 1, nullptr, c.data(), m, k, n, false);
+  gemm_strided(a.data(), 1, m, fp32_b(b.data(), n, 1), nullptr, c.data(), m, k, n, false);
 }
 
 void gemm_at_b_accumulate(std::span<const float> a, std::span<const float> b, std::span<float> c,
                           std::int64_t m, std::int64_t k, std::int64_t n) {
   check_sizes(a, b, c, m, k, n, true, false);
-  gemm_tiled(a.data(), 1, m, b.data(), n, 1, nullptr, c.data(), m, k, n, true);
+  gemm_strided(a.data(), 1, m, fp32_b(b.data(), n, 1), nullptr, c.data(), m, k, n, true);
 }
 
 void gemm_a_bt(std::span<const float> a, std::span<const float> b, std::span<float> c,
                std::int64_t m, std::int64_t k, std::int64_t n) {
   check_sizes(a, b, c, m, k, n, false, true);
   // B is [n x k] row-major; logical B^T element (p, j) lives at b[j * k + p].
-  gemm_tiled(a.data(), k, 1, b.data(), 1, k, nullptr, c.data(), m, k, n, false);
+  gemm_strided(a.data(), k, 1, fp32_b(b.data(), 1, k), nullptr, c.data(), m, k, n, false);
 }
 
 void gemm_zero_skip(std::span<const float> a, std::span<const float> b, std::span<float> c,

@@ -1,13 +1,23 @@
-// Single-threaded SGEMM used by the im2col convolution path.
+// Single-threaded SGEMM used by the convolutions, fp32 and fp16 alike.
 //
-// Row-major throughout: C[m x n] (+)= A[m x k] * B[k x n]. The implementation
-// is a register-tiled, cache-blocked kernel: A and B are packed into
+// Row-major throughout: C[m x n] (+)= A[m x k] * B[k x n]. One register-tiled,
+// cache-blocked macro-kernel serves every entry point: A and B are packed into
 // contiguous MR-row / NR-column panels and multiplied by a 6x16 micro-kernel
-// whose accumulators live in registers (dispatched to an AVX2+FMA build of the
-// kernel at runtime when the CPU supports it). Threading happens *above* this
-// layer — the convolution stripes its row space and calls gemm per stripe —
-// so every call here is deterministic and allocation-free (packing buffers
-// come from the per-thread scratch arena).
+// whose accumulators live in registers, or by a 16x4 tile (vector lanes along
+// rows) when n <= 4, so the narrow tails of collapsed SESR nets keep every
+// lane busy. Both tiles sum each output in the same p-sequential order, so
+// the choice never moves a bit. The micro-kernels dispatch to an AVX2+FMA
+// build at runtime when the CPU supports it.
+//
+// A rows always come from a row producer (RowSource): a stored fp32 matrix,
+// contiguous or transposed, or an implicit operand such as the conv's im2col
+// rows, built on demand inside the A-pack so the column matrix never exists in
+// memory. B is fp32 or binary16 and is widened row by row inside its pack.
+// Accumulation is fp32 in every case, so binary16 operands give the bits of
+// widening them up front. Threading happens *above* this layer — the
+// convolution stripes its row space and calls gemm per stripe — so every call
+// here is deterministic and allocation-free (packing buffers come from the
+// per-thread scratch arena).
 //
 // `gemm_zero_skip` keeps the old branchy zero-skipping kernel. It only pays
 // off when A is mostly zeros, which in this codebase means one thing: the
@@ -52,49 +62,34 @@ struct Epilogue {
 void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c, std::int64_t m,
           std::int64_t k, std::int64_t n);
 
-// C = A * B + bias, bias broadcast over rows (bias holds n elements). This is
-// the fused epilogue used by conv2d_bias: the bias add rides on the final
-// store of the GEMM instead of a second pass over the output.
-void gemm_bias(std::span<const float> a, std::span<const float> b, std::span<const float> bias,
-               std::span<float> c, std::int64_t m, std::int64_t k, std::int64_t n);
-
 // C = act(A * B + bias) with the activation applied in the micro-kernel's
-// final store (see Epilogue). bias may be empty (no bias add).
+// final store (see Epilogue). bias may be empty (no bias add), and
+// Epilogue{} applies no activation.
 void gemm_fused(std::span<const float> a, std::span<const float> b, std::span<const float> bias,
                 std::span<float> c, std::int64_t m, std::int64_t k, std::int64_t n,
                 const Epilogue& epilogue);
 
-// C = act(A * B + bias) where A [m x k] and B [k x n] are stored as binary16.
-// Operands are widened to fp32 inside the pack (row-sized L1 buffers,
-// vectorized through the fp16 dispatch seam) and fed to the same packed
-// micro-kernel, so accumulation is fp32 and the result is bit-identical to
-// converting A and B up front and calling gemm_fused. C is fp32; callers that
-// want fp16 activations round the output stripe afterwards.
-void gemm_fp16w(std::span<const fp16::Half> a, std::span<const fp16::Half> b,
-                std::span<const float> bias, std::span<float> c, std::int64_t m, std::int64_t k,
-                std::int64_t n, const Epilogue& epilogue);
+// Yields the fp32 values of logical A row `row`, k-slice [p0, p0 + kc): either
+// a pointer into the caller's own storage (a stored fp32 row) or `buf` (kc
+// floats) after filling it. Called once per (row, k-block) from inside the
+// A-pack, so the values go straight into the packed panel without an
+// intermediate A matrix ever existing in memory.
+using RowSource = const float* (*)(const void* ctx, std::int64_t row, std::int64_t p0,
+                                   std::int64_t kc, float* buf);
 
-// Produces the widened fp32 values of logical A row `row`, k-slice
-// [p0, p0 + kc), into dst (kc floats). Called once per (row, k-block) from
-// inside the fp16 GEMM's A-pack, so the values go straight into the packed
-// panel without an intermediate A matrix ever existing in memory.
-using Fp16RowSource = void (*)(const void* ctx, std::int64_t row, std::int64_t p0,
-                               std::int64_t kc, float* dst);
-
-// gemm_fp16w with an implicit A operand: rows are generated on demand by
+// gemm_fused with an implicit A operand: rows are generated on demand by
 // `src` instead of being read from a stored [m x k] matrix. This is how the
-// fp16 conv path runs im2col — the lowering happens inside the pack, so the
-// half-precision column matrix (the largest buffer of the explicit scheme,
-// written once and re-read once per GEMM call) is never materialized. Results
-// are bit-identical to building the A matrix with the same producer and
-// calling gemm_fp16w, because the packed panels are identical.
-void gemm_fp16_rows(Fp16RowSource src, const void* ctx, std::span<const fp16::Half> b,
-                    std::span<const float> bias, std::span<float> c, std::int64_t m,
-                    std::int64_t k, std::int64_t n, const Epilogue& epilogue);
-
-// C += A * B (accumulating variant used by gradient accumulation over a batch).
-void gemm_accumulate(std::span<const float> a, std::span<const float> b, std::span<float> c,
-                     std::int64_t m, std::int64_t k, std::int64_t n);
+// conv forward runs im2col: the lowering happens inside the pack. B [k x n]
+// is fp32 or binary16 (widened inside the B-pack); C is fp32, and callers
+// that want fp16 activations round the output stripe afterwards. Results
+// are bit-identical to building A with the same producer and widening B
+// before calling gemm_fused, because the packed panels are identical.
+void gemm_rows(RowSource src, const void* ctx, std::span<const float> b,
+               std::span<const float> bias, std::span<float> c, std::int64_t m, std::int64_t k,
+               std::int64_t n, const Epilogue& epilogue);
+void gemm_rows(RowSource src, const void* ctx, std::span<const fp16::Half> b,
+               std::span<const float> bias, std::span<float> c, std::int64_t m, std::int64_t k,
+               std::int64_t n, const Epilogue& epilogue);
 
 // C = A^T * B where A is [k x m] row-major (so A^T is [m x k]).
 void gemm_at_b(std::span<const float> a, std::span<const float> b, std::span<float> c,

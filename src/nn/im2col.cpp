@@ -60,32 +60,26 @@ void im2col_rows(const Tensor& input, std::int64_t n, const ConvGeometry& g,
   if (row_begin < 0 || row_end > g.rows() || row_begin > row_end) {
     throw std::invalid_argument("im2col_rows: row range out of bounds");
   }
-  im2col_rows(input.raw() + s.offset(n, 0, 0, 0), g, row_begin, row_end, cols);
-}
-
-void im2col_rows(const float* image, const ConvGeometry& g, std::int64_t row_begin,
-                 std::int64_t row_end, float* cols) {
+  const float* image = input.raw() + s.offset(n, 0, 0, 0);
   const std::int64_t c = g.channels;
   for (std::int64_t r = row_begin; r < row_end; ++r) {
     const std::int64_t oy = r / g.out_w;
     const std::int64_t ox = r % g.out_w;
-    {
-      float* row = cols + (r - row_begin) * g.cols();
-      for (std::int64_t ky = 0; ky < g.kh; ++ky) {
-        const std::int64_t iy = oy * g.stride - g.pad_top + ky;
-        float* dst = row + ky * g.kw * c;
-        if (iy < 0 || iy >= g.in_h) {
-          std::fill(dst, dst + g.kw * c, 0.0F);
-          continue;
-        }
-        for (std::int64_t kx = 0; kx < g.kw; ++kx) {
-          const std::int64_t ix = ox * g.stride - g.pad_left + kx;
-          if (ix < 0 || ix >= g.in_w) {
-            std::fill(dst + kx * c, dst + (kx + 1) * c, 0.0F);
-          } else {
-            const float* src = image + (iy * g.in_w + ix) * c;
-            std::copy(src, src + c, dst + kx * c);
-          }
+    float* row = cols + (r - row_begin) * g.cols();
+    for (std::int64_t ky = 0; ky < g.kh; ++ky) {
+      const std::int64_t iy = oy * g.stride - g.pad_top + ky;
+      float* dst = row + ky * g.kw * c;
+      if (iy < 0 || iy >= g.in_h) {
+        std::fill(dst, dst + g.kw * c, 0.0F);
+        continue;
+      }
+      for (std::int64_t kx = 0; kx < g.kw; ++kx) {
+        const std::int64_t ix = ox * g.stride - g.pad_left + kx;
+        if (ix < 0 || ix >= g.in_w) {
+          std::fill(dst + kx * c, dst + (kx + 1) * c, 0.0F);
+        } else {
+          const float* src = image + (iy * g.in_w + ix) * c;
+          std::copy(src, src + c, dst + kx * c);
         }
       }
     }

@@ -52,12 +52,6 @@ void im2col(const Tensor& input, std::int64_t n, const ConvGeometry& g, float* c
 void im2col_rows(const Tensor& input, std::int64_t n, const ConvGeometry& g,
                  std::int64_t row_begin, std::int64_t row_end, float* cols);
 
-// Raw-image form: `image` points at one (g.in_h, g.in_w, g.channels) NHWC
-// image (e.g. an execution-plan arena slice, which has no Tensor wrapper).
-// The geometry is trusted; the Tensor overloads validate and delegate here.
-void im2col_rows(const float* image, const ConvGeometry& g, std::int64_t row_begin,
-                 std::int64_t row_end, float* cols);
-
 // Adjoint: scatter-add `cols` back into batch image n of `grad_input`.
 void col2im_add(const float* cols, const ConvGeometry& g, Tensor& grad_input, std::int64_t n);
 

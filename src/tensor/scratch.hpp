@@ -31,11 +31,11 @@ namespace sesr {
 enum class ScratchSlot : std::size_t {
   kGemmPackA = 0,   // packed A panels inside gemm
   kGemmPackB,       // packed B panels inside gemm
-  kIm2col,          // per-stripe im2col patch matrix (conv forward / weight grad)
+  kIm2col,          // per-stripe im2col patch matrix (weight grad, zero-skip)
   kConvCols,        // full-image column matrix (conv backward input)
   kGradPartial,     // per-stripe weight/bias gradient partials
-  kF16StageA,       // fp32 row buffer for the fp16 GEMM's A-pack widening
-  kF16StageB,       // fp32 row buffer for the fp16 GEMM's B-pack widening
+  kGemmRowA,        // one panel of A rows from the row producer, before the A-pack
+  kGemmRowB,        // one gathered or widened B row, before the B-pack
   kF16OutStripe,    // fp32 conv output stripe before the fp16 store
   kS8Quant,         // zero-point-padded u8 input image (int8 conv forward)
   kS8Dequant,       // per-channel dequant scales (int8 conv forward)

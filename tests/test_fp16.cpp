@@ -15,6 +15,7 @@
 #include <cstring>
 #include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/sesr_inference.hpp"
@@ -268,6 +269,59 @@ TEST(Fp16Network, PrecisionSwitchRoundTripsAndStaysClose) {
   // Switching back restores the exact fp32 result.
   inference.set_precision(core::InferencePrecision::kFp32);
   EXPECT_EQ(max_abs_diff(inference.upscale(frame), fp32_out), 0.0F);
+}
+
+// FNV-1a over the upscale() output bits of seeded SESR-M5 nets (x2 and x4,
+// random nonzero biases) on a tile-aligned and an odd frame, with the dense
+// GEMM forced to one micro-kernel build. Any kernel, lowering or epilogue
+// change that moves a single served bit changes it.
+std::uint64_t served_output_hash(core::InferencePrecision precision, nn::GemmIsa isa) {
+  EXPECT_TRUE(nn::set_gemm_isa(isa));
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const std::int64_t scale : {2, 4}) {
+    core::SesrConfig config = core::sesr_m5(scale);
+    config.expand = 16;
+    config.with_bias = true;
+    Rng rng(1800 + static_cast<std::uint64_t>(scale));
+    core::SesrNetwork network(config, rng);
+    for (nn::Parameter* p : network.parameters()) {
+      if (p->name.ends_with(".bias")) p->value.fill_uniform(rng, -0.1F, 0.1F);
+    }
+    core::SesrInference net(network);
+    net.set_precision(precision);
+    for (const auto& [h, w] : {std::pair<std::int64_t, std::int64_t>{64, 64}, {37, 53}}) {
+      Tensor frame(1, h, w, 1);
+      frame.fill_uniform(rng, 0.0F, 1.0F);
+      const Tensor out = net.upscale(frame);
+      for (const float v : out.data()) {
+        std::uint32_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(bits));
+        for (int byte = 0; byte < 4; ++byte) {
+          hash = (hash ^ ((bits >> (8 * byte)) & 0xFFU)) * 0x100000001B3ULL;
+        }
+      }
+    }
+  }
+  nn::set_gemm_isa(nn::GemmIsa::kAuto);
+  return hash;
+}
+
+TEST(Fp32Network, OutputBitsMatchPinnedHash) {
+  // The AVX2 build contracts each multiply-add to an FMA, so it has its own pin.
+  const auto fp32 = core::InferencePrecision::kFp32;
+  EXPECT_EQ(served_output_hash(fp32, nn::GemmIsa::kGeneric), 0x16CC4ECE569567CFULL);
+  if (nn::gemm_avx2_supported()) {
+    EXPECT_EQ(served_output_hash(fp32, nn::GemmIsa::kAvx2), 0xE7DFA6127D5E279FULL);
+  }
+}
+
+TEST(Fp16Network, OutputBitsMatchPinnedHash) {
+  // A product of two binary16 values is exact in fp32, so the FMA and the
+  // separate multiply-add round alike and both builds give the same bits.
+  const auto fp16 = core::InferencePrecision::kFp16;
+  EXPECT_EQ(served_output_hash(fp16, nn::GemmIsa::kGeneric), 0xF21F03FA4AA71E49ULL);
+  if (!nn::gemm_avx2_supported()) GTEST_SKIP() << "AVX2+FMA unavailable on this host";
+  EXPECT_EQ(served_output_hash(fp16, nn::GemmIsa::kAvx2), 0xF21F03FA4AA71E49ULL);
 }
 
 }  // namespace

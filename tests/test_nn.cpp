@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 #include <tuple>
 
@@ -66,7 +67,8 @@ TEST(Gemm, AccumulateAddsToExisting) {
   std::vector<float> a{1.0F, 2.0F};
   std::vector<float> b{3.0F, 4.0F};
   std::vector<float> c{10.0F};
-  gemm_accumulate(a, b, c, 1, 2, 1);
+  // A^T of a [2 x 1] matrix is the same 1 x 2 row.
+  gemm_at_b_accumulate(a, b, c, 1, 2, 1);
   EXPECT_FLOAT_EQ(c[0], 10.0F + 11.0F);
 }
 
@@ -138,7 +140,7 @@ TEST(Gemm, BiasIsFusedIntoEpilogue) {
   std::vector<float> plain(static_cast<std::size_t>(m * n));
   std::vector<float> fused(plain.size());
   gemm(a, b, plain, m, k, n);
-  gemm_bias(a, b, bias, fused, m, k, n);
+  gemm_fused(a, b, bias, fused, m, k, n, Epilogue{});
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
       // Identical k-order in both kernels: adding bias on the store is exact.
@@ -149,10 +151,11 @@ TEST(Gemm, BiasIsFusedIntoEpilogue) {
 
 TEST(Gemm, FusedActivationBitIdenticalToTwoPass) {
   // The activation epilogue rides the GEMM write-back; it must equal the
-  // two-pass form (gemm_bias then elementwise activation) bit for bit, across
-  // shapes that hit full tiles, register-tile edges, and multiple k-blocks.
+  // two-pass form (the GEMM with bias, then an elementwise activation) bit for
+  // bit, across shapes that hit full tiles, register-tile edges, the narrow
+  // tile, and multiple k-blocks (where the bias rides the first block).
   const std::tuple<std::int64_t, std::int64_t, std::int64_t> shapes[] = {
-      {1, 1, 1}, {7, 17, 15}, {65, 33, 17}, {6, 300, 19}, {37, 513, 21}};
+      {1, 1, 1}, {7, 17, 15}, {65, 33, 17}, {6, 300, 19}, {37, 513, 21}, {41, 300, 3}};
   for (const auto& [m, k, n] : shapes) {
     Rng rng(53 + m + k + n);
     std::vector<float> a(static_cast<std::size_t>(m * k));
@@ -164,7 +167,7 @@ TEST(Gemm, FusedActivationBitIdenticalToTwoPass) {
     for (float& v : bias) v = rng.uniform(-2.0F, 2.0F);
     for (float& v : alpha) v = rng.uniform(-0.5F, 0.5F);
     std::vector<float> two_pass(static_cast<std::size_t>(m * n));
-    gemm_bias(a, b, bias, two_pass, m, k, n);
+    gemm_fused(a, b, bias, two_pass, m, k, n, Epilogue{});
     std::vector<float> relu_want = two_pass;
     for (float& v : relu_want) v = v > 0.0F ? v : 0.0F;
     std::vector<float> prelu_want = two_pass;
@@ -179,9 +182,6 @@ TEST(Gemm, FusedActivationBitIdenticalToTwoPass) {
     EXPECT_EQ(got, relu_want) << "relu m=" << m << " k=" << k << " n=" << n;
     gemm_fused(a, b, bias, got, m, k, n, Epilogue{Epilogue::Act::kPRelu, alpha.data()});
     EXPECT_EQ(got, prelu_want) << "prelu m=" << m << " k=" << k << " n=" << n;
-    // No activation + bias must reduce to gemm_bias exactly.
-    gemm_fused(a, b, bias, got, m, k, n, Epilogue{});
-    EXPECT_EQ(got, two_pass) << "none m=" << m << " k=" << k << " n=" << n;
   }
 }
 
@@ -193,12 +193,26 @@ TEST(Gemm, FusedPReluRequiresAlpha) {
                std::invalid_argument);
 }
 
+// Row producers for the gemm_rows tests: a stored [m x k] matrix.
+template <typename T>
+struct StoredRows {
+  const T* a;
+  std::int64_t k;
+};
+
+const float* half_row(const void* ctx, std::int64_t row, std::int64_t p0, std::int64_t kc,
+                      float* buf) {
+  const auto& s = *static_cast<const StoredRows<fp16::Half>*>(ctx);
+  fp16::convert_to_float(s.a + row * s.k + p0, buf, kc);
+  return buf;
+}
+
 TEST(Gemm, Fp16WeightsMatchWidenedFp32) {
-  // gemm_fp16w stages the binary16 operands through the same packing as the
+  // gemm_rows widens binary16 operands into the same packed panels as the
   // fp32 kernel, so it must agree bitwise with widening up front and calling
   // gemm_fused on the fp32 copies.
   const std::tuple<std::int64_t, std::int64_t, std::int64_t> shapes[] = {
-      {1, 1, 1}, {7, 17, 15}, {25, 300, 33}, {97, 40, 17}};
+      {1, 1, 1}, {7, 17, 15}, {25, 300, 33}, {97, 40, 17}, {53, 300, 4}};
   for (const auto& [m, k, n] : shapes) {
     Rng rng(59 + m + k + n);
     std::vector<float> af(static_cast<std::size_t>(m * k));
@@ -218,9 +232,73 @@ TEST(Gemm, Fp16WeightsMatchWidenedFp32) {
     std::vector<float> got(want.size());
     const Epilogue epilogue{Epilogue::Act::kRelu, nullptr};
     gemm_fused(af, bf, bias, want, m, k, n, epilogue);
-    gemm_fp16w(ah, bh, bias, got, m, k, n, epilogue);
+    const StoredRows<fp16::Half> rows{ah.data(), k};
+    gemm_rows(half_row, &rows, bh, bias, got, m, k, n, epilogue);
     EXPECT_EQ(got, want) << "m=" << m << " k=" << k << " n=" << n;
   }
+}
+
+std::vector<std::uint32_t> float_bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> bits(v.size());
+  std::memcpy(bits.data(), v.data(), v.size() * sizeof(float));
+  return bits;
+}
+
+TEST(Gemm, NarrowTileMatchesWideTile) {
+  // n <= 4 runs the 16x4 narrow tile; padding B (and bias, slopes) to 17
+  // columns runs the 6x16 wide tile on the same leading columns. Both sum
+  // p-sequentially, so act(A * B + bias) must agree bit for bit, under each
+  // micro-kernel build, for fp32 and binary16 B, and across the kKc = 256
+  // k-block split (k = 400).
+  constexpr std::int64_t m = 101;  // two row blocks of 96, ragged 16-row tiles
+  constexpr std::int64_t wide = 17;
+  for (const GemmIsa isa : {GemmIsa::kGeneric, GemmIsa::kAvx2}) {
+    if (!set_gemm_isa(isa)) continue;
+    for (const std::int64_t k : {25, 144, 400}) {
+      Rng rng(61 + k);
+      std::vector<float> a(static_cast<std::size_t>(m * k));
+      for (float& v : a) v = rng.uniform(-1.0F, 1.0F);
+      // B values are binary16-exact so one draw serves both storage types.
+      std::vector<float> bw(static_cast<std::size_t>(k * wide));
+      for (float& v : bw) v = fp16::half_to_float(fp16::float_to_half(rng.uniform(-1.0F, 1.0F)));
+      std::vector<float> bias(wide);
+      std::vector<float> alpha(wide);
+      for (float& v : bias) v = rng.uniform(-1.0F, 1.0F);
+      for (float& v : alpha) v = rng.uniform(-0.5F, 0.5F);
+      const StoredRows<float> rows{a.data(), k};
+      const RowSource float_row = [](const void* ctx, std::int64_t row, std::int64_t p0,
+                                     std::int64_t, float*) -> const float* {
+        const auto& s = *static_cast<const StoredRows<float>*>(ctx);
+        return s.a + row * s.k + p0;
+      };
+      for (std::int64_t n = 1; n <= 4; ++n) {
+        std::vector<float> bn(static_cast<std::size_t>(k * n));
+        for (std::int64_t p = 0; p < k; ++p) {
+          for (std::int64_t j = 0; j < n; ++j) bn[p * n + j] = bw[p * wide + j];
+        }
+        std::vector<fp16::Half> bnh(bn.size());
+        fp16::convert_to_half(bn.data(), bnh.data(), static_cast<std::int64_t>(bn.size()));
+        for (const auto act : {Epilogue::Act::kNone, Epilogue::Act::kRelu, Epilogue::Act::kPRelu}) {
+          const Epilogue epi{act, act == Epilogue::Act::kPRelu ? alpha.data() : nullptr};
+          std::vector<float> full(static_cast<std::size_t>(m * wide));
+          gemm_fused(a, bw, bias, full, m, k, wide, epi);
+          std::vector<float> want(static_cast<std::size_t>(m * n));
+          for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t j = 0; j < n; ++j) want[i * n + j] = full[i * wide + j];
+          }
+          const std::span<const float> bias_n(bias.data(), static_cast<std::size_t>(n));
+          std::vector<float> got(want.size());
+          gemm_fused(a, bn, bias_n, got, m, k, n, epi);
+          EXPECT_EQ(float_bits(got), float_bits(want))
+              << "fp32 B, isa=" << static_cast<int>(isa) << " k=" << k << " n=" << n;
+          gemm_rows(float_row, &rows, bnh, bias_n, got, m, k, n, epi);
+          EXPECT_EQ(float_bits(got), float_bits(want))
+              << "fp16 B, isa=" << static_cast<int>(isa) << " k=" << k << " n=" << n;
+        }
+      }
+    }
+  }
+  set_gemm_isa(GemmIsa::kAuto);
 }
 
 TEST(Gemm, AtBAccumulateMatchesReference) {

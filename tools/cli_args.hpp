@@ -36,20 +36,14 @@ class Args {
       if (arg.rfind("--", 0) != 0) positional_.push_back(std::move(arg));
       else {
         arg = arg.substr(2);
-        std::string key;
-        std::string value;
         const auto eq = arg.find('=');
+        const std::string key = arg.substr(0, eq);
+        std::string value(1, '1');  // boolean flag
         if (eq != std::string::npos) {
-          key = arg.substr(0, eq);
           value = arg.substr(eq + 1);
         } else {
-          key = arg;
           const Option* opt = find(key);
-          if (opt != nullptr && !opt->default_value.empty() && i + 1 < argc) {
-            value = argv[++i];
-          } else {
-            value = "1";  // boolean flag
-          }
+          if (opt != nullptr && !opt->default_value.empty() && i + 1 < argc) value = argv[++i];
         }
         if (find(key) == nullptr) throw UsageError("unknown option --" + key);
         values_[key] = value;
