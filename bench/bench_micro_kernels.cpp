@@ -1,7 +1,7 @@
 // Operator microbenchmarks (google-benchmark): the kernels every experiment
 // rides on — GEMM, im2col convolution (vs the naive reference), Algorithm-1
 // collapse, residual folding, depth-to-space, and one collapsed SESR-M5
-// inference step on a 360p frame.
+// inference step on a 360p frame, and the served int8 conv per kernel build.
 //
 // Machine-readable output: pass `--benchmark_format=json` (optionally
 // `--benchmark_out=<file> --benchmark_out_format=json`) — the GFLOP/s and
@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -20,8 +21,10 @@
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/conv2d_s8.hpp"
 #include "nn/depth_to_space.hpp"
 #include "nn/gemm.hpp"
+#include "nn/gemm_s8.hpp"
 #include "nn/init.hpp"
 #include "tensor/thread_pool.hpp"
 
@@ -311,6 +314,97 @@ void BM_GemmFp16wSesrShape(benchmark::State& state) {
   set_gflops_counter(state, 2.0 * static_cast<double>(m * k * n));
 }
 BENCHMARK(BM_GemmFp16wSesrShape);
+
+// The int8 benches take an nn::GemmS8Isa build as their last argument and
+// pin it for the run; a build this CPU lacks reports an error row.
+class S8IsaPin {
+ public:
+  explicit S8IsaPin(benchmark::State& state, int arg) {
+    ok_ = nn::set_gemm_s8_isa(static_cast<nn::GemmS8Isa>(state.range(arg)));
+    if (!ok_) state.SkipWithError("int8 kernel build not available on this CPU");
+  }
+  ~S8IsaPin() { nn::set_gemm_s8_isa(nn::GemmS8Isa::kAuto); }
+  S8IsaPin(const S8IsaPin&) = delete;
+  S8IsaPin& operator=(const S8IsaPin&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  bool ok_ = false;
+};
+
+const std::vector<std::int64_t> kS8Isas = benchmark::CreateDenseRange(
+    static_cast<int>(nn::GemmS8Isa::kGeneric), static_cast<int>(nn::GemmS8Isa::kAmx), 1);
+
+// The three SESR conv shapes (5x5 1->16, 3x3 16->16, 5x5 16->4) through the
+// served int8 conv on a 64x64 input: the quantize pass into the padded u8
+// image, the in-place kernels and the fused dequant + bias + PReLU store.
+// range(0) picks the shape, range(1) the build. Run with SESR_NUM_THREADS=1
+// for per-layer kernel numbers, e.g.
+//   SESR_NUM_THREADS=1 bench_micro_kernels --benchmark_filter='S8|Int8'
+void BM_ConvS8SesrShapes(benchmark::State& state) {
+  struct ConvShape {
+    std::int64_t k, in_c, out_c;
+    const char* name;
+  };
+  constexpr ConvShape kShapes[] = {
+      {5, 1, 16, "5x5 1->16"}, {3, 16, 16, "3x3 16->16"}, {5, 16, 4, "5x5 16->4"}};
+  const ConvShape& s = kShapes[state.range(0)];
+  const S8IsaPin pin(state, 1);
+  if (!pin.ok()) return;
+  const std::int64_t hw = 64;
+  Rng rng(31);
+  Tensor x(1, hw, hw, s.in_c);
+  x.fill_uniform(rng, -1.0F, 1.0F);
+  Tensor w(s.k, s.k, s.in_c, s.out_c);
+  w.fill_uniform(rng, -0.5F, 0.5F);
+  const nn::S8ConvWeights q = nn::quantize_conv_weights(w);
+  Tensor bias(1, 1, 1, s.out_c);
+  bias.fill_uniform(rng, -0.1F, 0.1F);
+  std::vector<float> alpha(static_cast<std::size_t>(s.out_c), 0.25F);
+  nn::Epilogue epi;
+  epi.act = nn::Epilogue::Act::kPRelu;
+  epi.prelu_alpha = alpha.data();
+  Tensor out(1, hw, hw, s.out_c);
+  for (auto _ : state) {
+    nn::conv2d_s8_into(x.raw(), x.shape(), 1.0F / 127.0F, q, &bias, epi, nn::Padding::kSame,
+                       out.raw());
+    benchmark::DoNotOptimize(out.raw());
+    benchmark::ClobberMemory();
+  }
+  const std::int64_t macs = hw * hw * s.k * s.k * s.in_c * s.out_c;
+  state.SetItemsProcessed(state.iterations() * macs);
+  state.counters["GMAC/s"] = benchmark::Counter(static_cast<double>(macs * state.iterations()),
+                                                benchmark::Counter::kIsRate,
+                                                benchmark::Counter::kIs1000);
+  state.SetLabel(std::string(s.name) + " " + nn::gemm_s8_kernel_name());
+}
+BENCHMARK(BM_ConvS8SesrShapes)->ArgsProduct({{0, 1, 2}, kS8Isas})->ArgNames({"shape", "isa"});
+
+// One calibrated SESR-M5 x2 int8 frame at 64x64 through the planned executor
+// (the served int8 route's small frame), per build in range(0).
+void BM_SesrM5Int8Frame64(benchmark::State& state) {
+  const S8IsaPin pin(state, 0);
+  if (!pin.ok()) return;
+  Rng rng(16);
+  core::SesrNetwork net(core::sesr_m5(2), rng);
+  core::SesrInference deployed(net);
+  std::vector<Tensor> calib;
+  for (int i = 0; i < 3; ++i) {
+    Tensor c(1, 32, 32, 1);
+    c.fill_uniform(rng, 0.0F, 1.0F);
+    calib.push_back(std::move(c));
+  }
+  deployed.calibrate_int8(calib);
+  deployed.set_precision(core::InferencePrecision::kInt8);
+  Tensor x(1, 64, 64, 1);
+  x.fill_uniform(rng, 0.0F, 1.0F);
+  for (auto _ : state) {
+    Tensor y = deployed.upscale(x);
+    benchmark::DoNotOptimize(y.raw());
+  }
+  state.SetLabel(nn::gemm_s8_kernel_name());
+}
+BENCHMARK(BM_SesrM5Int8Frame64)->ArgsProduct({kS8Isas})->ArgNames({"isa"});
 
 void BM_SesrM5Fp16Inference360p(benchmark::State& state) {
   Rng rng(14);

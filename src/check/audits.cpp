@@ -121,6 +121,8 @@ const char* s8_isa_name(nn::GemmS8Isa isa) {
       return "avx-vnni";
     case nn::GemmS8Isa::kAvx512Vnni:
       return "avx512-vnni";
+    case nn::GemmS8Isa::kAmx:
+      return "amx-int8";
   }
   return "?";
 }
@@ -187,7 +189,9 @@ TrialResult gemm_s8_trial_with_isa(std::uint64_t seed, nn::GemmS8Isa isa) {
   S8IsaGuard guard(isa);
   if (!guard.ok()) return skipped_trial(s8_isa_name(isa), "SESR_DISABLE_INT8_SIMD");
   Rng rng(seed);
-  const std::int64_t m = rng.uniform_int(1, 40);
+  // The AMX build tiles up to 64 pixels per step, so its pair draws m up to
+  // 130: one to four C tiles per step, with every tail length.
+  const std::int64_t m = rng.uniform_int(1, isa == nn::GemmS8Isa::kAmx ? 130 : 40);
   const std::int64_t k = rng.uniform_int(1, 160);
   const std::int64_t n = rng.uniform_int(1, 40);
   std::vector<std::uint8_t> a(static_cast<std::size_t>(m * k));
@@ -760,8 +764,9 @@ TrialResult collapsed_fp16_trial(std::uint64_t seed) {
 template <typename Run>
 void compare_under_every_s8_isa(TrialResult& r, std::ostringstream& os, const DTensor& want,
                                 const Run& run) {
-  for (const nn::GemmS8Isa isa : {nn::GemmS8Isa::kGeneric, nn::GemmS8Isa::kAvx2,
-                                  nn::GemmS8Isa::kVnni, nn::GemmS8Isa::kAvx512Vnni}) {
+  for (const nn::GemmS8Isa isa :
+       {nn::GemmS8Isa::kGeneric, nn::GemmS8Isa::kAvx2, nn::GemmS8Isa::kVnni,
+        nn::GemmS8Isa::kAvx512Vnni, nn::GemmS8Isa::kAmx}) {
     S8IsaGuard guard(isa);
     if (!guard.ok()) continue;
     const Tensor got = run();
@@ -1066,6 +1071,12 @@ std::vector<AuditPair> make_builtin_pairs() {
                    "reference",
                    0.0, 0.0, [](std::uint64_t s) {
                      return gemm_s8_trial_with_isa(s, nn::GemmS8Isa::kAvx512Vnni);
+                   }});
+  pairs.push_back({"gemm_s8_amx",
+                   "u8 x s8 GEMM (1x1 conv), AMX-INT8 tdpbusd tile kernel, vs exact int64 "
+                   "reference",
+                   0.0, 0.0, [](std::uint64_t s) {
+                     return gemm_s8_trial_with_isa(s, nn::GemmS8Isa::kAmx);
                    }});
   pairs.push_back({"conv2d_int8_vs_ref",
                    "serving-path int8 conv (fused dequant/bias/act) under every supported "

@@ -103,8 +103,8 @@ void conv2d_s8_into(const float* input, const Shape& in_shape, float act_scale,
   const float inv_scale = 1.0F / act_scale;
   // Quantize the input once into a zero-point-padded image: the padding
   // border is 128 (quantized zero), so the micro-kernels read every k-run in
-  // place with no bounds checks. The slack after the last image covers the
-  // part of the last k-run's final dot group past kw * in_c. Pool workers
+  // place with no bounds checks. The slack after the last image covers what
+  // a kernel reads past the last k-run (s8_image_slack). Pool workers
   // read qimg but never touch the submitting thread's scratch slot, so the
   // span stays valid for both loops.
   const std::int64_t c = g.channels;
@@ -112,7 +112,7 @@ void conv2d_s8_into(const float* input, const Shape& in_shape, float act_scale,
   const std::int64_t pad_h = g.out_h + g.kh - 1;
   const std::int64_t row_bytes = pad_w * c;
   const std::int64_t image_bytes = pad_h * row_bytes;
-  const std::int64_t slack = weight.packed.run - g.kw * c;
+  const std::int64_t slack = s8_image_slack(weight.packed, g.kw * c, c);
   std::span<std::uint8_t> qimg = scratch_bytes(
       ScratchSlot::kS8Quant, static_cast<std::size_t>(batch * image_bytes + slack));
   std::memset(qimg.data() + batch * image_bytes, kQuantZero, static_cast<std::size_t>(slack));

@@ -46,6 +46,21 @@
 #define SESR_INT8_AVX512VNNI 0
 #endif
 
+// The AMX build: 64-bit Linux (the tile data state needs an arch_prctl
+// permission) and an assembler that knows the tile mnemonics (binutils 2.36,
+// paired with gcc 11+, or clang 12+'s integrated assembler).
+#if SESR_INT8_AVX512VNNI && defined(__x86_64__) && defined(__linux__) &&                 \
+    ((defined(__clang_major__) && __clang_major__ >= 12) ||                              \
+     (!defined(__clang__) && defined(__GNUC__) && __GNUC__ >= 11))
+#define SESR_INT8_AMX 1
+#include <sys/syscall.h>
+#include <unistd.h>
+
+#include <utility>
+#else
+#define SESR_INT8_AMX 0
+#endif
+
 namespace sesr::nn {
 
 namespace {
@@ -67,10 +82,31 @@ struct S8Row {
 
 using S8RowFn = void (*)(const S8Row& row);
 
+// A build's entry point: output rows [row0, row1), with r.a, r.c and r.ci32
+// pointing at row 0.
+using S8RowsFn = void (*)(S8Row r, std::int64_t row0, std::int64_t row1);
+
 struct S8Kernel {
   const char* name;
-  S8RowFn row;
+  S8RowsFn rows;
 };
+
+template <S8RowFn Row>
+void each_row(S8Row r, std::int64_t row0, std::int64_t row1) {
+  const std::uint8_t* a = r.a;
+  float* c = r.c;
+  std::int32_t* ci32 = r.ci32;
+  const std::int64_t row_out = r.width * r.w->n;
+  for (std::int64_t row = row0; row < row1; ++row) {
+    r.a = a + row * r.rs;
+    if (c != nullptr) {
+      r.c = c + row * row_out;
+    } else {
+      r.ci32 = ci32 + row * row_out;
+    }
+    Row(r);
+  }
+}
 
 inline std::int32_t load_le_i32(const std::uint8_t* p) {
   std::int32_t v;
@@ -377,26 +413,58 @@ void row_vnni(const S8Row& r) {
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #define SESR_AVX512_TARGET __attribute__((target("avx512f,avx512bw,avx512vnni,fma")))
 
+// The per-channel operands of the AVX-512 write-back for 16 lanes.
+struct Store16 {
+  __m512i comp;  // 128 * colsum
+  __m512 scale;
+  __m512 bias;
+  __m512 alpha;
+};
+
+SESR_AVX512_TARGET inline Store16 zero_store16() {
+  return {_mm512_setzero_si512(), _mm512_setzero_ps(), _mm512_setzero_ps(), _mm512_setzero_ps()};
+}
+
 // Epilogue on 16 lanes of int32 accumulators, lane-for-lane the scalar
 // expression (see store_wide_avx2; the mask compare-and-zero matches the
 // ReLU arm, the mask blend the PReLU ternary). `mask` selects the lanes
 // stored.
-SESR_AVX512_TARGET inline void store16_avx512(__m512i acc, __m512i comp, __m512 scale,
-                                              __m512 bias, __m512 alpha, __mmask16 mask,
+SESR_AVX512_TARGET inline void store16_avx512(__m512i acc, const Store16& s, __mmask16 mask,
                                               const S8Row& r, std::int64_t offset) {
-  const __m512i v = _mm512_sub_epi32(acc, comp);
+  const __m512i v = _mm512_sub_epi32(acc, s.comp);
   if (r.epi == nullptr) {
     _mm512_mask_storeu_epi32(r.ci32 + offset, mask, v);
     return;
   }
-  __m512 f = _mm512_fmadd_ps(_mm512_cvtepi32_ps(v), scale, bias);
+  __m512 f = _mm512_fmadd_ps(_mm512_cvtepi32_ps(v), s.scale, s.bias);
   if (r.epi->act != Epilogue::Act::kNone) {
     const __mmask16 pos = _mm512_cmp_ps_mask(f, _mm512_setzero_ps(), _CMP_GT_OQ);
     f = r.epi->act == Epilogue::Act::kRelu
             ? _mm512_maskz_mov_ps(pos, f)
-            : _mm512_mask_blend_ps(pos, _mm512_mul_ps(alpha, f), f);
+            : _mm512_mask_blend_ps(pos, _mm512_mul_ps(s.alpha, f), f);
   }
   _mm512_mask_storeu_ps(r.c + offset, mask, f);
+}
+
+// Lane mask of the channels [j0, j0 + 16) that exist.
+inline __mmask16 wide_mask(const S8Row& r, std::int64_t j0) {
+  return static_cast<__mmask16>((1U << std::min<std::int64_t>(16, r.w->n - j0)) - 1U);
+}
+
+// Write-back operands of channels j0..j0+15 of a wide tile.
+SESR_AVX512_TARGET inline Store16 wide_store16(const S8Row& r, std::int64_t j0) {
+  const __mmask16 mask = wide_mask(r, j0);
+  Store16 s = zero_store16();
+  s.comp = _mm512_mullo_epi32(_mm512_maskz_loadu_epi32(mask, r.colsum + j0),
+                              _mm512_set1_epi32(128));
+  if (r.epi != nullptr) {
+    s.scale = _mm512_maskz_loadu_ps(mask, r.epi->scale + j0);
+    if (r.epi->bias != nullptr) s.bias = _mm512_maskz_loadu_ps(mask, r.epi->bias + j0);
+    if (r.epi->act == Epilogue::Act::kPRelu) {
+      s.alpha = _mm512_maskz_loadu_ps(mask, r.epi->prelu_alpha + j0);
+    }
+  }
+  return s;
 }
 
 // AVX-512 VNNI wide store: acc[i] holds channels j0..j0+15 of pixel i.
@@ -404,23 +472,9 @@ template <int MR>
 SESR_AVX512_TARGET void store_wide_avx512(const __m512i* acc, const S8Row& r, std::int64_t x0,
                                           std::int64_t j0) {
   const std::int64_t n = r.w->n;
-  const __mmask16 mask =
-      static_cast<__mmask16>((1U << std::min<std::int64_t>(16, n - j0)) - 1U);
-  const __m512i comp = _mm512_mullo_epi32(_mm512_maskz_loadu_epi32(mask, r.colsum + j0),
-                                          _mm512_set1_epi32(128));
-  __m512 scale = _mm512_setzero_ps();
-  __m512 bias = _mm512_setzero_ps();
-  __m512 alpha = _mm512_setzero_ps();
-  if (r.epi != nullptr) {
-    scale = _mm512_maskz_loadu_ps(mask, r.epi->scale + j0);
-    if (r.epi->bias != nullptr) bias = _mm512_maskz_loadu_ps(mask, r.epi->bias + j0);
-    if (r.epi->act == Epilogue::Act::kPRelu) {
-      alpha = _mm512_maskz_loadu_ps(mask, r.epi->prelu_alpha + j0);
-    }
-  }
-  for (int i = 0; i < MR; ++i) {
-    store16_avx512(acc[i], comp, scale, bias, alpha, mask, r, (x0 + i) * n + j0);
-  }
+  const __mmask16 mask = wide_mask(r, j0);
+  const Store16 s = wide_store16(r, j0);
+  for (int i = 0; i < MR; ++i) store16_avx512(acc[i], s, mask, r, (x0 + i) * n + j0);
 }
 
 // AVX-512 VNNI narrow store (n <= 4): acc[i] holds 4 channels x 4 k-group
@@ -434,19 +488,16 @@ SESR_AVX512_TARGET void store_narrow_avx512(const __m512i* acc, const S8Row& r,
                                             std::int64_t x0) {
   const std::int64_t n = r.w->n;
   const bool full = n == 4;
-  __m512i comp = _mm512_setzero_si512();
-  __m512 scale = _mm512_setzero_ps();
-  __m512 bias = _mm512_setzero_ps();
-  __m512 alpha = _mm512_setzero_ps();
+  Store16 s = zero_store16();
   if (full) {
-    comp = _mm512_mullo_epi32(
+    s.comp = _mm512_mullo_epi32(
         _mm512_broadcast_i32x4(_mm_loadu_si128(reinterpret_cast<const __m128i*>(r.colsum))),
         _mm512_set1_epi32(128));
     if (r.epi != nullptr) {
-      scale = _mm512_broadcast_f32x4(_mm_loadu_ps(r.epi->scale));
-      if (r.epi->bias != nullptr) bias = _mm512_broadcast_f32x4(_mm_loadu_ps(r.epi->bias));
+      s.scale = _mm512_broadcast_f32x4(_mm_loadu_ps(r.epi->scale));
+      if (r.epi->bias != nullptr) s.bias = _mm512_broadcast_f32x4(_mm_loadu_ps(r.epi->bias));
       if (r.epi->act == Epilogue::Act::kPRelu) {
-        alpha = _mm512_broadcast_f32x4(_mm_loadu_ps(r.epi->prelu_alpha));
+        s.alpha = _mm512_broadcast_f32x4(_mm_loadu_ps(r.epi->prelu_alpha));
       }
     }
   }
@@ -464,7 +515,7 @@ SESR_AVX512_TARGET void store_narrow_avx512(const __m512i* acc, const S8Row& r,
     const int count = MR - q < 4 ? MR - q : 4;
     if (full) {
       const auto mask = static_cast<__mmask16>((1U << (4 * count)) - 1U);
-      store16_avx512(px, comp, scale, bias, alpha, mask, r, (x0 + q) * 4);
+      store16_avx512(px, s, mask, r, (x0 + q) * 4);
     } else {
       alignas(64) std::uint32_t buf[16];
       _mm512_store_si512(buf, px);
@@ -514,6 +565,170 @@ void row_avx512(const S8Row& r) {
     }
   });
 }
+
+#if SESR_INT8_AMX
+// AMX build for the wide layout (narrow weights run the AVX-512 VNNI tiles).
+// tdpbusd multiplies a u8 A tile (rows = pixels, K bytes each) by an s8 B
+// tile (K/4 rows of 16 channels x 4 bytes) into an int32 C tile (pixels x 16
+// channels), wrapping like vpdpbusd. An A tile is 16 consecutive pixels of
+// one output row read in place at stride in_c (overlapping rows are legal);
+// a B tile is consecutive rows of the wide packing at stride cols * 4, which
+// is already the layout tdpbusd wants. Tile registers:
+//   tmm0-3  C: 16 pixels x 16 channels each, so one step covers 64 pixels
+//   tmm4/5  A / B of a K chunk of min(run, 64) bytes
+//   tmm6/7  A / B of the run's shorter last chunk, when run > 64 and run is
+//           not a multiple of 64 (the x4 net's 80-byte run: 64 + 16)
+// A row's remainder runs as one step of ceil(rest / 16) C tiles; pixels past
+// the row end are computed from the bytes that follow (s8_image_slack covers
+// the last row) and never stored.
+//
+// The tile state is configured per rows_amx call and released at its end, so
+// pool threads hold no tile state between calls. The tile instructions are
+// inline asm, not gcc 12's intrinsics, which under-declare memory (see
+// gemm_s8.hpp): here ldtilecfg takes the whole config as its operand and
+// tileloadd clobbers memory.
+
+// Palette-1 tile configuration (Intel SDM vol. 1, 3.2.2 "TILECFG").
+struct alignas(64) AmxConfig {
+  std::uint8_t palette = 1;
+  std::uint8_t start_row = 0;
+  std::uint8_t reserved[14] = {};
+  std::uint16_t colsb[16] = {};
+  std::uint8_t rows[16] = {};
+};
+static_assert(sizeof(AmxConfig) == 64);
+
+constexpr std::int64_t kAmxChunk = 64;  // max bytes per A tile row
+constexpr int kAmxSteps = 4;            // C tiles per step
+
+// How a k-run splits into tdpbusd K chunks.
+struct AmxChunks {
+  std::int64_t bytes;  // per full chunk
+  std::int64_t count;  // full chunks per k-run
+  std::int64_t tail;   // bytes of the shorter last chunk, 0 if none
+};
+
+inline AmxChunks amx_chunks(const S8PackedWeights& w) {
+  const std::int64_t bytes = std::min(w.run, kAmxChunk);
+  return {bytes, w.run / bytes, w.run % bytes};
+}
+
+AmxConfig amx_config(const S8PackedWeights& w) {
+  const AmxChunks ch = amx_chunks(w);
+  AmxConfig cfg;
+  for (int t = 0; t < kAmxSteps; ++t) {
+    cfg.rows[t] = 16;
+    cfg.colsb[t] = 64;
+  }
+  const auto set_ab = [&](int a, std::int64_t bytes) {
+    cfg.rows[a] = 16;
+    cfg.colsb[a] = static_cast<std::uint16_t>(bytes);
+    cfg.rows[a + 1] = static_cast<std::uint8_t>(bytes / 4);
+    cfg.colsb[a + 1] = 64;
+  };
+  set_ab(4, ch.bytes);
+  if (ch.tail > 0) set_ab(6, ch.tail);
+  return cfg;
+}
+
+inline void tile_config(const AmxConfig& cfg) { asm volatile("ldtilecfg %0" ::"m"(cfg)); }
+inline void tile_release() { asm volatile("tilerelease" ::); }
+
+template <int T>
+inline void tile_zero() {
+  asm volatile("tilezero %%tmm%c0" ::"i"(T));
+}
+
+template <int T>
+inline void tile_load(const std::uint8_t* base, std::int64_t stride) {
+  asm volatile("tileloadd (%0,%1,1), %%tmm%c2" ::"r"(base), "r"(stride), "i"(T) : "memory");
+}
+
+template <int T>
+inline void tile_store(std::int32_t* base, std::int64_t stride) {
+  asm volatile("tilestored %%tmm%c0, (%1,%2,1)" ::"i"(T), "r"(base), "r"(stride) : "memory");
+}
+
+// C[T] += A x B (u8 x s8, int32 wrap).
+template <int C, int A, int B>
+inline void tile_dpbusd() {
+  asm volatile("tdpbusd %%tmm%c2, %%tmm%c1, %%tmm%c0" ::"i"(C), "i"(A), "i"(B));
+}
+
+// One K chunk into C tiles 0..sizeof(Cs)-1: B once, then per C tile its 16
+// pixels' A rows from `a`, 16 pixel strides apart.
+template <int A, int B, int... Cs>
+inline void amx_chunk(const std::uint8_t* a, std::int64_t ps, const std::uint8_t* b,
+                      std::int64_t bs, std::integer_sequence<int, Cs...> /*tiles*/) {
+  tile_load<B>(b, bs);
+  ((tile_load<A>(a + Cs * 16 * ps, ps), tile_dpbusd<Cs, A, B>()), ...);
+}
+
+// Pixels [x0, x0 + 16 * NT) x channels [j0, j0 + 16) of one output row; only
+// pixels below r.width are stored.
+template <int NT>
+SESR_AVX512_TARGET void step_amx(const S8Row& r, const AmxChunks& ch, std::int64_t x0,
+                                 std::int64_t j0) {
+  constexpr auto tiles = std::make_integer_sequence<int, NT>{};
+  [&]<int... Cs>(std::integer_sequence<int, Cs...>) { (tile_zero<Cs>(), ...); }(tiles);
+  const S8PackedWeights& w = *r.w;
+  const std::int64_t bs = w.cols * 4;
+  const std::uint8_t* b = w.data.data() + j0 * 4;
+  for (std::int64_t ky = 0; ky < w.kh; ++ky) {
+    const std::uint8_t* a = r.a + ky * r.rs + x0 * r.ps;
+    for (std::int64_t q = 0; q < ch.count; ++q, a += ch.bytes, b += ch.bytes / 4 * bs) {
+      amx_chunk<4, 5>(a, r.ps, b, bs, tiles);
+    }
+    if (ch.tail > 0) {
+      amx_chunk<6, 7>(a, r.ps, b, bs, tiles);
+      b += ch.tail / 4 * bs;
+    }
+  }
+  alignas(64) std::int32_t acc[NT * 16][16];
+  [&]<int... Cs>(std::integer_sequence<int, Cs...>) {
+    (tile_store<Cs>(acc[Cs * 16], sizeof(acc[0])), ...);
+  }(tiles);
+  const std::int64_t n = w.n;
+  const __mmask16 mask = wide_mask(r, j0);
+  const Store16 s = wide_store16(r, j0);
+  const std::int64_t mr = std::min<std::int64_t>(NT * 16, r.width - x0);
+  for (std::int64_t i = 0; i < mr; ++i) {
+    store16_avx512(_mm512_load_si512(acc[i]), s, mask, r, (x0 + i) * n + j0);
+  }
+}
+
+void row_amx(const S8Row& r) {
+  const AmxChunks ch = amx_chunks(*r.w);
+  for (std::int64_t j0 = 0; j0 < r.w->n; j0 += 16) {
+    for (std::int64_t x0 = 0; x0 < r.width; x0 += kAmxSteps * 16) {
+      switch (std::min<std::int64_t>(kAmxSteps, (r.width - x0 + 15) / 16)) {
+        case 1:
+          step_amx<1>(r, ch, x0, j0);
+          break;
+        case 2:
+          step_amx<2>(r, ch, x0, j0);
+          break;
+        case 3:
+          step_amx<3>(r, ch, x0, j0);
+          break;
+        default:
+          step_amx<kAmxSteps>(r, ch, x0, j0);
+          break;
+      }
+    }
+  }
+}
+
+void rows_amx(S8Row r, std::int64_t row0, std::int64_t row1) {
+  if (r.w->narrow || r.w->run == 0) {
+    each_row<row_avx512>(r, row0, row1);
+    return;
+  }
+  tile_config(amx_config(*r.w));
+  each_row<row_amx>(r, row0, row1);
+  tile_release();
+}
+#endif  // SESR_INT8_AMX
 #undef SESR_AVX512_TARGET
 #pragma GCC diagnostic pop
 #endif  // SESR_INT8_AVX512VNNI
@@ -532,6 +747,28 @@ bool cpu_has_avxvnni() {
 }
 #endif  // x86
 
+#if SESR_INT8_AMX
+// AMX-TILE and AMX-INT8 are CPUID.(EAX=7, ECX=0):EDX[24] and EDX[25]. Linux
+// also gates the 8 KB tile data state: one ARCH_REQ_XCOMP_PERM request for
+// XTILEDATA (state component 18) grants it to every thread of the process,
+// and fails where the kernel does not support it.
+bool amx_permitted() {
+  static const bool permitted = [] {
+    unsigned eax = 0;
+    unsigned ebx = 0;
+    unsigned ecx = 0;
+    unsigned edx = 0;
+    if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+    constexpr unsigned kAmxTileInt8 = (1U << 24) | (1U << 25);
+    if ((edx & kAmxTileInt8) != kAmxTileInt8) return false;
+    constexpr long kArchReqXcompPerm = 0x1023;
+    constexpr long kXfeatureXtiledata = 18;
+    return syscall(SYS_arch_prctl, kArchReqXcompPerm, kXfeatureXtiledata) == 0;
+  }();
+  return permitted;
+}
+#endif
+
 bool int8_simd_disabled() {
   static const bool disabled = [] {
     const char* env = std::getenv("SESR_DISABLE_INT8_SIMD");
@@ -540,18 +777,24 @@ bool int8_simd_disabled() {
   return disabled;
 }
 
-constexpr S8Kernel kKernelGeneric{"generic", row_generic};
+constexpr S8Kernel kKernelGeneric{"generic", each_row<row_generic>};
 #if defined(__x86_64__) || defined(__i386__)
-constexpr S8Kernel kKernelAvx2{"avx2", row_avx2};
+constexpr S8Kernel kKernelAvx2{"avx2", each_row<row_avx2>};
 #if SESR_INT8_VNNI
-constexpr S8Kernel kKernelVnni{"vnni", row_vnni};
+constexpr S8Kernel kKernelVnni{"vnni", each_row<row_vnni>};
 #endif
 #if SESR_INT8_AVX512VNNI
-constexpr S8Kernel kKernelAvx512Vnni{"avx512vnni", row_avx512};
+constexpr S8Kernel kKernelAvx512Vnni{"avx512vnni", each_row<row_avx512>};
+#endif
+#if SESR_INT8_AMX
+constexpr S8Kernel kKernelAmx{"amx", rows_amx};
 #endif
 #endif
 
 const S8Kernel* pick_s8_kernel() {
+#if SESR_INT8_AMX
+  if (gemm_s8_amx_supported()) return &kKernelAmx;
+#endif
 #if SESR_INT8_AVX512VNNI
   if (gemm_s8_avx512vnni_supported()) return &kKernelAvx512Vnni;
 #endif
@@ -571,24 +814,17 @@ std::atomic<const S8Kernel*> g_s8_kernel{pick_s8_kernel()};
 void conv_rows_impl(const S8Image& a, const S8PackedWeights& w, const std::int32_t* colsum,
                     std::int64_t row0, std::int64_t row1, float* c, std::int32_t* ci32,
                     const S8Epilogue* epi) {
-  const S8Kernel& kern = *g_s8_kernel.load(std::memory_order_relaxed);
   S8Row r;
+  r.a = a.data;
   r.ps = a.pixel_stride;
   r.rs = a.row_stride;
   r.width = a.width;
   r.w = &w;
   r.colsum = colsum;
   r.epi = epi;
-  const std::int64_t row_out = a.width * w.n;
-  for (std::int64_t row = row0; row < row1; ++row) {
-    r.a = a.data + row * a.row_stride;
-    if (c != nullptr) {
-      r.c = c + row * row_out;
-    } else {
-      r.ci32 = ci32 + row * row_out;
-    }
-    kern.row(r);
-  }
+  r.c = c;
+  r.ci32 = ci32;
+  g_s8_kernel.load(std::memory_order_relaxed)->rows(r, row0, row1);
 }
 
 void check_s8_sizes(std::size_t a_size, std::span<const std::int8_t> b,
@@ -617,13 +853,13 @@ void check_s8_epilogue(const S8Epilogue& epi) {
 }
 
 // The GEMM as a 1x1 conv: one image row of m pixels, in_c = k. A is copied so
-// the last pixel's k-run may read its run - k bytes of slack.
+// the kernels may read s8_image_slack bytes past the last pixel's k-run.
 void gemm_s8_impl(std::span<const std::uint8_t> a, std::span<const std::int8_t> b,
                   std::span<const std::int32_t> colsum, float* c, std::int32_t* ci32,
                   std::int64_t m, std::int64_t k, std::int64_t n, const S8Epilogue* epi) {
   if (m <= 0 || n <= 0) return;
   const S8PackedWeights w = pack_s8_weights(b, 1, k, n);
-  std::vector<std::uint8_t> img(static_cast<std::size_t>(m * k + w.run - k), 128);
+  std::vector<std::uint8_t> img(static_cast<std::size_t>(m * k + s8_image_slack(w, k, k)), 128);
   std::copy(a.begin(), a.begin() + m * k, img.begin());
   const S8Image view{img.data(), k, m * k, m};
   conv_rows_impl(view, w, colsum.data(), 0, 1, c, ci32, epi);
@@ -750,6 +986,19 @@ bool gemm_s8_avx512vnni_supported() {
 #endif
 }
 
+bool gemm_s8_amx_supported() {
+#if SESR_INT8_AMX
+  return gemm_s8_avx512vnni_supported() && amx_permitted();
+#else
+  return false;
+#endif
+}
+
+std::int64_t s8_image_slack(const S8PackedWeights& w, std::int64_t kwc,
+                            std::int64_t pixel_stride) {
+  return (kTile - 1) * pixel_stride + w.run - kwc;
+}
+
 const char* gemm_s8_kernel_name() { return g_s8_kernel.load(std::memory_order_relaxed)->name; }
 
 bool set_gemm_s8_isa(GemmS8Isa isa) {
@@ -774,6 +1023,11 @@ bool set_gemm_s8_isa(GemmS8Isa isa) {
     case GemmS8Isa::kAvx512Vnni:
 #if SESR_INT8_AVX512VNNI
       if (gemm_s8_avx512vnni_supported()) kern = &kKernelAvx512Vnni;
+#endif
+      break;
+    case GemmS8Isa::kAmx:
+#if SESR_INT8_AMX
+      if (gemm_s8_amx_supported()) kern = &kKernelAmx;
 #endif
       break;
   }

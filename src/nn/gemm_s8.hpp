@@ -25,7 +25,7 @@
 // so the stored accumulator equals the plain s8 x s8 int64 dot product
 // whenever that fits int32 — bit-exactly, which the conv2d_int8_vs_ref and
 // gemm_s8_* audit pairs enforce against the int64 reference in src/check.
-// Four micro-kernel builds sit behind a runtime-detect seam:
+// Five micro-kernel builds sit behind a runtime-detect seam:
 //   kGeneric     portable scalar loop (the non-AVX fallback CI keeps honest)
 //   kAvx2        zero/sign-extend to s16 + _mm256_madd_epi16 (exact; maddubs'
 //                s16 pair-sum saturates at 255*127*2 > 32767, so it is not used)
@@ -34,8 +34,27 @@
 //                along one row x 16 channels (one zmm per pixel); a narrow
 //                tile is 16 pixels with one zmm of 4 channels x 4 k-groups
 //                each, fed by a 16-byte A broadcast and summed at the store
-// All four produce identical int32 accumulators; SESR_DISABLE_INT8_SIMD=1
-// pins the scalar kernel for forced-generic CI runs.
+//   kAmx         AMX-INT8 tdpbusd for the wide layout (narrow weights run the
+//                kAvx512Vnni tiles). An A tile is 16 consecutive pixels x one
+//                K chunk (at most 64 bytes) of their k-runs, loaded in place
+//                with tileloadd at stride in_c (the rows overlap, which is
+//                legal). A B tile is the chunk's dot-group rows of the wide
+//                packing at stride cols * 4: no new layout or pack. Four C
+//                tiles (64 pixels x 16 channels) accumulate per step; a row's
+//                remainder is one step of fewer tiles, whose pixels past the
+//                row end are computed and never stored. The tile state is
+//                configured and released within one conv_s8_rows call, and
+//                the write-back is the kAvx512Vnni store. Linux only: the
+//                process must be granted the tile data state (arch_prctl
+//                ARCH_REQ_XCOMP_PERM), once. The tile instructions are inline
+//                asm because gcc 12's intrinsics under-declare memory:
+//                _tile_loadconfig names 8 of the config's 64 bytes (gcc drops
+//                the stores that fill the rest, and tileloadd faults), and
+//                _tile_loadd names none (stores to A or B bytes may move past
+//                the load).
+// All five produce identical int32 accumulators (tdpbusd wraps, like
+// vpdpbusd); SESR_DISABLE_INT8_SIMD=1 pins the scalar kernel for
+// forced-generic CI runs.
 //
 // The dequantize -> bias -> activation epilogue rides the accumulator store:
 //   out = act(fmaf(float(acc), scale[col], bias[col]))
@@ -54,7 +73,7 @@ namespace sesr::nn {
 
 // Micro-kernel selector for the int8 kernels, mirroring nn::GemmIsa. Explicit
 // values exist so the gemm_s8_* audit pairs can pin each build.
-enum class GemmS8Isa { kAuto, kGeneric, kAvx2, kVnni, kAvx512Vnni };
+enum class GemmS8Isa { kAuto, kGeneric, kAvx2, kVnni, kAvx512Vnni, kAmx };
 
 // Force the int8 micro-kernel dispatch; returns false (dispatch unchanged)
 // when the requested ISA is unsupported (or vector kernels are disabled via
@@ -66,9 +85,12 @@ bool set_gemm_s8_isa(GemmS8Isa isa);
 bool gemm_s8_avx2_supported();
 bool gemm_s8_vnni_supported();
 bool gemm_s8_avx512vnni_supported();
+// AMX-TILE + AMX-INT8 on the CPU, the tile data permission granted, and the
+// kAvx512Vnni build (which serves the narrow layout) usable.
+bool gemm_s8_amx_supported();
 
-// Name of the build the dispatch currently runs: "generic", "avx2", "vnni"
-// or "avx512vnni".
+// Name of the build the dispatch currently runs: "generic", "avx2", "vnni",
+// "avx512vnni" or "amx".
 const char* gemm_s8_kernel_name();
 
 // Fused write-back applied to every int32 accumulator (see file comment).
@@ -132,14 +154,21 @@ S8PackedWeights pack_s8_weights(std::span<const std::int8_t> b, std::int64_t kh,
 
 // The in-place A operand: a zero-point-padded u8 image. Output pixel x of
 // output row r reads k-run ky at data + (r + ky) * row_stride + x *
-// pixel_stride. The caller guarantees that run - kwc bytes past the last
-// k-run of the last row are readable (their values do not matter).
+// pixel_stride. The caller guarantees that s8_image_slack bytes past the
+// last k-run of the last row are readable (their values do not matter).
 struct S8Image {
   const std::uint8_t* data = nullptr;
   std::int64_t pixel_stride = 0;  // in_c
   std::int64_t row_stride = 0;    // padded image width * in_c
   std::int64_t width = 0;         // output pixels per row
 };
+
+// Bytes a kernel build may read past the end of the last k-run of an image's
+// last pixel (pixels pixel_stride bytes apart), for weights packed from
+// kwc-byte k-runs: up to 15 more pixels of an AMX tile past the row end, plus
+// the run's rounding past kwc.
+std::int64_t s8_image_slack(const S8PackedWeights& w, std::int64_t kwc,
+                            std::int64_t pixel_stride);
 
 // Output rows [row0, row1) of the conv: c[(r * width + x) * n + j] =
 // epilogue(sum over the kh k-runs of pixel (r, x) - 128 * colsum[j]).

@@ -20,8 +20,18 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
-void put_f32(std::vector<std::uint8_t>& out, float v) {
-  put_u32(out, std::bit_cast<std::uint32_t>(v));
+// The pixel block is little-endian IEEE-754 floats. A little-endian host
+// copies it in bulk; any other host converts float by float, so the wire
+// bytes are the same everywhere.
+constexpr bool kBulkF32 = std::endian::native == std::endian::little;
+
+void put_f32s(std::vector<std::uint8_t>& out, const std::vector<float>& v) {
+  if constexpr (kBulkF32) {
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(v.data());
+    out.insert(out.end(), bytes, bytes + v.size() * sizeof(float));
+  } else {
+    for (float f : v) put_u32(out, std::bit_cast<std::uint32_t>(f));
+  }
 }
 
 // Little cursor over a payload; every read checks remaining length.
@@ -71,10 +81,16 @@ struct Cursor {
     // the IO thread, pre-auth, that is a remote crash.
     if (n > left / 4) return false;
     out.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint32_t bits = 0;
-      u32(bits);
-      out[i] = std::bit_cast<float>(bits);
+    if constexpr (kBulkF32) {
+      if (n > 0) std::memcpy(out.data(), p, n * sizeof(float));
+      p += n * sizeof(float);
+      left -= n * sizeof(float);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        std::uint32_t bits = 0;
+        u32(bits);
+        out[i] = std::bit_cast<float>(bits);
+      }
     }
     return true;
   }
@@ -111,7 +127,7 @@ std::vector<std::uint8_t> encode_request(const WireRequest& request) {
   out.insert(out.end(), request.route.begin(), request.route.end());
   put_u32(out, static_cast<std::uint32_t>(request.h));
   put_u32(out, static_cast<std::uint32_t>(request.w));
-  for (float v : request.pixels) put_f32(out, v);
+  put_f32s(out, request.pixels);
   seal(out);
   return out;
 }
@@ -129,7 +145,7 @@ std::vector<std::uint8_t> encode_response(const WireResponse& response) {
   if (response.status == Status::kOk) {
     put_u32(out, static_cast<std::uint32_t>(response.h));
     put_u32(out, static_cast<std::uint32_t>(response.w));
-    for (float v : response.pixels) put_f32(out, v);
+    put_f32s(out, response.pixels);
   } else {
     put_u32(out, 0);
     put_u32(out, 0);

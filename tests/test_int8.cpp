@@ -5,6 +5,8 @@
 // planner, and the cross-mode bit-exactness promise (full-frame == tiled for
 // pure int8).
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
@@ -12,6 +14,7 @@
 #include <iterator>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "tensor/rng.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "tensor/thread_pool.hpp"
 
 namespace sesr {
 namespace {
@@ -196,7 +200,8 @@ class S8IsaGuard {
 };
 
 constexpr nn::GemmS8Isa kAllS8Isas[] = {nn::GemmS8Isa::kGeneric, nn::GemmS8Isa::kAvx2,
-                                        nn::GemmS8Isa::kVnni, nn::GemmS8Isa::kAvx512Vnni};
+                                        nn::GemmS8Isa::kVnni, nn::GemmS8Isa::kAvx512Vnni,
+                                        nn::GemmS8Isa::kAmx};
 
 void check_gemm_s8_shapes(nn::GemmS8Isa isa) {
   S8IsaGuard guard(isa);
@@ -230,6 +235,7 @@ TEST(GemmS8, VnniMatchesInt64Reference) { check_gemm_s8_shapes(nn::GemmS8Isa::kV
 TEST(GemmS8, Avx512VnniMatchesInt64Reference) {
   check_gemm_s8_shapes(nn::GemmS8Isa::kAvx512Vnni);
 }
+TEST(GemmS8, AmxMatchesInt64Reference) { check_gemm_s8_shapes(nn::GemmS8Isa::kAmx); }
 
 TEST(GemmS8, AllIsaBuildsBitIdentical) {
   Rng rng(42);
@@ -263,6 +269,150 @@ TEST(GemmS8, AllIsaBuildsBitIdentical) {
   }
   ASSERT_GE(outs.size(), 1U);
   for (std::size_t i = 1; i < outs.size(); ++i) EXPECT_EQ(outs[i], outs[0]);
+}
+
+// The weights the AMX build serves (the wide layout): the 5x5 1->16 first
+// conv, the 3x3 16->16 middle convs, the x4 net's 5x5 16->16 last conv (an
+// 80-byte run: one 64-byte K chunk plus a 16-byte one) and a 1x1 conv with a
+// 160-byte run, the longest the gemm_s8_* audit pairs draw.
+struct AmxShape {
+  std::int64_t k, in_c, out_c;
+};
+constexpr AmxShape kAmxShapes[] = {{5, 1, 16}, {3, 16, 16}, {5, 16, 16}, {1, 160, 40}};
+constexpr std::int64_t kAmxMaxWidth = 130;  // up to 2 full 64-pixel steps + every tail
+
+struct LayerParams {
+  nn::S8ConvWeights q;
+  Tensor bias;
+  std::vector<float> alpha;
+  nn::Epilogue epi;
+};
+
+LayerParams make_layer(const AmxShape& s, std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor w(s.k, s.k, s.in_c, s.out_c);
+  w.fill_uniform(rng, -0.5F, 0.5F);
+  LayerParams p{nn::quantize_conv_weights(w), Tensor(1, 1, 1, s.out_c),
+                std::vector<float>(static_cast<std::size_t>(s.out_c)), {}};
+  p.bias.fill_uniform(rng, -0.1F, 0.1F);
+  for (float& a : p.alpha) a = rng.uniform(0.01F, 0.5F);
+  p.epi.act = nn::Epilogue::Act::kPRelu;
+  p.epi.prelu_alpha = p.alpha.data();
+  return p;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// The int8 conv layer of every AMX shape, quantize pass and epilogue
+// included, under kAmx vs kAvx512Vnni on every width from one 16-pixel C
+// tile to two full 64-pixel steps plus each remainder.
+TEST(Int8Amx, LayerMatchesAvx512VnniOnEveryWidth) {
+  if (!nn::gemm_s8_amx_supported()) GTEST_SKIP() << "AMX-INT8 unavailable on this host";
+  std::uint64_t seed = 700;
+  for (const AmxShape& s : kAmxShapes) {
+    const LayerParams p = make_layer(s, seed++);
+    for (std::int64_t width = 1; width <= kAmxMaxWidth; ++width) {
+      Rng rng(seed++);
+      Tensor x(1, 3, width, s.in_c);
+      x.fill_uniform(rng, -1.0F, 1.0F);
+      std::vector<float> out[2];
+      const nn::GemmS8Isa isas[2] = {nn::GemmS8Isa::kAvx512Vnni, nn::GemmS8Isa::kAmx};
+      for (int i = 0; i < 2; ++i) {
+        S8IsaGuard guard(isas[i]);
+        ASSERT_TRUE(guard.ok());
+        const Tensor y =
+            nn::conv2d_s8(x, 1.0F / 127.0F, p.q, &p.bias, p.epi, nn::Padding::kSame);
+        out[i].assign(y.raw(), y.raw() + y.numel());
+      }
+      EXPECT_TRUE(same_bits(out[0], out[1]))
+          << s.k << "x" << s.k << " " << s.in_c << "->" << s.out_c << " width=" << width;
+    }
+  }
+}
+
+// Bytes that end exactly where a PROT_NONE page begins, so a read one byte
+// past them faults.
+class GuardedBytes {
+ public:
+  explicit GuardedBytes(std::size_t n) {
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    mapped_ = (n + page - 1) / page * page + page;
+    void* base =
+        mmap(nullptr, mapped_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED) throw std::runtime_error("mmap failed");
+    base_ = static_cast<std::uint8_t*>(base);
+    if (mprotect(base_ + mapped_ - page, page, PROT_NONE) != 0) {
+      munmap(base_, mapped_);
+      throw std::runtime_error("mprotect failed");
+    }
+    data_ = base_ + mapped_ - page - n;
+  }
+  ~GuardedBytes() { munmap(base_, mapped_); }
+  GuardedBytes(const GuardedBytes&) = delete;
+  GuardedBytes& operator=(const GuardedBytes&) = delete;
+
+  std::uint8_t* data() { return data_; }
+
+ private:
+  std::uint8_t* base_ = nullptr;
+  std::uint8_t* data_ = nullptr;
+  std::size_t mapped_ = 0;
+};
+
+// The AMX tiles read up to 15 pixels past a row's end. Sanitizers do not see
+// tileloadd (gcc emits it as inline asm), so this places each padded image
+// with exactly s8_image_slack bytes after it, then a PROT_NONE page, and runs
+// every AMX shape on every width: one row per task on a 4-thread pool (each
+// call configures and releases its own tiles), from the test's main thread
+// and from a fresh std::thread.
+TEST(Int8Amx, TileReadsStayWithinTheImageSlack) {
+  if (!nn::gemm_s8_amx_supported()) GTEST_SKIP() << "AMX-INT8 unavailable on this host";
+  ThreadPool pool(4);
+  const auto sweep = [&pool] {
+    std::uint64_t seed = 900;
+    for (const AmxShape& s : kAmxShapes) {
+      const LayerParams p = make_layer(s, seed++);
+      const nn::S8PackedWeights& w = p.q.packed;
+      std::vector<float> scale(static_cast<std::size_t>(s.out_c));
+      for (float& v : scale) v = 1e-3F;
+      nn::S8Epilogue epi;
+      epi.scale = scale.data();
+      epi.bias = p.bias.raw();
+      epi.act = p.epi.act;
+      epi.prelu_alpha = p.epi.prelu_alpha;
+      const std::int64_t rows = 4;
+      for (std::int64_t width = 1; width <= kAmxMaxWidth; ++width) {
+        const std::int64_t row_bytes = (width + s.k - 1) * s.in_c;
+        const std::int64_t image_bytes = (rows + s.k - 1) * row_bytes;
+        const std::int64_t slack = nn::s8_image_slack(w, s.k * s.in_c, s.in_c);
+        GuardedBytes bytes(static_cast<std::size_t>(image_bytes + slack));
+        Rng rng(seed++);
+        for (std::int64_t i = 0; i < image_bytes; ++i) {
+          bytes.data()[i] = static_cast<std::uint8_t>(rng.uniform_int(1, 255));
+        }
+        std::memset(bytes.data() + image_bytes, 128, static_cast<std::size_t>(slack));
+        const nn::S8Image image{bytes.data(), s.in_c, row_bytes, width};
+        const std::size_t out_size = static_cast<std::size_t>(rows * width * s.out_c);
+        std::vector<float> want(out_size);
+        std::vector<float> got(out_size);
+        {
+          S8IsaGuard guard(nn::GemmS8Isa::kAvx512Vnni);
+          nn::conv_s8_rows(image, w, p.q.colsum, 0, rows, want.data(), epi);
+        }
+        S8IsaGuard guard(nn::GemmS8Isa::kAmx);
+        pool.parallel_for(0, rows, [&](std::int64_t row) {
+          nn::conv_s8_rows(image, w, p.q.colsum, row, row + 1, got.data(), epi);
+        });
+        EXPECT_TRUE(same_bits(want, got)) << s.k << "x" << s.k << " " << s.in_c << "->"
+                                          << s.out_c << " width=" << width;
+      }
+    }
+  };
+  sweep();
+  std::thread fresh(sweep);
+  fresh.join();
 }
 
 TEST(GemmS8, EpilogueMatchesScalarFmafExpression) {

@@ -120,6 +120,34 @@ TEST(Wire, ResponseRoundTripsOkAndError) {
   EXPECT_EQ(decoded->message, error.message);
 }
 
+// A round trip passes with any byte order the encoder and decoder share, so
+// pin the bytes themselves: the pixel block is little-endian IEEE-754, the
+// last h*w*4 bytes of a request and of an OK response.
+TEST(Wire, PixelBlockIsLittleEndianOnTheWire) {
+  const std::vector<float> pixels = {1.0F, -2.5F};
+  const std::vector<std::uint8_t> want = {0x00, 0x00, 0x80, 0x3F, 0x00, 0x00, 0x20, 0xC0};
+  const auto tail = [](const std::vector<std::uint8_t>& bytes) {
+    return std::vector<std::uint8_t>(bytes.end() - 8, bytes.end());
+  };
+  WireRequest request;
+  request.route = "m5:2:fp32";
+  request.h = 1;
+  request.w = 2;
+  request.pixels = pixels;
+  EXPECT_EQ(tail(encode_request(request)), want);
+  WireResponse response;
+  response.status = Status::kOk;
+  response.route = "m5:2:fp32";
+  response.h = 1;
+  response.w = 2;
+  response.pixels = pixels;
+  EXPECT_EQ(tail(encode_response(response)), want);
+  // And the decoder reads those bytes back as the same floats.
+  const auto decoded = decode_response(payload_of(encode_response(response)));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->pixels, pixels);
+}
+
 TEST(Wire, DecodeRejectsTruncatedAndTrailingBytes) {
   WireRequest request;
   request.id = 1;
