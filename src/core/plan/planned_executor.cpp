@@ -14,6 +14,16 @@ namespace {
 // A handful of shapes covers full frames plus the serve layer's tile sizes.
 constexpr std::size_t kMaxCachedPlans = 8;
 
+// Grows `arena` to exactly `need` elements as a fresh allocation: the old
+// buffer is freed first and its dead contents are never copied, and the
+// capacity is `need`, not the next doubling.
+template <typename T>
+void grow_exact(std::vector<T>& arena, std::size_t need) {
+  if (arena.size() >= need) return;
+  arena = std::vector<T>();
+  arena.resize(need);
+}
+
 }  // namespace
 
 const ExecutionPlan& PlannedExecutor::plan_for(const SesrInference& net, std::int64_t lr_h,
@@ -34,36 +44,9 @@ const ExecutionPlan& PlannedExecutor::plan_for(const SesrInference& net, std::in
   return plans_.back().plan;
 }
 
-PlanFootprint PlannedExecutor::footprint(const SesrInference& net) {
-  // Any probe shape gives the exact coefficients; 16x16 keeps compile cheap.
-  return plan_for(net, 16, 16).footprint();
-}
-
 std::int64_t PlannedExecutor::arena_bytes() const {
   return static_cast<std::int64_t>(float_arena_.capacity() * sizeof(float)) +
          static_cast<std::int64_t>(half_arena_.capacity() * sizeof(fp16::Half));
-}
-
-void PlannedExecutor::reserve(const SesrInference& net, std::int64_t lr_pixels) {
-  const PlanFootprint f = footprint(net);
-  const auto f_need = static_cast<std::size_t>(f.float_per_pixel * lr_pixels);
-  const auto h_need = static_cast<std::size_t>(f.half_per_pixel * lr_pixels);
-  if (float_arena_.size() < f_need) float_arena_.resize(f_need);
-  if (half_arena_.size() < h_need) half_arena_.resize(h_need);
-}
-
-void PlannedExecutor::trim(const SesrInference& net, std::int64_t lr_pixels) {
-  const PlanFootprint f = footprint(net);
-  const auto f_keep = static_cast<std::size_t>(f.float_per_pixel * lr_pixels);
-  const auto h_keep = static_cast<std::size_t>(f.half_per_pixel * lr_pixels);
-  if (float_arena_.capacity() > f_keep) {
-    float_arena_.resize(f_keep);
-    float_arena_.shrink_to_fit();
-  }
-  if (half_arena_.capacity() > h_keep) {
-    half_arena_.resize(h_keep);
-    half_arena_.shrink_to_fit();
-  }
 }
 
 void PlannedExecutor::invalidate() { plans_.clear(); }
@@ -78,8 +61,8 @@ void PlannedExecutor::run(const SesrInference& net, const Tensor& input, Tensor&
   }
   const auto f_need = static_cast<std::size_t>(p.float_arena_elements() * batch);
   const auto h_need = static_cast<std::size_t>(p.half_arena_elements() * batch);
-  if (float_arena_.size() < f_need) float_arena_.resize(f_need);
-  if (half_arena_.size() < h_need) half_arena_.resize(h_need);
+  grow_exact(float_arena_, f_need);
+  grow_exact(half_arena_, h_need);
 
   // Operand addresses. Plan sizes and offsets are per batch item, so both
   // scale by the batch; kInputValue is the caller's input, the external value

@@ -3,8 +3,9 @@
 // The executor owns nothing about the network: run() takes the SesrInference
 // whose weights it replays, and the executor holds only (a) a small cache of
 // compiled plans keyed by input shape and (b) the two activation arenas (fp32
-// carrier and binary16). Steady state — same shape, warm cache, arenas grown
-// — performs zero heap allocations: every layer output lands in a
+// carrier and binary16). The arenas grow on demand to exactly the largest
+// plan run so far and never shrink. Steady state — same shape, warm cache,
+// arenas grown — performs zero heap allocations: every layer output lands in a
 // planner-assigned arena slice and the final step writes the caller's output
 // buffer directly.
 //
@@ -38,25 +39,11 @@ class PlannedExecutor {
   // use; allocation-free afterwards.
   void run(const SesrInference& net, const Tensor& input, Tensor& output);
 
-  // The cached (or freshly compiled) plan for one LR shape at the network's
-  // current precision.
-  const ExecutionPlan& plan_for(const SesrInference& net, std::int64_t lr_h, std::int64_t lr_w);
-
-  // Per-pixel arena coefficients at the current precision (compiles a small
-  // probe plan if none is cached).
-  PlanFootprint footprint(const SesrInference& net);
-
   // Bytes currently retained by the two arenas (capacity, not size: what the
-  // process actually holds).
+  // process actually holds). run() grows each arena to exactly the largest
+  // plan it has run and never shrinks it, so this is
+  // footprint().bytes(pixels) of the largest unit run so far.
   std::int64_t arena_bytes() const;
-
-  // Grow the arenas up front to the footprint of `lr_pixels` LR pixels so
-  // steady-state traffic below that bound never reallocates.
-  void reserve(const SesrInference& net, std::int64_t lr_pixels);
-
-  // Release arena memory beyond the footprint of `lr_pixels` (after an
-  // oversized frame inflated them).
-  void trim(const SesrInference& net, std::int64_t lr_pixels);
 
   // Drop cached plans. The network calls this whenever its precision or
   // hybrid assignment changes, which is what keeps the shape-keyed cache
@@ -68,6 +55,10 @@ class PlannedExecutor {
     ExecutionPlan plan;
     std::uint64_t stamp = 0;  // LRU clock
   };
+
+  // The cached (or freshly compiled) plan for one LR shape at the network's
+  // current precision.
+  const ExecutionPlan& plan_for(const SesrInference& net, std::int64_t lr_h, std::int64_t lr_w);
 
   std::vector<CachedPlan> plans_;
   std::uint64_t stamp_ = 0;

@@ -235,15 +235,6 @@ void SesrInference::upscale_into(const Tensor& input, Tensor& output) const {
   exec_->run(*this, input, output);
 }
 
-void SesrInference::plan_reserve(std::int64_t lr_pixels) {
-  if (!exec_) exec_ = std::make_unique<plan::PlannedExecutor>();
-  exec_->reserve(*this, lr_pixels);
-}
-
-void SesrInference::plan_trim(std::int64_t lr_pixels) {
-  if (exec_) exec_->trim(*this, lr_pixels);
-}
-
 std::int64_t SesrInference::plan_arena_bytes() const {
   return exec_ ? exec_->arena_bytes() : 0;
 }

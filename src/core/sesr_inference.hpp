@@ -85,12 +85,10 @@ class SesrInference {
   // allocations.
   void upscale_into(const Tensor& input, Tensor& output) const;
 
-  // Activation-arena controls for long-lived serving workers: grow the
-  // executor's arenas up front for frames up to `lr_pixels` (so steady-state
-  // traffic never reallocates), release memory an oversized frame left
-  // behind, and observe current retained bytes.
-  void plan_reserve(std::int64_t lr_pixels);
-  void plan_trim(std::int64_t lr_pixels);
+  // Bytes the planned executor's activation arenas retain. They grow on
+  // demand to exactly the largest frame (or tile) this instance has
+  // upscaled and never shrink: ExecutionPlan::footprint().bytes(pixels) of
+  // that largest unit.
   std::int64_t plan_arena_bytes() const;
 
   // Select the forward-pass precision. Switching to kFp16 rounds every conv

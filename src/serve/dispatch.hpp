@@ -124,7 +124,10 @@ class FairDispatchQueue {
 };
 
 // One worker's private execution context: a bit-exact network replica
-// (reconstructed from the registry checkpoint).
+// (reconstructed from the registry checkpoint). The replica's plan arena
+// grows on demand to exactly the largest unit it has run and never shrinks;
+// under kAuto a unit is a frame below tiled_threshold_pixels or one haloed
+// tile, which bounds the arena by construction.
 struct WorkerSession {
   explicit WorkerSession(const TensorMap& checkpoint) : network(checkpoint) {}
   core::SesrInference network;
@@ -135,13 +138,6 @@ struct WorkerSession {
   // bookkeeping afterwards — a reload that only waited for inflight==0 would
   // rebuild the replica under that tail read.
   std::mutex busy;
-  // Steady-state arena bound the shard pre-reserved this replica to (from the
-  // route's registered PlanFootprint). A tile unit that leaves the arena above
-  // presized_bytes — an oversized tiled frame — triggers a trim back to
-  // presized_pixels so one outlier never pins worker RSS for the process
-  // lifetime.
-  std::int64_t presized_pixels = 0;
-  std::int64_t presized_bytes = 0;
 };
 
 // Executes one unit on one session: runs the frame / tile work, inserts

@@ -84,15 +84,6 @@ void NetworkRegistry::add(const RouteKey& key, const core::SesrInference& networ
   entry.config = network.config();
   entry.checkpoint = network.to_tensor_map();
   entry.exact_halo = core::receptive_field_radius(network);
-  // Record the route's exact peak activation footprint: compile the plan for
-  // a probe copy pinned to the route precision (the caller's instance may be
-  // at a different one) and keep the per-pixel coefficients. Shards pre-size
-  // every worker replica's arena from this at construction.
-  {
-    core::SesrInference probe = network;
-    probe.set_precision(key.precision);
-    entry.footprint = core::plan::ExecutionPlan::compile(probe, 16, 16).footprint();
-  }
   entries_.push_back(std::move(entry));
 }
 

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/plan/execution_plan.hpp"
 #include "core/sesr_inference.hpp"
 #include "tensor/serialize.hpp"
 
@@ -53,11 +52,6 @@ struct RegisteredNetwork {
   core::SesrConfig config;
   TensorMap checkpoint;      // bit-exact round trip (SesrInference(TensorMap))
   std::int64_t exact_halo;   // receptive_field_radius of the collapsed net
-  // Exact per-LR-pixel activation arena coefficients of the route's compiled
-  // execution plan at its registered precision: footprint.bytes(lr_pixels) is
-  // the route's peak activation footprint for one frame of that size, and the
-  // size every worker replica's arena is pre-reserved to at shard build.
-  core::plan::PlanFootprint footprint;
 };
 
 // Collapsed networks keyed by route. add() snapshots the network into its

@@ -6,7 +6,6 @@
 
 #include "core/video_session.hpp"
 #include "serve/clock.hpp"
-#include "tensor/scratch.hpp"
 
 namespace sesr::serve {
 
@@ -24,29 +23,6 @@ void validate(const ServeOptions& o, const NetworkRegistry& registry) {
       (o.tiling.tile_h < 1 || o.tiling.tile_w < 1)) {
     throw std::invalid_argument("ShardedServer: tile dims must be positive");
   }
-}
-
-// Steady-state LR pixel bound of one worker replica: the larger of the
-// biggest frame the kAuto ladder keeps un-tiled and one haloed tile of the
-// shard's tiling geometry. A worker executes one frame or one tile at a time,
-// so everything it runs in steady state fits this bound; only an
-// explicitly-tiled oversized frame (big tile options) or an explicit
-// kFullFrame route serving frames above the tile threshold can exceed it, and
-// the tile path trims back down afterwards.
-std::int64_t planned_pixel_bound(const ServeOptions& o, const RegisteredNetwork& net) {
-  const std::int64_t halo = o.tiling.halo >= 0 ? o.tiling.halo : net.exact_halo;
-  const std::int64_t tile_pixels =
-      (o.tiling.tile_h + 2 * halo) * (o.tiling.tile_w + 2 * halo);
-  return std::max(tile_pixels, o.tiled_threshold_pixels);
-}
-
-// Pre-reserve a replica's plan arena to the route's registered footprint at
-// the steady-state pixel bound, so serving never grows it.
-void presize_session(WorkerSession& session, const ServeOptions& options,
-                     const RegisteredNetwork& net) {
-  session.presized_pixels = planned_pixel_bound(options, net);
-  session.presized_bytes = net.footprint.bytes(session.presized_pixels);
-  session.network.plan_reserve(session.presized_pixels);
 }
 
 // Monotonic high-water update of a route's observed peak arena bytes.
@@ -80,11 +56,8 @@ ShardedServer::ShardedServer(const NetworkRegistry& registry, ServeOptions optio
     for (int i = 0; i < options_.workers; ++i) {
       shard->sessions.push_back(std::make_unique<WorkerSession>(entry.checkpoint));
       // Each replica rounds its own fp16 weight cache before the worker
-      // threads start, so serving never hits the lazy conversion path, and
-      // pre-reserves its plan arena from the route's registered footprint so
-      // steady-state serving never allocates activation memory.
+      // threads start, so serving never hits the lazy conversion path.
       shard->sessions.back()->network.set_precision(entry.key.precision);
-      presize_session(*shard->sessions.back(), options_, entry);
     }
     route_index_.emplace(route_string(entry.key), shard->index);
     shards_.push_back(std::move(shard));
@@ -411,16 +384,8 @@ void ShardedServer::worker_loop(Shard& shard, WorkerSession& session) {
     std::lock_guard<std::mutex> guard(session.busy);
     if (options_.worker_hook) options_.worker_hook();
     execute_unit(session, unit, stats_);
-    const std::int64_t arena = session.network.plan_arena_bytes();
-    record_peak(shard.counters.peak_activation_bytes, static_cast<std::uint64_t>(arena));
-    if (arena > session.presized_bytes && std::holds_alternative<TileUnit>(unit)) {
-      // An oversized tiled frame (tile options larger than the pre-sized
-      // bound) grew this replica's arena and scratch past steady state; give
-      // the excess back now that its unit is done. Full-frame growth is left
-      // alone — trimming there would thrash under steady large-frame traffic.
-      session.network.plan_trim(session.presized_pixels);
-      scratch_trim();
-    }
+    record_peak(shard.counters.peak_activation_bytes,
+                static_cast<std::uint64_t>(session.network.plan_arena_bytes()));
   }
 }
 
@@ -474,7 +439,6 @@ void ShardedServer::reload_routes(const NetworkRegistry& registry) {
       std::lock_guard<std::mutex> guard(session->busy);
       session->network = core::SesrInference(entries[i].checkpoint);
       session->network.set_precision(entries[i].key.precision);
-      presize_session(*session, options_, entries[i]);
     }
   }
   // Cached responses and video-session snapshots were computed by the old

@@ -72,9 +72,10 @@ struct RouteStats {
   std::uint64_t cache_hits = 0;
   double service_ewma_us = 0.0;  // admission estimator (0 until warmed)
   // Largest per-replica activation arena observed while serving this route
-  // (bytes, 0 until the first unit executes). Workers are pre-sized from the
-  // route's registered PlanFootprint, so in steady state this equals the
-  // pre-sized bound and never grows between stats() calls.
+  // (bytes, 0 until the first unit executes). A replica's arena grows to
+  // exactly the largest unit it has run, so this is
+  // ExecutionPlan::footprint().bytes(pixels) of the largest frame or tile
+  // any worker of the route has run.
   std::uint64_t peak_activation_bytes = 0;
 };
 

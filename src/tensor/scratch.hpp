@@ -13,13 +13,10 @@
 //    the memory read/write across a parallel_for from the owning thread is fine
 //    (the workers never touch the arena slot itself).
 //
-// Retention is grow-only by default, which means one oversized request (a 4K
-// tile fan-out) would pin peak RSS for the process lifetime. scratch_trim()
-// bumps a process-wide epoch; every thread releases its retained capacity the
-// next time it asks for scratch, so trimming is safe to request from any
-// thread at any time — no buffer is freed while a kernel may still hold its
-// span. Per-slot high-water marks record the largest request ever served so
-// the retained footprint stays observable after a trim.
+// Retention is grow-only: each slot keeps the largest buffer it has served on
+// its thread, for the thread's lifetime. A serve worker runs one frame or one
+// haloed tile at a time, so its scratch is bounded by the largest unit it has
+// run.
 #pragma once
 
 #include <cstddef>
@@ -51,33 +48,5 @@ std::span<float> scratch_floats(ScratchSlot slot, std::size_t n);
 // byte buffer per thread, so requesting bytes never invalidates a float span
 // of the same slot (the int8 slots above only ever use the byte side).
 std::span<std::uint8_t> scratch_bytes(ScratchSlot slot, std::size_t n);
-
-// Asks every thread to release its retained scratch capacity. Deferred per
-// slot: a thread frees a buffer only at that buffer's own next request, so a
-// span handed out before the trim stays valid exactly as long as the ownership
-// rule above already promised — even for a kernel mid-flight when the trim
-// lands. Serve workers call this after finishing an oversized tile fan-out;
-// high-water marks are NOT reset.
-void scratch_trim();
-
-// Largest request (in elements) ever served for one slot, across all threads
-// since process start (or the last scratch_reset_high_water()).
-struct ScratchHighWater {
-  std::size_t float_elems = 0;
-  std::size_t byte_elems = 0;
-  std::size_t bytes() const { return float_elems * sizeof(float) + byte_elems; }
-};
-ScratchHighWater scratch_high_water(ScratchSlot slot);
-
-// Sum of per-slot high-water bytes — an upper bound on one thread's retained
-// scratch footprint between trims.
-std::size_t scratch_high_water_bytes();
-
-// Test seam: clears all high-water marks.
-void scratch_reset_high_water();
-
-// Bytes currently retained by THIS thread's scratch buffers (both sides of
-// every slot). Test seam for observing trim behaviour.
-std::size_t scratch_thread_retained_bytes();
 
 }  // namespace sesr

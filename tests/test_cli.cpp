@@ -100,12 +100,11 @@ TEST(ServeCli, DefaultsAreServable) {
 
 TEST(ServeCli, ParsesFullTrafficSpec) {
   const ServeCliConfig config =
-      parse_serve({"--networks=m3:4", "--workers=2", "--policy=reject", "--mode=auto",
-                   "--tile=32", "--threads=2", "--duration-s=2.5", "--listen=7788", "--seed=9"});
+      parse_serve({"--networks=m3:4", "--workers=2", "--mode=auto", "--tile=32",
+                   "--threads=2", "--duration-s=2.5", "--listen=7788", "--seed=9"});
   ASSERT_EQ(config.routes.size(), 1U);
   EXPECT_EQ(serve::route_string(config.routes[0]), "m3:4:fp32");
   EXPECT_EQ(config.serve.workers, 2);
-  EXPECT_EQ(config.serve.overload, serve::OverloadPolicy::kReject);
   EXPECT_EQ(config.serve.mode, serve::ExecMode::kAuto);
   EXPECT_EQ(config.serve.tiling.tile_h, 32);
   EXPECT_EQ(config.serve.tiling.tile_w, 32);
@@ -124,7 +123,6 @@ TEST(ServeCli, BadEnumsRaiseUsageError) {
   EXPECT_THROW(parse_serve({"--mode=bogus"}), UsageError);
   // Streaming is not a serving mode; kTiled is the bounded-memory mode.
   EXPECT_THROW(parse_serve({"--mode=streaming"}), UsageError);
-  EXPECT_THROW(parse_serve({"--policy=maybe"}), UsageError);
 }
 
 TEST(ServeCli, BadBatchingKnobsRaiseUsageError) {
@@ -139,11 +137,13 @@ TEST(ServeCli, BadBatchingKnobsRaiseUsageError) {
 TEST(ServeCli, LoadGeneratorAndSingleRouteFlagsRaiseUsageError) {
   // sesr-serve is only the server: load generation lives in servebench/ and
   // bench_serve_throughput, and --networks is the one way to name a route.
-  // Each retired flag is an unknown option, whatever its value.
+  // The socket front end never blocks on a full queue (it answers
+  // kOverloaded / 503), so --policy is gone too. Each retired flag is an
+  // unknown option, whatever its value.
   for (const char* flag : {"--qps=30", "--frames=10", "--shapes=64x64", "--unique-frames=5",
                            "--connect=127.0.0.1:9", "--clients=2", "--deadline-ms=5",
                            "--chaos=malformed", "--video=pan", "--net=m5", "--scale=2",
-                           "--precision=fp32"}) {
+                           "--precision=fp32", "--policy=block", "--policy=reject"}) {
     EXPECT_THROW(parse_serve({flag}), UsageError) << flag;
   }
   EXPECT_THROW(parse_serve({"--listen=-1"}), UsageError);

@@ -1,8 +1,8 @@
 // Tests for the execution-plan compiler: pass-pipeline structure, the
 // liveness memory planner's no-alias property, bitwise equivalence of the
 // planned executor against the direct per-layer path (including stale-arena
-// reuse and plan-cache eviction), arena reserve/trim, exact per-pixel
-// footprints, and the scratch trim / high-water seams the serve workers use.
+// reuse and plan-cache eviction), on-demand arena growth, and exact per-pixel
+// footprints.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -16,7 +16,6 @@
 #include "core/sesr_network.hpp"
 #include "core/tiled_inference.hpp"
 #include "tensor/rng.hpp"
-#include "tensor/scratch.hpp"
 #include "tensor/tensor.hpp"
 
 namespace sesr::core::plan {
@@ -205,7 +204,7 @@ TEST(ExecutionPlan, FootprintCoefficientsExactAcrossShapes) {
     const PlanFootprint fs = small.footprint();
     const PlanFootprint fw = wide.footprint();
     // Per-pixel coefficients are shape-independent and reproduce the arena
-    // byte-for-byte — the registry records them per route at registration.
+    // byte-for-byte, so footprint().bytes(pixels) sizes any shape's arena.
     EXPECT_EQ(fs.float_per_pixel, fw.float_per_pixel);
     EXPECT_EQ(fs.half_per_pixel, fw.half_per_pixel);
     EXPECT_EQ(fs.bytes(16 * 16), small.peak_activation_bytes());
@@ -379,51 +378,33 @@ TEST(PlannedExecutor, TiledUpscaleRunsThroughThePlan) {
   expect_bitwise(upscale_tiled(planned, frame, options), planned.upscale_direct(frame));
 }
 
-TEST(PlannedExecutor, ReserveAndTrimGovernArenaBytes) {
-  SesrInference net = make_inference(make_config(2, 2, false, true, false), 61);
-  const PlanFootprint f = ExecutionPlan::compile(net, 16, 16).footprint();
-  EXPECT_EQ(net.plan_arena_bytes(), 0);  // nothing compiled or reserved yet
-  net.plan_reserve(24 * 24);
-  EXPECT_EQ(net.plan_arena_bytes(), f.bytes(24 * 24));
-  Rng rng(62);
-  // A frame within the reservation must not grow the arena...
-  (void)net.upscale(random_frame(rng, 1, 20, 20));
-  EXPECT_EQ(net.plan_arena_bytes(), f.bytes(24 * 24));
-  // ...an oversized one grows it, and trim gives the excess back.
-  (void)net.upscale(random_frame(rng, 1, 40, 40));
-  EXPECT_GE(net.plan_arena_bytes(), f.bytes(40 * 40));
-  net.plan_trim(24 * 24);
-  EXPECT_EQ(net.plan_arena_bytes(), f.bytes(24 * 24));
-  // Still correct after the trim.
-  const Tensor frame = random_frame(rng, 1, 10, 10);
-  expect_bitwise(net.upscale(frame), net.upscale_direct(frame));
-}
-
-// ------------------------------------------------------------- scratch seams
-
-TEST(ScratchTrim, TrimIsDeferredToTheSlotsNextRequest) {
-  (void)scratch_floats(ScratchSlot::kIm2col, 1 << 16);
-  const std::size_t before = scratch_thread_retained_bytes();
-  EXPECT_GE(before, (std::size_t{1} << 16) * sizeof(float));
-  scratch_trim();
-  // Nothing freed yet: a span handed out before the trim stays valid until
-  // its own slot is requested again.
-  EXPECT_EQ(scratch_thread_retained_bytes(), before);
-  (void)scratch_floats(ScratchSlot::kIm2col, 16);
-  EXPECT_LE(scratch_thread_retained_bytes(),
-            before - ((std::size_t{1} << 16) - 16) * sizeof(float));
-}
-
-TEST(ScratchTrim, HighWaterRecordsLargestRequestAcrossTrims) {
-  scratch_reset_high_water();
-  (void)scratch_floats(ScratchSlot::kGemmPackA, 1234);
-  (void)scratch_floats(ScratchSlot::kGemmPackA, 10);
-  scratch_trim();
-  (void)scratch_floats(ScratchSlot::kGemmPackA, 10);  // applies the trim
-  // The mark survives the trim: it reports the largest request ever served,
-  // not the currently retained capacity.
-  EXPECT_GE(scratch_high_water(ScratchSlot::kGemmPackA).float_elems, std::size_t{1234});
-  EXPECT_GE(scratch_high_water_bytes(), 1234 * sizeof(float));
+TEST(PlannedExecutor, ArenaGrowsToExactlyTheLargestShapeRunAndNeverShrinks) {
+  const SesrInference base = make_inference(make_config(2, 2, false, true, false), 61);
+  for (const InferencePrecision precision : kAllPrecisions) {
+    SCOPED_TRACE(static_cast<int>(precision));
+    SesrInference net = base;  // copies share no executor state
+    net.set_precision(precision);
+    const PlanFootprint f = ExecutionPlan::compile(net, 16, 16).footprint();
+    EXPECT_EQ(net.plan_arena_bytes(), 0);  // nothing run yet
+    Rng rng(62);
+    const auto run = [&](std::int64_t n, std::int64_t h, std::int64_t w) {
+      const Tensor frame = random_frame(rng, n, h, w);
+      expect_bitwise(net.upscale(frame), net.upscale_direct(frame));
+    };
+    run(1, 20, 20);
+    EXPECT_EQ(net.plan_arena_bytes(), f.bytes(20 * 20));
+    // Growth by less than 2x lands on the exact need, not a doubled capacity.
+    run(1, 24, 24);
+    EXPECT_EQ(net.plan_arena_bytes(), f.bytes(24 * 24));
+    // A batch needs the footprint of all its pixels.
+    run(2, 20, 20);
+    EXPECT_EQ(net.plan_arena_bytes(), f.bytes(2 * 20 * 20));
+    // Smaller units reuse the grown arena (stale contents and all) and never
+    // shrink it.
+    run(1, 10, 10);
+    run(1, 24, 24);
+    EXPECT_EQ(net.plan_arena_bytes(), f.bytes(2 * 20 * 20));
+  }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/plan/execution_plan.hpp"
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
 #include "core/tiled_inference.hpp"
@@ -1612,17 +1613,20 @@ TEST(ShardedServer, X4DegradesToTwoStageX2BitIdentical) {
   EXPECT_EQ(server.stats().total.failed, 0U);
 }
 
-// Each replica's arena is presized for one untiled frame or one haloed tile,
-// whichever is larger — not for a batch of frames. Serving a frame just below
-// the kAuto tiling threshold fits that arena without growing it.
-TEST(ShardedServer, ReplicaPresizedToOneFrameOrOneTile) {
+// A replica's arena grows on demand to exactly the largest unit it has run.
+// A frame just below the kAuto tiling threshold leaves the route's peak at
+// that frame's own footprint; a large frame, which kAuto fans into haloed
+// tiles, never pushes it past one haloed tile or one threshold-sized frame.
+TEST(ShardedServer, ReplicaArenaGrowsToTheLargestUnitRun) {
   const core::SesrInference inference = make_inference(78, small_config());
   const RouteKey route{"a", 2, core::InferencePrecision::kFp32};
   NetworkRegistry registry;
   registry.add(route, inference);
-  const RegisteredNetwork& net = registry.find(route);
+  const std::int64_t halo = registry.find(route).exact_halo;
+  const core::plan::PlanFootprint footprint =
+      core::plan::ExecutionPlan::compile(inference, 16, 16).footprint();
   constexpr std::int64_t kTile = 8;
-  const std::int64_t tile_pixels = (kTile + 2 * net.exact_halo) * (kTile + 2 * net.exact_halo);
+  const std::int64_t tile_pixels = (kTile + 2 * halo) * (kTile + 2 * halo);
   // First the frame bound dominates (24x24 > one haloed 8x8 tile), then the
   // tile bound does (8x8 threshold).
   for (const std::int64_t side : {24, 8}) {
@@ -1633,15 +1637,27 @@ TEST(ShardedServer, ReplicaPresizedToOneFrameOrOneTile) {
     options.tiling.tile_h = kTile;
     options.tiling.tile_w = kTile;
     options.tiled_threshold_pixels = side * side;
-    ShardedServer server(registry, options);
-    const Tensor frame = make_frame(99, side - 1, side + 1);  // one pixel below the threshold
-    EXPECT_EQ(max_abs_diff(server.submit(route, frame).get(), inference.upscale(frame)), 0.0F);
-    server.shutdown();  // joins the workers, so their arena bookkeeping is recorded
-    const auto presized = static_cast<std::uint64_t>(
-        net.footprint.bytes(std::max(tile_pixels, options.tiled_threshold_pixels)));
-    const std::uint64_t peak = server.stats().per_route[0].peak_activation_bytes;
-    EXPECT_LE(peak, presized);
-    EXPECT_EQ(peak, presized);  // the presized arena itself, never grown
+    const Tensor small = make_frame(99, side - 1, side + 1);  // one pixel below the threshold
+    const Tensor large = make_frame(100, 5 * side, 4 * side + 3);
+    // shutdown() joins the workers, so each unit's arena bookkeeping is
+    // recorded before the stats are read.
+    {
+      ShardedServer server(registry, options);
+      EXPECT_EQ(max_abs_diff(server.submit(route, small).get(), inference.upscale(small)), 0.0F);
+      server.shutdown();
+      EXPECT_EQ(server.stats().per_route[0].peak_activation_bytes,
+                static_cast<std::uint64_t>(footprint.bytes(small.shape().h() * small.shape().w())));
+    }
+    {
+      ShardedServer server(registry, options);
+      EXPECT_EQ(max_abs_diff(server.submit(route, small).get(), inference.upscale(small)), 0.0F);
+      EXPECT_EQ(max_abs_diff(server.submit(route, large).get(), inference.upscale(large)), 0.0F);
+      server.shutdown();
+      EXPECT_GT(server.stats().total.tiles, 1U);  // kAuto fanned the large frame into tiles
+      EXPECT_LE(server.stats().per_route[0].peak_activation_bytes,
+                static_cast<std::uint64_t>(
+                    footprint.bytes(std::max(tile_pixels, options.tiled_threshold_pixels))));
+    }
   }
 }
 

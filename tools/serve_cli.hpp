@@ -38,7 +38,6 @@ inline std::vector<Args::Option> serve_cli_options() {
       {"cache-entries", "0", "bit-exact LRU response cache capacity (0 = off)"},
       {"workers", "4", "worker sessions (>= 1)"},
       {"queue-capacity", "64", "per-route bound on queued requests"},
-      {"policy", "block", "overload policy: block|reject"},
       {"mode", "full", "execution: full|tiled|auto"},
       {"tile", "64", "LR tile edge for tiled/auto modes"},
       {"duration-s", "0", "serve for this many seconds, then drain (0 = until SIGINT/SIGTERM)"},
@@ -100,11 +99,6 @@ inline ServeCliConfig parse_serve_cli(const Args& args) {
   const std::int64_t capacity = args.get_int("queue-capacity");
   if (capacity < 1) throw UsageError("--queue-capacity must be >= 1");
   config.serve.queue_capacity = static_cast<std::size_t>(capacity);
-
-  const std::string policy = args.get("policy");
-  if (policy == "block") config.serve.overload = serve::OverloadPolicy::kBlock;
-  else if (policy == "reject") config.serve.overload = serve::OverloadPolicy::kReject;
-  else throw UsageError("unknown --policy '" + policy + "' (expected block|reject)");
 
   const std::string mode = args.get("mode");
   if (mode == "full") config.serve.mode = serve::ExecMode::kFullFrame;
