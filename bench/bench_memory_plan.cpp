@@ -1,6 +1,9 @@
 // Static activation memory plan vs the direct per-layer path: peak
 // activation bytes and wall time per frame, SESR-M5 / M11 x2 at 1080p output
-// (960x540 LR), fp32 and fp16, at 1 and 4 intra-op threads.
+// (960x540 LR), fp32 and fp16, at 1 and 4 intra-op threads. A last row
+// times the calibrated SESR-M5 x2 int8 route on a 1080p input (1920x1080
+// LR) at 1 thread and prints its arena (plan_arena_bytes), the u8 carrier's
+// speed and memory numbers in docs/PERFORMANCE.md.
 //
 // Two claims under test (docs/PERFORMANCE.md, "Execution plans"):
 //  1. The liveness planner's packed arena holds peak activation memory to
@@ -17,6 +20,7 @@
 #include <cstdio>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/plan/execution_plan.hpp"
@@ -123,5 +127,28 @@ int main() {
       "\nSESR-M5 x2 1080p fp32: planned arena = %.2fx the direct sum of layer outputs "
       "(target <= 0.5x), replay overhead %+.1f%% (target within 2%%)\n",
       m5_ratio, m5_delta);
+
+  // int8 at 1080p input, calibrated on three 48x48 frames, 1 thread.
+  const std::int64_t hd_h = bench::fast_mode() ? 270 : 1080;
+  const std::int64_t hd_w = bench::fast_mode() ? 480 : 1920;
+  Rng rng(41);
+  core::SesrNetwork network(core::sesr_m5(2), rng);
+  core::SesrInference int8(network);
+  std::vector<Tensor> calibration;
+  for (int i = 0; i < 3; ++i) {
+    calibration.push_back(data::synthesize_image(data::ImageFamily::kNatural, 48, 48, irng));
+  }
+  int8.calibrate_int8(calibration);
+  int8.set_precision(core::InferencePrecision::kInt8);
+  const Tensor hd = data::synthesize_image(data::ImageFamily::kNatural, hd_h, hd_w, irng);
+  Tensor hd_out(1, hd_h * 2, hd_w * 2, 1);
+  int8.upscale_into(hd, hd_out);  // compile the plan and grow the arenas
+  const double int8_us = best_us(iters, [&] { int8.upscale_into(hd, hd_out); });
+  const double arena_mib = static_cast<double>(int8.plan_arena_bytes()) / (1024.0 * 1024.0);
+  std::printf("SESR-M5 x2 int8 %lldx%lld LR, 1 thread: planned %.1f ms, arena %.1f MiB\n",
+              static_cast<long long>(hd_h), static_cast<long long>(hd_w), int8_us / 1e3,
+              arena_mib);
+  json.add("m5/int8_hd/planned/t1", int8_us * 1e3, 0.0, 1);
+  json.add("m5/int8_hd/arena_mib", arena_mib, 0.0, 1);
   return 0;
 }

@@ -365,9 +365,11 @@ void BM_ConvS8SesrShapes(benchmark::State& state) {
   epi.act = nn::Epilogue::Act::kPRelu;
   epi.prelu_alpha = alpha.data();
   Tensor out(1, hw, hw, s.out_c);
+  nn::S8ConvOutput target;
+  target.f32 = out.raw();
   for (auto _ : state) {
     nn::conv2d_s8_into(x.raw(), x.shape(), 1.0F / 127.0F, q, &bias, epi, nn::Padding::kSame,
-                       out.raw());
+                       target);
     benchmark::DoNotOptimize(out.raw());
     benchmark::ClobberMemory();
   }

@@ -120,6 +120,48 @@ ExecutionPlan ExecutionPlan::compile(const SesrInference& net, std::int64_t lr_h
     step.round_output = precision == InferencePrecision::kHybrid && s != last_conv_step;
   }
 
+  // The u8 carrier (see the header): an int8 conv whose output exactly one
+  // step reads, as the main input of an int8 conv, writes it as that conv's
+  // padded image. Its fused residual, if any, must be another float value: a
+  // self-skip adds the fp32 output to itself, and the input residual is the
+  // broadcast tail add.
+  for (int s = 0; s < n_steps; ++s) {
+    PlanStep& step = plan.steps_[static_cast<std::size_t>(s)];
+    const PlanOp& op = step.op;
+    if (op.kind != hw::OpKind::kConv || step.kernel != ConvKernel::kInt8) continue;
+    if (op.skip == op.output || step.input_residual) continue;
+    int reads = 0;
+    int reader = -1;
+    for (int t = s + 1; t < n_steps; ++t) {
+      const PlanStep& other = plan.steps_[static_cast<std::size_t>(t)];
+      reads += (other.op.input == op.output) + (other.op.skip == op.output) +
+               (other.stage_from == op.output);
+      if (other.op.input == op.output) reader = t;
+    }
+    if (reads != 1 || reader < 0) continue;
+    const PlanStep& next = plan.steps_[static_cast<std::size_t>(reader)];
+    if (next.op.kind != hw::OpKind::kConv || next.kernel != ConvKernel::kInt8) continue;
+    PlanValue& v = plan.values_[static_cast<std::size_t>(op.output)];
+    step.requant_conv = next.op.conv_index;
+    v.space = ValueSpace::kU8;
+    v.elements = nn::s8_image_layout(op.out_h(), op.out_w(),
+                                     net.s8_weights().at(static_cast<std::size_t>(
+                                         step.requant_conv)),
+                                     nn::Padding::kSame)
+                     .bytes(1);
+  }
+  // The images differ only by their reader's padding (a 5x5 reader's is two
+  // rows and columns wider than a 3x3 reader's). Sized alike they alternate
+  // between two slots; otherwise the last, larger image would not fit the
+  // smaller slot just freed, and first-fit would open a third.
+  std::int64_t u8_slot = 0;
+  for (const PlanValue& v : plan.values_) {
+    if (v.space == ValueSpace::kU8) u8_slot = std::max(u8_slot, v.elements);
+  }
+  for (PlanValue& v : plan.values_) {
+    if (v.space == ValueSpace::kU8) v.elements = u8_slot;
+  }
+
   // fp16 holds the input in binary16 too: the first step's staged copy stays
   // live for every later reader, and the input residual adds those rounded
   // values, widened back into a step-local float value.
@@ -170,18 +212,8 @@ ExecutionPlan ExecutionPlan::compile(const SesrInference& net, std::int64_t lr_h
   };
   plan.float_arena_elements_ = pack(ValueSpace::kFloat);
   plan.half_arena_elements_ = pack(ValueSpace::kHalf);
+  plan.u8_arena_bytes_ = pack(ValueSpace::kU8);
   return plan;
-}
-
-PlanFootprint ExecutionPlan::footprint() const {
-  const std::int64_t pixels = lr_h_ * lr_w_;
-  if (pixels <= 0 || float_arena_elements_ % pixels != 0 || half_arena_elements_ % pixels != 0) {
-    throw std::logic_error("ExecutionPlan::footprint: arena not a multiple of the pixel count");
-  }
-  PlanFootprint f;
-  f.float_per_pixel = float_arena_elements_ / pixels;
-  f.half_per_pixel = half_arena_elements_ / pixels;
-  return f;
 }
 
 }  // namespace sesr::core::plan

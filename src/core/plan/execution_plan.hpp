@@ -3,8 +3,8 @@
 // compile() runs the whole pipeline for one network at one input shape:
 // build the IR, lower and fuse it (passes.hpp), bind every conv step's
 // kernel from its layer's precision, assign every surviving value a storage
-// space (fp32 carrier or binary16), derive live intervals, and let the
-// memory planner pack each space into one flat arena. The result is a
+// space (fp32 carrier, binary16 or u8 image), derive live intervals, and let
+// the memory planner pack each space into one flat arena. The result is a
 // closed-form recipe the planned executor replays: for each step, which
 // kernel, which weights, and the exact arena offsets of its operands. No
 // allocation or precision decisions remain at run time.
@@ -18,9 +18,21 @@
 // step-local value — all mirroring the direct per-precision upscale paths
 // kernel for kernel.
 //
-// Every value's size is channels x pixels, so the whole plan scales linearly
-// and exactly with the LR pixel count: footprint() returns per-pixel
-// coefficients the registry records per route at registration time.
+// The u8 carrier: an int8 conv whose output one int8 conv reads, as its main
+// input, stores that value as the reader's zero-point-padded u8 image (space
+// kU8) — its epilogue adds the fused residual, requantizes with the reader's
+// activation scale and writes the image's border (nn::S8ConvOutput). So a
+// u8 value is sized as the reader's image plus the kernels' over-read slack
+// (nn::S8ImageLayout::bytes), and no other value live at either step can
+// share those bytes. In SESR-M5 int8 that covers the outputs of the five
+// middle convs; conv 0's output stays float because the long residual reads
+// it five steps later, and the last conv's output feeds the float tail. The
+// direct path (upscale_direct) keeps the fp32 carrier throughout and is the
+// reference the u8 carrier is audited against bit for bit.
+//
+// Float and half values scale linearly with the LR pixel count; a u8 image
+// adds its padding frame and slack, so arena sizes are exact per compiled
+// shape only (peak_activation_bytes).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +50,8 @@ namespace sesr::core::plan {
 // SesrInference constructor delegates here.
 std::vector<CollapsedConv> collapse_pass(const SesrNetwork& network);
 
-enum class ValueSpace : std::uint8_t { kFloat, kHalf };
+// kU8 values are padded u8 images; their elements are bytes.
+enum class ValueSpace : std::uint8_t { kFloat, kHalf, kU8 };
 
 struct PlanValue {
   std::int64_t elements = 0;  // per batch item, at the compiled shape
@@ -53,7 +66,7 @@ struct PlanValue {
 // precision. The name is the operand spaces: input -> output.
 enum class ConvKernel : std::uint8_t {
   kFp32,         // nn::conv2d_into: float -> float
-  kInt8,         // nn::conv2d_s8_into: float (quantized once per layer) -> float
+  kInt8,         // nn::conv2d_s8_into / conv2d_s8_image_into: float or u8 -> float or u8
   kFp16,         // nn::conv2d_fp16_into: half -> half
   kFp16ToFloat,  // nn::conv2d_fp16_to_float_into: half -> float
 };
@@ -71,16 +84,9 @@ struct PlanStep {
   int stage = kNoValue;
   bool round_output = false;   // round the float output through binary16
   bool input_residual = false;  // skip broadcasts the (1-channel) input over out_c
-};
-
-// Exact per-LR-pixel arena coefficients of a compiled route.
-struct PlanFootprint {
-  std::int64_t float_per_pixel = 0;  // fp32 carrier elements per LR pixel
-  std::int64_t half_per_pixel = 0;   // binary16 elements per LR pixel
-  std::int64_t bytes(std::int64_t lr_pixels) const {
-    return lr_pixels * (float_per_pixel * static_cast<std::int64_t>(sizeof(float)) +
-                        half_per_pixel * 2);
-  }
+  // kU8 output: the conv (network index) reading it, whose activation scale
+  // and image layout the epilogue writes; -1 otherwise.
+  int requant_conv = -1;
 };
 
 class ExecutionPlan {
@@ -97,20 +103,20 @@ class ExecutionPlan {
   // Arena sizes per batch item at the compiled shape.
   std::int64_t float_arena_elements() const { return float_arena_elements_; }
   std::int64_t half_arena_elements() const { return half_arena_elements_; }
+  std::int64_t u8_arena_bytes() const { return u8_arena_bytes_; }
+  // Exactly what the planned executor's arenas hold after running this plan
+  // on one batch item (N items: N times this).
   std::int64_t peak_activation_bytes() const {
     return float_arena_elements_ * static_cast<std::int64_t>(sizeof(float)) +
-           half_arena_elements_ * 2;
+           half_arena_elements_ * 2 + u8_arena_bytes_;
   }
-
-  // Per-pixel coefficients; exact because every value size and offset is a
-  // multiple of the LR pixel count (throws if that invariant ever breaks).
-  PlanFootprint footprint() const;
 
  private:
   std::vector<PlanStep> steps_;
   std::vector<PlanValue> values_;
   std::int64_t float_arena_elements_ = 0;
   std::int64_t half_arena_elements_ = 0;
+  std::int64_t u8_arena_bytes_ = 0;
   std::int64_t lr_h_ = 0;
   std::int64_t lr_w_ = 0;
 };

@@ -14,11 +14,10 @@
 // layout instead of hard-coding it, so unusual graphs (multiple skips,
 // chained shuffles) still plan correctly.
 //
-// Offsets are in elements; the caller owns the element width. Every size here
-// scales linearly in the frame's pixel count and every comparison the
-// algorithm makes compares such quantities, so a plan computed at one shape
-// rescales exactly to any other — that is what lets the registry record an
-// exact per-pixel footprint at registration time.
+// Offsets are in elements; the caller owns the element width (the execution
+// plan packs each value space separately, u8 images in bytes). Plans are
+// computed per shape: a padded image's size is not linear in the pixel
+// count, so no plan is rescaled to another shape.
 #pragma once
 
 #include <cstdint>

@@ -46,7 +46,8 @@ const ExecutionPlan& PlannedExecutor::plan_for(const SesrInference& net, std::in
 
 std::int64_t PlannedExecutor::arena_bytes() const {
   return static_cast<std::int64_t>(float_arena_.capacity() * sizeof(float)) +
-         static_cast<std::int64_t>(half_arena_.capacity() * sizeof(fp16::Half));
+         static_cast<std::int64_t>(half_arena_.capacity() * sizeof(fp16::Half)) +
+         static_cast<std::int64_t>(u8_arena_.capacity());
 }
 
 void PlannedExecutor::invalidate() { plans_.clear(); }
@@ -63,6 +64,7 @@ void PlannedExecutor::run(const SesrInference& net, const Tensor& input, Tensor&
   const auto h_need = static_cast<std::size_t>(p.half_arena_elements() * batch);
   grow_exact(float_arena_, f_need);
   grow_exact(half_arena_, h_need);
+  grow_exact(u8_arena_, static_cast<std::size_t>(p.u8_arena_bytes() * batch));
 
   // Operand addresses. Plan sizes and offsets are per batch item, so both
   // scale by the batch; kInputValue is the caller's input, the external value
@@ -77,6 +79,7 @@ void PlannedExecutor::run(const SesrInference& net, const Tensor& input, Tensor&
     return v == kInputValue ? input.raw() : float_ptr(v);
   };
   const auto half_ptr = [&](int v) { return half_arena_.data() + value(v).offset * batch; };
+  const auto u8_ptr = [&](int v) { return u8_arena_.data() + value(v).offset * batch; };
 
   for (const PlanStep& step : p.steps()) {
     const PlanOp& op = step.op;
@@ -118,11 +121,30 @@ void PlannedExecutor::run(const SesrInference& net, const Tensor& input, Tensor&
                         op.act_index >= 0 ? &epi : nullptr, nn::Padding::kSame,
                         float_ptr(op.output));
         break;
-      case ConvKernel::kInt8:
-        nn::conv2d_s8_into(float_src(op.input), conv_in, net.activation_scales()[conv],
-                           net.s8_weights()[conv], bias, epi, nn::Padding::kSame,
-                           float_ptr(op.output));
+      case ConvKernel::kInt8: {
+        const nn::S8ConvWeights& w = net.s8_weights()[conv];
+        const float scale = net.activation_scales()[conv];
+        nn::S8ConvOutput out;
+        if (step.requant_conv >= 0) {
+          const auto next = static_cast<std::size_t>(step.requant_conv);
+          out.u8 = u8_ptr(op.output);
+          out.u8_layout = nn::s8_image_layout(op.out_h(), op.out_w(), net.s8_weights()[next],
+                                              nn::Padding::kSame);
+          out.u8_act_scale = net.activation_scales()[next];
+          if (op.skip != kNoValue) out.residual = float_src(op.skip);
+        } else {
+          out.f32 = float_ptr(op.output);
+        }
+        if (op.input != kInputValue && value(op.input).space == ValueSpace::kU8) {
+          nn::conv2d_s8_image_into(
+              u8_ptr(op.input), nn::s8_image_layout(op.in_h, op.in_w, w, nn::Padding::kSame),
+              batch, scale, w, bias, epi, out);
+        } else {
+          nn::conv2d_s8_into(float_src(op.input), conv_in, scale, w, bias, epi,
+                             nn::Padding::kSame, out);
+        }
         break;
+      }
       case ConvKernel::kFp16:
         nn::conv2d_fp16_into(half_ptr(op.input), conv_in, net.fp16_weights()[conv], bias, epi,
                              nn::Padding::kSame, half_ptr(op.output));
@@ -134,7 +156,8 @@ void PlannedExecutor::run(const SesrInference& net, const Tensor& input, Tensor&
     }
     const std::int64_t n = op.output_elements() * batch;
     if (step.round_output) fp16::round_through_half(float_ptr(op.output), n);
-    if (op.skip == kNoValue) continue;
+    // A u8 output's epilogue already added its residual.
+    if (op.skip == kNoValue || step.requant_conv >= 0) continue;
     if (value(op.output).space == ValueSpace::kHalf) {
       fp16::add_inplace(half_ptr(op.output), half_ptr(op.skip), n);
     } else if (step.input_residual) {

@@ -2,12 +2,14 @@
 //
 // The executor owns nothing about the network: run() takes the SesrInference
 // whose weights it replays, and the executor holds only (a) a small cache of
-// compiled plans keyed by input shape and (b) the two activation arenas (fp32
-// carrier and binary16). The arenas grow on demand to exactly the largest
-// plan run so far and never shrink. Steady state — same shape, warm cache,
-// arenas grown — performs zero heap allocations: every layer output lands in a
-// planner-assigned arena slice and the final step writes the caller's output
-// buffer directly.
+// compiled plans keyed by input shape and (b) the three activation arenas
+// (fp32 carrier, binary16 and the int8 layers' u8 images). The arenas grow
+// on demand to exactly the largest plan run so far and never shrink; every
+// plan in the cache shares them, so a step never relies on bytes an earlier
+// run left behind (a u8 image's producer rewrites its border each run).
+// Steady state — same shape, warm cache, arenas grown — performs zero heap
+// allocations: every layer output lands in a planner-assigned arena slice
+// and the final step writes the caller's output buffer directly.
 //
 // Batching scales the compiled plan instead of recompiling: every offset and
 // size is per batch item, so the executor multiplies both by N. That keeps
@@ -39,10 +41,11 @@ class PlannedExecutor {
   // use; allocation-free afterwards.
   void run(const SesrInference& net, const Tensor& input, Tensor& output);
 
-  // Bytes currently retained by the two arenas (capacity, not size: what the
-  // process actually holds). run() grows each arena to exactly the largest
-  // plan it has run and never shrinks it, so this is
-  // footprint().bytes(pixels) of the largest unit run so far.
+  // Bytes currently retained by the three arenas (capacity, not size: what
+  // the process actually holds). run() grows each arena to exactly the
+  // largest plan it has run and never shrinks it, so after runs whose plans
+  // grow together (SESR's do: a larger frame needs more of every space) this
+  // is batch * ExecutionPlan::peak_activation_bytes() of the largest unit.
   std::int64_t arena_bytes() const;
 
   // Drop cached plans. The network calls this whenever its precision or
@@ -64,6 +67,7 @@ class PlannedExecutor {
   std::uint64_t stamp_ = 0;
   std::vector<float> float_arena_;
   std::vector<fp16::Half> half_arena_;
+  std::vector<std::uint8_t> u8_arena_;
 };
 
 }  // namespace sesr::core::plan

@@ -365,10 +365,12 @@ void SesrInference::calibrate_int8(const std::vector<Tensor>& frames) {
 }
 
 Tensor SesrInference::upscale_mixed(const Tensor& input) const {
-  // fp32 carrier between layers: int8 layers quantize their input once into a
-  // zero-point-padded image with the calibrated fixed scale; fp16 layers round the
-  // carrier through binary16 on the way in and round their stored output once
-  // (so an fp16 layer behaves exactly like one layer of the pure-fp16 path).
+  // fp32 carrier between layers (the planned path carries u8 images between
+  // int8 layers instead, bit for bit the same): int8 layers quantize their
+  // input once into a zero-point-padded image with the calibrated fixed
+  // scale; fp16 layers round the carrier through binary16 on the way in and
+  // round their stored output once (so an fp16 layer behaves exactly like
+  // one layer of the pure-fp16 path).
   // The residual adds and the tail stay fp32. With a fixed per-layer scale
   // every elementwise step commutes with cropping, so tiled execution
   // reproduces this path bit-exactly.

@@ -42,10 +42,13 @@ struct CollapsedConv {
 // the residual adds and the depth-to-space stay in fp32 arithmetic, with one
 // binary16 rounding per stored activation. kInt8 runs every conv through the
 // quantized u8 x s8 GEMM (per-output-channel weight scales, calibrated
-// per-tensor activation scales; requires calibrate_int8 first) on an fp32
-// carrier between layers. kHybrid runs the per-layer fp16/int8 split stored
-// by set_hybrid_plan — the NAWQ-SR-style assignment the hybrid planner
-// searches. See docs/PERFORMANCE.md, "Precision".
+// per-tensor activation scales; requires calibrate_int8 first). Its planned
+// path (upscale) carries u8 images between int8 layers, each conv
+// requantizing its output for the next in its epilogue; upscale_direct keeps
+// an fp32 carrier between layers, and the two are bit-identical. kHybrid
+// runs the per-layer fp16/int8 split stored by set_hybrid_plan — the
+// NAWQ-SR-style assignment the hybrid planner searches. See
+// docs/PERFORMANCE.md, "Precision".
 enum class InferencePrecision { kFp32, kFp16, kInt8, kHybrid };
 
 // Per-layer arithmetic of a hybrid plan (fp32 never appears in a plan: the
@@ -87,8 +90,8 @@ class SesrInference {
 
   // Bytes the planned executor's activation arenas retain. They grow on
   // demand to exactly the largest frame (or tile) this instance has
-  // upscaled and never shrink: ExecutionPlan::footprint().bytes(pixels) of
-  // that largest unit.
+  // upscaled and never shrink: batch * ExecutionPlan::compile(*this, h,
+  // w).peak_activation_bytes() of that largest unit.
   std::int64_t plan_arena_bytes() const;
 
   // Select the forward-pass precision. Switching to kFp16 rounds every conv
@@ -139,7 +142,8 @@ class SesrInference {
 
  private:
   Tensor upscale_fp16(const Tensor& input) const;
-  // kInt8 / kHybrid forward on the fp32 carrier (quantize-in-pack per layer).
+  // kInt8 / kHybrid direct forward on the fp32 carrier: every int8 layer
+  // quantizes its fp32 input once (the reference for the planned u8 carrier).
   Tensor upscale_mixed(const Tensor& input) const;
   // The fp32 direct forward, calling observe(layer, input) (when set) just
   // before each conv — the calibration observer hook. The public

@@ -76,36 +76,49 @@ struct S8Row {
   const S8PackedWeights* w = nullptr;
   const std::int32_t* colsum = nullptr;
   const S8Epilogue* epi = nullptr;  // null: raw int32 accumulators into ci32
-  float* c = nullptr;               // pixel x, channel j at c[x * n + j]
+  // Pixel x, channel j of the row at [x * n + j] of exactly one of c (fp32),
+  // q (u8, when the epilogue requantizes) and ci32; of res when set.
+  float* c = nullptr;
+  std::uint8_t* q = nullptr;
   std::int32_t* ci32 = nullptr;
+  const float* res = nullptr;  // the epilogue's residual
+  std::int64_t qrs = 0;        // q's row stride
+  float qinv = 0.0F;           // q's quantizer: quantize_value(v, qinv) + 128
 };
 
 using S8RowFn = void (*)(const S8Row& row);
 
-// A build's entry point: output rows [row0, row1), with r.a, r.c and r.ci32
-// pointing at row 0.
-using S8RowsFn = void (*)(S8Row r, std::int64_t row0, std::int64_t row1);
+// A build's entry point: output rows [row0, row1), with the pointers of r
+// at row 0.
+using S8RowsFn = void (*)(const S8Row& r, std::int64_t row0, std::int64_t row1);
+
+// A build's bulk quantizer (quantize_u8_run).
+using QuantizeFn = void (*)(const float* src, std::uint8_t* dst, std::int64_t n, float inv);
 
 struct S8Kernel {
   const char* name;
   S8RowsFn rows;
+  QuantizeFn quantize;
 };
 
-template <S8RowFn Row>
-void each_row(S8Row r, std::int64_t row0, std::int64_t row1) {
-  const std::uint8_t* a = r.a;
-  float* c = r.c;
-  std::int32_t* ci32 = r.ci32;
+// r moved from row 0 to output row `row`.
+S8Row at_row(const S8Row& r, std::int64_t row) {
   const std::int64_t row_out = r.width * r.w->n;
-  for (std::int64_t row = row0; row < row1; ++row) {
-    r.a = a + row * r.rs;
-    if (c != nullptr) {
-      r.c = c + row * row_out;
-    } else {
-      r.ci32 = ci32 + row * row_out;
-    }
-    Row(r);
-  }
+  const auto advance = [&](auto* p, std::int64_t stride) {
+    return p != nullptr ? p + row * stride : p;
+  };
+  S8Row out = r;
+  out.a = r.a + row * r.rs;
+  out.c = advance(r.c, row_out);
+  out.q = advance(r.q, r.qrs);
+  out.ci32 = advance(r.ci32, row_out);
+  out.res = advance(r.res, row_out);
+  return out;
+}
+
+template <S8RowFn Row>
+void each_row(const S8Row& r, std::int64_t row0, std::int64_t row1) {
+  for (std::int64_t row = row0; row < row1; ++row) Row(at_row(r, row));
 }
 
 inline std::int32_t load_le_i32(const std::uint8_t* p) {
@@ -140,7 +153,7 @@ void store_scalar(const std::uint32_t* acc, std::int64_t lda, std::int64_t x0, s
       continue;
     }
     const S8Epilogue& e = *r.epi;
-    float* out = r.c + (x0 + i) * n + j0;
+    const std::int64_t at = (x0 + i) * n + j0;
     for (std::int64_t j = 0; j < nr; ++j) {
       const std::int32_t v =
           static_cast<std::int32_t>(ai[j] - static_cast<std::uint32_t>(colsum[j]) * 128U);
@@ -151,8 +164,21 @@ void store_scalar(const std::uint32_t* acc, std::int64_t lda, std::int64_t x0, s
       } else if (e.act == Epilogue::Act::kPRelu) {
         f = f > 0.0F ? f : e.prelu_alpha[j0 + j] * f;
       }
-      out[j] = f;
+      if (r.res != nullptr) f += r.res[at + j];
+      if (r.q != nullptr) {
+        r.q[at + j] = static_cast<std::uint8_t>(
+            static_cast<std::int32_t>(quantize_value(f, r.qinv)) + 128);
+      } else {
+        r.c[at + j] = f;
+      }
     }
+  }
+}
+
+void quantize_u8_scalar(const float* src, std::uint8_t* dst, std::int64_t n, float inv) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    dst[i] = static_cast<std::uint8_t>(static_cast<std::int32_t>(quantize_value(src[i], inv)) +
+                                       128);
   }
 }
 
@@ -206,14 +232,50 @@ void row_tiles(const S8Row& r, const Tile& tile) {
 
 constexpr int kTileAvx2 = 4;  // pixels per AVX2 / AVX-VNNI tile (x 16 channels)
 
+// quantize_value(v, inv) + 128 on 8 lanes, as int32. Exactness is an
+// expression-level mirror of the scalar form: NaN lanes become +0 first (an
+// ordered self-compare mask), then clamp to [-127, 127], add copysign(0.5, r)
+// (equal to the r >= 0 ternary for every non-NaN input including -0.0, where
+// both sides round to 0), then truncate — cvttps is the C cast. The result
+// is in [1, 255].
+__attribute__((target("avx2"))) inline __m256i quantize8_avx2(__m256 v, __m256 inv) {
+  __m256 r = _mm256_mul_ps(v, inv);
+  r = _mm256_and_ps(r, _mm256_cmp_ps(r, r, _CMP_ORD_Q));
+  r = _mm256_max_ps(_mm256_min_ps(r, _mm256_set1_ps(127.0F)), _mm256_set1_ps(-127.0F));
+  const __m256 half =
+      _mm256_or_ps(_mm256_and_ps(r, _mm256_set1_ps(-0.0F)), _mm256_set1_ps(0.5F));
+  return _mm256_add_epi32(_mm256_cvttps_epi32(_mm256_add_ps(r, half)), _mm256_set1_epi32(128));
+}
+
+// Bulk form of quantize8_avx2, 32 floats per step: the signed i32->i16 and
+// unsigned i16->u8 packs never saturate, and the final 32-bit permute undoes
+// their 128-bit lane interleave.
+__attribute__((target("avx2"))) void quantize_u8_avx2(const float* src, std::uint8_t* dst,
+                                                      std::int64_t n, float inv) {
+  const __m256 vinv = _mm256_set1_ps(inv);
+  const __m256i perm = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  std::int64_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    __m256i q[4];
+    for (int t = 0; t < 4; ++t) q[t] = quantize8_avx2(_mm256_loadu_ps(src + i + t * 8), vinv);
+    const __m256i p01 = _mm256_packs_epi32(q[0], q[1]);
+    const __m256i p23 = _mm256_packs_epi32(q[2], q[3]);
+    const __m256i packed = _mm256_permutevar8x32_epi32(_mm256_packus_epi16(p01, p23), perm);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), packed);
+  }
+  quantize_u8_scalar(src + i, dst + i, n - i, inv);
+}
+
 // Write-back of an AVX2-family wide tile (acc[i][h] = pixel i, channels
 // j0 + 8h .. j0 + 8h + 7). Full 8-channel halves on the float path store
 // from registers; each lane computes exactly the scalar expression:
 // vcvtdq2ps matches the scalar int->float cast (round-to-nearest), vfmadd
 // matches the single-rounded fmaf, and-with-compare-mask matches
 // `f > 0 ? f : 0` (false lanes become +0.0f, same as the scalar 0.0F arm,
-// including for f = -0.0 and NaN), blendv matches the PReLU ternary. Partial
-// halves and the i32 audit path go through the scalar store.
+// including for f = -0.0 and NaN), blendv matches the PReLU ternary, the
+// residual is the same single add, and a requantized half packs its 8 bytes
+// (quantize8_avx2 values never saturate the packs). Partial halves and the
+// i32 audit path go through the scalar store.
 template <int MR>
 __attribute__((target("avx2,fma"))) void store_wide_avx2(const __m256i (&acc)[MR][2],
                                                          const S8Row& r, std::int64_t x0,
@@ -238,6 +300,7 @@ __attribute__((target("avx2,fma"))) void store_wide_avx2(const __m256i (&acc)[MR
     const __m256 scale = _mm256_loadu_ps(e.scale + jh);
     const __m256 bias = e.bias != nullptr ? _mm256_loadu_ps(e.bias + jh) : _mm256_setzero_ps();
     const __m256 zero = _mm256_setzero_ps();
+    const __m256 qinv = _mm256_set1_ps(r.qinv);
     for (int i = 0; i < MR; ++i) {
       const __m256 v = _mm256_cvtepi32_ps(_mm256_sub_epi32(acc[i][h], comp));
       __m256 f = _mm256_fmadd_ps(v, scale, bias);
@@ -247,7 +310,16 @@ __attribute__((target("avx2,fma"))) void store_wide_avx2(const __m256i (&acc)[MR
         const __m256 neg = _mm256_mul_ps(_mm256_loadu_ps(e.prelu_alpha + jh), f);
         f = _mm256_blendv_ps(neg, f, _mm256_cmp_ps(f, zero, _CMP_GT_OQ));
       }
-      _mm256_storeu_ps(r.c + (x0 + i) * n + jh, f);
+      const std::int64_t at = (x0 + i) * n + jh;
+      if (r.res != nullptr) f = _mm256_add_ps(f, _mm256_loadu_ps(r.res + at));
+      if (r.q == nullptr) {
+        _mm256_storeu_ps(r.c + at, f);
+        continue;
+      }
+      const __m256i q = quantize8_avx2(f, qinv);
+      const __m128i q16 =
+          _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256(q, 1));
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(r.q + at), _mm_packus_epi16(q16, q16));
     }
   }
 }
@@ -413,37 +485,95 @@ void row_vnni(const S8Row& r) {
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #define SESR_AVX512_TARGET __attribute__((target("avx512f,avx512bw,avx512vnni,fma")))
 
-// The per-channel operands of the AVX-512 write-back for 16 lanes.
+// The per-channel operands of the AVX-512 write-back for 16 lanes, and the
+// row's outputs (copied out of the S8Row: a local the stores cannot alias,
+// so the per-pixel loop keeps them in registers).
 struct Store16 {
   __m512i comp;  // 128 * colsum
   __m512 scale;
   __m512 bias;
   __m512 alpha;
+  __m512 qinv;  // the u8 output's quantizer
+  const S8Epilogue* epi;
+  Epilogue::Act act;
+  float* c;
+  std::uint8_t* q;
+  std::int32_t* ci32;
+  const float* res;
 };
 
-SESR_AVX512_TARGET inline Store16 zero_store16() {
-  return {_mm512_setzero_si512(), _mm512_setzero_ps(), _mm512_setzero_ps(), _mm512_setzero_ps()};
+SESR_AVX512_TARGET inline Store16 zero_store16(const S8Row& r) {
+  return {_mm512_setzero_si512(),
+          _mm512_setzero_ps(),
+          _mm512_setzero_ps(),
+          _mm512_setzero_ps(),
+          _mm512_set1_ps(r.qinv),
+          r.epi,
+          r.epi != nullptr ? r.epi->act : Epilogue::Act::kNone,
+          r.c,
+          r.q,
+          r.ci32,
+          r.res};
+}
+
+// quantize_value(v, inv) + 128 on 16 lanes, as int32 whose low byte is the
+// result: the caller stores it with vpmovdb, which keeps the low byte. Same
+// rounding as quantize8_avx2 (the copysign is one ternary-logic op), but a
+// NaN needs no mask: the clamps put their constant first, so vminps/vmaxps
+// pass a NaN through (they return the second operand when either is NaN),
+// cvttps turns it into 0x80000000, and + 128 gives low byte 0x80 — the zero
+// point, as in the scalar NaN arm. Every other lane is in [1, 255].
+SESR_AVX512_TARGET inline __m512i quantize16_avx512(__m512 v, __m512 inv) {
+  __m512 r = _mm512_mul_ps(v, inv);
+  r = _mm512_max_ps(_mm512_set1_ps(-127.0F), _mm512_min_ps(_mm512_set1_ps(127.0F), r));
+  // (r & sign) | 0.5: copysign(0.5, r).
+  const __m512 half = _mm512_castsi512_ps(_mm512_ternarylogic_epi32(
+      _mm512_castps_si512(r), _mm512_set1_epi32(INT32_MIN),
+      _mm512_castps_si512(_mm512_set1_ps(0.5F)), 0xEA));
+  const __m512i q = _mm512_cvttps_epi32(_mm512_add_ps(r, half));
+  return _mm512_add_epi32(q, _mm512_set1_epi32(128));
+}
+
+// Bulk form of quantize16_avx512; the tail is one masked step.
+SESR_AVX512_TARGET void quantize_u8_avx512(const float* src, std::uint8_t* dst, std::int64_t n,
+                                           float inv) {
+  const __m512 vinv = _mm512_set1_ps(inv);
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
+                     _mm512_cvtepi32_epi8(quantize16_avx512(_mm512_loadu_ps(src + i), vinv)));
+  }
+  if (i < n) {
+    const auto mask = static_cast<__mmask16>((1U << (n - i)) - 1U);
+    _mm512_mask_cvtepi32_storeu_epi8(
+        dst + i, mask, quantize16_avx512(_mm512_maskz_loadu_ps(mask, src + i), vinv));
+  }
 }
 
 // Epilogue on 16 lanes of int32 accumulators, lane-for-lane the scalar
 // expression (see store_wide_avx2; the mask compare-and-zero matches the
-// ReLU arm, the mask blend the PReLU ternary). `mask` selects the lanes
-// stored.
+// ReLU arm, the multiply masked to the lanes not > 0 the PReLU ternary).
+// `mask` selects the lanes stored.
 SESR_AVX512_TARGET inline void store16_avx512(__m512i acc, const Store16& s, __mmask16 mask,
-                                              const S8Row& r, std::int64_t offset) {
+                                              std::int64_t offset) {
   const __m512i v = _mm512_sub_epi32(acc, s.comp);
-  if (r.epi == nullptr) {
-    _mm512_mask_storeu_epi32(r.ci32 + offset, mask, v);
+  if (s.epi == nullptr) {
+    _mm512_mask_storeu_epi32(s.ci32 + offset, mask, v);
     return;
   }
   __m512 f = _mm512_fmadd_ps(_mm512_cvtepi32_ps(v), s.scale, s.bias);
-  if (r.epi->act != Epilogue::Act::kNone) {
-    const __mmask16 pos = _mm512_cmp_ps_mask(f, _mm512_setzero_ps(), _CMP_GT_OQ);
-    f = r.epi->act == Epilogue::Act::kRelu
-            ? _mm512_maskz_mov_ps(pos, f)
-            : _mm512_mask_blend_ps(pos, _mm512_mul_ps(s.alpha, f), f);
+  if (s.act == Epilogue::Act::kRelu) {
+    f = _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(f, _mm512_setzero_ps(), _CMP_GT_OQ), f);
+  } else if (s.act == Epilogue::Act::kPRelu) {
+    f = _mm512_mask_mul_ps(f, _mm512_cmp_ps_mask(f, _mm512_setzero_ps(), _CMP_NGT_UQ), s.alpha,
+                           f);
   }
-  _mm512_mask_storeu_ps(r.c + offset, mask, f);
+  if (s.res != nullptr) f = _mm512_add_ps(f, _mm512_maskz_loadu_ps(mask, s.res + offset));
+  if (s.q != nullptr) {
+    _mm512_mask_cvtepi32_storeu_epi8(s.q + offset, mask, quantize16_avx512(f, s.qinv));
+  } else {
+    _mm512_mask_storeu_ps(s.c + offset, mask, f);
+  }
 }
 
 // Lane mask of the channels [j0, j0 + 16) that exist.
@@ -454,7 +584,7 @@ inline __mmask16 wide_mask(const S8Row& r, std::int64_t j0) {
 // Write-back operands of channels j0..j0+15 of a wide tile.
 SESR_AVX512_TARGET inline Store16 wide_store16(const S8Row& r, std::int64_t j0) {
   const __mmask16 mask = wide_mask(r, j0);
-  Store16 s = zero_store16();
+  Store16 s = zero_store16(r);
   s.comp = _mm512_mullo_epi32(_mm512_maskz_loadu_epi32(mask, r.colsum + j0),
                               _mm512_set1_epi32(128));
   if (r.epi != nullptr) {
@@ -474,7 +604,7 @@ SESR_AVX512_TARGET void store_wide_avx512(const __m512i* acc, const S8Row& r, st
   const std::int64_t n = r.w->n;
   const __mmask16 mask = wide_mask(r, j0);
   const Store16 s = wide_store16(r, j0);
-  for (int i = 0; i < MR; ++i) store16_avx512(acc[i], s, mask, r, (x0 + i) * n + j0);
+  for (int i = 0; i < MR; ++i) store16_avx512(acc[i], s, mask, (x0 + i) * n + j0);
 }
 
 // AVX-512 VNNI narrow store (n <= 4): acc[i] holds 4 channels x 4 k-group
@@ -488,7 +618,7 @@ SESR_AVX512_TARGET void store_narrow_avx512(const __m512i* acc, const S8Row& r,
                                             std::int64_t x0) {
   const std::int64_t n = r.w->n;
   const bool full = n == 4;
-  Store16 s = zero_store16();
+  Store16 s = zero_store16(r);
   if (full) {
     s.comp = _mm512_mullo_epi32(
         _mm512_broadcast_i32x4(_mm_loadu_si128(reinterpret_cast<const __m128i*>(r.colsum))),
@@ -515,7 +645,7 @@ SESR_AVX512_TARGET void store_narrow_avx512(const __m512i* acc, const S8Row& r,
     const int count = MR - q < 4 ? MR - q : 4;
     if (full) {
       const auto mask = static_cast<__mmask16>((1U << (4 * count)) - 1U);
-      store16_avx512(px, s, mask, r, (x0 + q) * 4);
+      store16_avx512(px, s, mask, (x0 + q) * 4);
     } else {
       alignas(64) std::uint32_t buf[16];
       _mm512_store_si512(buf, px);
@@ -693,7 +823,7 @@ SESR_AVX512_TARGET void step_amx(const S8Row& r, const AmxChunks& ch, std::int64
   const Store16 s = wide_store16(r, j0);
   const std::int64_t mr = std::min<std::int64_t>(NT * 16, r.width - x0);
   for (std::int64_t i = 0; i < mr; ++i) {
-    store16_avx512(_mm512_load_si512(acc[i]), s, mask, r, (x0 + i) * n + j0);
+    store16_avx512(_mm512_load_si512(acc[i]), s, mask, (x0 + i) * n + j0);
   }
 }
 
@@ -719,7 +849,7 @@ void row_amx(const S8Row& r) {
   }
 }
 
-void rows_amx(S8Row r, std::int64_t row0, std::int64_t row1) {
+void rows_amx(const S8Row& r, std::int64_t row0, std::int64_t row1) {
   if (r.w->narrow || r.w->run == 0) {
     each_row<row_avx512>(r, row0, row1);
     return;
@@ -777,17 +907,17 @@ bool int8_simd_disabled() {
   return disabled;
 }
 
-constexpr S8Kernel kKernelGeneric{"generic", each_row<row_generic>};
+constexpr S8Kernel kKernelGeneric{"generic", each_row<row_generic>, quantize_u8_scalar};
 #if defined(__x86_64__) || defined(__i386__)
-constexpr S8Kernel kKernelAvx2{"avx2", each_row<row_avx2>};
+constexpr S8Kernel kKernelAvx2{"avx2", each_row<row_avx2>, quantize_u8_avx2};
 #if SESR_INT8_VNNI
-constexpr S8Kernel kKernelVnni{"vnni", each_row<row_vnni>};
+constexpr S8Kernel kKernelVnni{"vnni", each_row<row_vnni>, quantize_u8_avx2};
 #endif
 #if SESR_INT8_AVX512VNNI
-constexpr S8Kernel kKernelAvx512Vnni{"avx512vnni", each_row<row_avx512>};
+constexpr S8Kernel kKernelAvx512Vnni{"avx512vnni", each_row<row_avx512>, quantize_u8_avx512};
 #endif
 #if SESR_INT8_AMX
-constexpr S8Kernel kKernelAmx{"amx", rows_amx};
+constexpr S8Kernel kKernelAmx{"amx", rows_amx, quantize_u8_avx512};
 #endif
 #endif
 
@@ -811,10 +941,10 @@ const S8Kernel* pick_s8_kernel() {
 // the dispatch between sweeps while pool workers may be reading it.
 std::atomic<const S8Kernel*> g_s8_kernel{pick_s8_kernel()};
 
-void conv_rows_impl(const S8Image& a, const S8PackedWeights& w, const std::int32_t* colsum,
-                    std::int64_t row0, std::int64_t row1, float* c, std::int32_t* ci32,
+// Output rows [row0, row1) of the conv of `a` into the outputs `r` names.
+void conv_rows_impl(S8Row r, const S8Image& a, const S8PackedWeights& w,
+                    const std::int32_t* colsum, std::int64_t row0, std::int64_t row1,
                     const S8Epilogue* epi) {
-  S8Row r;
   r.a = a.data;
   r.ps = a.pixel_stride;
   r.rs = a.row_stride;
@@ -822,8 +952,7 @@ void conv_rows_impl(const S8Image& a, const S8PackedWeights& w, const std::int32
   r.w = &w;
   r.colsum = colsum;
   r.epi = epi;
-  r.c = c;
-  r.ci32 = ci32;
+  if (epi != nullptr) r.res = epi->residual;
   g_s8_kernel.load(std::memory_order_relaxed)->rows(r, row0, row1);
 }
 
@@ -862,63 +991,16 @@ void gemm_s8_impl(std::span<const std::uint8_t> a, std::span<const std::int8_t> 
   std::vector<std::uint8_t> img(static_cast<std::size_t>(m * k + s8_image_slack(w, k, k)), 128);
   std::copy(a.begin(), a.begin() + m * k, img.begin());
   const S8Image view{img.data(), k, m * k, m};
-  conv_rows_impl(view, w, colsum.data(), 0, 1, c, ci32, epi);
+  S8Row out;
+  out.c = c;
+  out.ci32 = ci32;
+  conv_rows_impl(out, view, w, colsum.data(), 0, 1, epi);
 }
-
-void quantize_u8_scalar(const float* src, std::uint8_t* dst, std::int64_t n, float inv) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    dst[i] = static_cast<std::uint8_t>(static_cast<std::int32_t>(quantize_value(src[i], inv)) +
-                                       128);
-  }
-}
-
-#if defined(__x86_64__) || defined(__i386__)
-// Vectorized quantize_value + 128. Exactness is an expression-level mirror of
-// the scalar form: NaN lanes become +0 first (an ordered self-compare mask),
-// then clamp to [-127, 127], add copysign(0.5, r) (equal to the r >= 0
-// ternary for every non-NaN input including -0.0, where both sides round to
-// 0), then truncate — cvttps is the C cast. Values land in [1, 255], so the
-// signed i32->i16 and unsigned i16->u8 packs never saturate; the final 32-bit
-// permute undoes the packs' 128-bit lane interleave.
-__attribute__((target("avx2"))) void quantize_u8_avx2(const float* src, std::uint8_t* dst,
-                                                      std::int64_t n, float inv) {
-  const __m256 vinv = _mm256_set1_ps(inv);
-  const __m256 vmax = _mm256_set1_ps(127.0F);
-  const __m256 vmin = _mm256_set1_ps(-127.0F);
-  const __m256 vhalf = _mm256_set1_ps(0.5F);
-  const __m256 vsign = _mm256_set1_ps(-0.0F);
-  const __m256i v128 = _mm256_set1_epi32(128);
-  const __m256i perm = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-  std::int64_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    __m256i q[4];
-    for (int t = 0; t < 4; ++t) {
-      __m256 r = _mm256_mul_ps(_mm256_loadu_ps(src + i + t * 8), vinv);
-      r = _mm256_and_ps(r, _mm256_cmp_ps(r, r, _CMP_ORD_Q));
-      r = _mm256_max_ps(_mm256_min_ps(r, vmax), vmin);
-      const __m256 half = _mm256_or_ps(_mm256_and_ps(r, vsign), vhalf);
-      q[t] = _mm256_add_epi32(_mm256_cvttps_epi32(_mm256_add_ps(r, half)), v128);
-    }
-    const __m256i p01 = _mm256_packs_epi32(q[0], q[1]);
-    const __m256i p23 = _mm256_packs_epi32(q[2], q[3]);
-    const __m256i packed = _mm256_permutevar8x32_epi32(_mm256_packus_epi16(p01, p23), perm);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), packed);
-  }
-  quantize_u8_scalar(src + i, dst + i, n - i, inv);
-}
-#endif  // x86
 
 }  // namespace
 
 void quantize_u8_run(const float* src, std::uint8_t* dst, std::int64_t n, float inv_scale) {
-#if defined(__x86_64__) || defined(__i386__)
-  static const bool use_avx2 = !int8_simd_disabled() && __builtin_cpu_supports("avx2");
-  if (use_avx2) {
-    quantize_u8_avx2(src, dst, n, inv_scale);
-    return;
-  }
-#endif
-  quantize_u8_scalar(src, dst, n, inv_scale);
+  g_s8_kernel.load(std::memory_order_relaxed)->quantize(src, dst, n, inv_scale);
 }
 
 std::vector<std::int32_t> s8_column_sums(std::span<const std::int8_t> b, std::int64_t k,
@@ -1043,7 +1125,24 @@ void conv_s8_rows(const S8Image& a, const S8PackedWeights& w,
     throw std::invalid_argument("conv_s8_rows: colsum span too small");
   }
   check_s8_epilogue(epilogue);
-  conv_rows_impl(a, w, colsum.data(), row0, row1, c, nullptr, &epilogue);
+  S8Row out;
+  out.c = c;
+  conv_rows_impl(out, a, w, colsum.data(), row0, row1, &epilogue);
+}
+
+void conv_s8_rows_u8(const S8Image& a, const S8PackedWeights& w,
+                     std::span<const std::int32_t> colsum, std::int64_t row0, std::int64_t row1,
+                     std::uint8_t* q, std::int64_t q_row_stride, float q_inv_scale,
+                     const S8Epilogue& epilogue) {
+  if (colsum.size() < static_cast<std::size_t>(w.n)) {
+    throw std::invalid_argument("conv_s8_rows_u8: colsum span too small");
+  }
+  check_s8_epilogue(epilogue);
+  S8Row out;
+  out.q = q;
+  out.qrs = q_row_stride;
+  out.qinv = q_inv_scale;
+  conv_rows_impl(out, a, w, colsum.data(), row0, row1, &epilogue);
 }
 
 void gemm_s8(std::span<const std::uint8_t> a, std::span<const std::int8_t> b,

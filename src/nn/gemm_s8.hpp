@@ -57,9 +57,17 @@
 // forced-generic CI runs.
 //
 // The dequantize -> bias -> activation epilogue rides the accumulator store:
-//   out = act(fmaf(float(acc), scale[col], bias[col]))
+//   out = act(fmaf(float(acc), scale[col], bias[col])) (+ residual)
 // using an explicit single-rounding fmaf so the reference in src/check and
 // every kernel build agree bit-for-bit regardless of FP contraction flags.
+// The optional residual is one float add of a same-layout fp32 tensor (the
+// add_inplace a later pass would make). The store writes out as fp32, or
+// (conv_s8_rows_u8) requantizes it in registers with the next layer's
+// quantizer, quantize_value(out, inv) + 128, and writes that byte: the u8
+// carrier between int8 layers, so the next conv reads its image without a
+// separate quantize pass. Every build has the u8 store (the scalar store,
+// the AVX2-family 8-channel store and the AVX-512 16-lane store, which also
+// serves AMX), bit-identical to quantizing the fp32 output afterwards.
 #pragma once
 
 #include <cmath>
@@ -101,6 +109,9 @@ struct S8Epilogue {
   const float* bias = nullptr;         // n biases, or nullptr
   Epilogue::Act act = Epilogue::Act::kNone;
   const float* prelu_alpha = nullptr;  // n slopes; required iff act == kPRelu
+  // Added after the activation, laid out like the output rows (pixel x of row
+  // r, channel j at residual[(r * width + x) * n + j]); nullptr: none.
+  const float* residual = nullptr;
 };
 
 // The canonical scalar quantizer: round-half-away-from-zero, clamp to
@@ -125,10 +136,12 @@ inline std::int8_t quantize_value(float v, float inv_scale) {
 inline constexpr float kDegenerateQuantScale = 1.0F / 127.0F;
 
 // Quantizes n fp32 values into offset-binary u8 (quantize_value(v) + 128) —
-// the bulk form the conv path uses to quantize a whole activation tensor once
-// per layer. Bit-identical to the scalar expression element for element (the
-// AVX2 build mirrors the NaN select, clamp, the signed half-offset, and the
-// truncating convert exactly); SESR_DISABLE_INT8_SIMD pins the scalar loop.
+// the bulk form a conv uses to quantize an fp32 input once per layer.
+// Bit-identical to the scalar expression element for element (the AVX2 and
+// AVX-512 builds mirror its NaN handling, clamp, signed half-offset and
+// truncating convert exactly). The build follows the kernel dispatch:
+// scalar for kGeneric (and under SESR_DISABLE_INT8_SIMD), AVX2 for kAvx2 and
+// kVnni, AVX-512 for kAvx512Vnni and kAmx.
 void quantize_u8_run(const float* src, std::uint8_t* dst, std::int64_t n, float inv_scale);
 
 // Per-column sums of B (n entries), needed by the write-back to remove the
@@ -175,6 +188,14 @@ std::int64_t s8_image_slack(const S8PackedWeights& w, std::int64_t kwc,
 void conv_s8_rows(const S8Image& a, const S8PackedWeights& w,
                   std::span<const std::int32_t> colsum, std::int64_t row0, std::int64_t row1,
                   float* c, const S8Epilogue& epilogue);
+
+// The same rows stored as requantized u8 bytes: pixel x, channel j of output
+// row r at q[r * q_row_stride + x * n + j] = quantize_value(epilogue value,
+// q_inv_scale) + 128. Only those width * n bytes of each row are written.
+void conv_s8_rows_u8(const S8Image& a, const S8PackedWeights& w,
+                     std::span<const std::int32_t> colsum, std::int64_t row0, std::int64_t row1,
+                     std::uint8_t* q, std::int64_t q_row_stride, float q_inv_scale,
+                     const S8Epilogue& epilogue);
 
 // C[m x n] (fp32) = epilogue(A * B - 128 * colsum) for a contiguous row-major
 // A (m x k offset-binary u8) and B ([k x n] row-major s8) — a 1x1 conv over

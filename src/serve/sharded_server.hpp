@@ -73,9 +73,9 @@ struct RouteStats {
   double service_ewma_us = 0.0;  // admission estimator (0 until warmed)
   // Largest per-replica activation arena observed while serving this route
   // (bytes, 0 until the first unit executes). A replica's arena grows to
-  // exactly the largest unit it has run, so this is
-  // ExecutionPlan::footprint().bytes(pixels) of the largest frame or tile
-  // any worker of the route has run.
+  // exactly the largest unit it has run, so this is the
+  // ExecutionPlan::peak_activation_bytes() of the largest frame or tile any
+  // worker of the route has run.
   std::uint64_t peak_activation_bytes = 0;
 };
 

@@ -203,6 +203,49 @@ constexpr nn::GemmS8Isa kAllS8Isas[] = {nn::GemmS8Isa::kGeneric, nn::GemmS8Isa::
                                         nn::GemmS8Isa::kVnni, nn::GemmS8Isa::kAvx512Vnni,
                                         nn::GemmS8Isa::kAmx};
 
+// The bulk quantizer follows the kernel dispatch (scalar for kGeneric, the
+// AVX2 build for kAvx2/kVnni, the AVX-512 build for kAvx512Vnni/kAmx). Every
+// build, at every length 0-80 (each vector body plus every tail), must equal
+// quantize_value + 128 element for element, on the values where a rounding,
+// clamp or NaN shortcut would show — and write nothing past n.
+TEST(QuantizeU8Run, EveryBuildMatchesTheScalarQuantizerAtEveryLength) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {nan,     -nan,   0.0F,    -0.0F,  inf,     -inf,   126.5F,
+                            -126.5F, 127.5F, -127.5F, 0.5F,   -0.5F,   1.5F,   -1.5F,
+                            126.49F, 1e30F,  -1e30F,  1e-40F, -1e-40F, 127.0F, -127.0F};
+  constexpr std::size_t kSpecials = std::size(specials);
+  constexpr std::int64_t kGuard = 16;
+  int builds = 0;
+  for (const nn::GemmS8Isa isa : kAllS8Isas) {
+    S8IsaGuard guard(isa);
+    if (!guard.ok()) continue;
+    ++builds;
+    Rng rng(77);
+    for (std::int64_t len = 0; len <= 80; ++len) {
+      std::vector<float> src(static_cast<std::size_t>(len));
+      for (std::int64_t i = 0; i < len; ++i) {
+        src[static_cast<std::size_t>(i)] =
+            i % 2 == 0 ? specials[static_cast<std::size_t>(i / 2 + len) % kSpecials]
+                       : rng.uniform(-200.0F, 200.0F);
+      }
+      std::vector<std::uint8_t> dst(static_cast<std::size_t>(len + kGuard), 0xAB);
+      nn::quantize_u8_run(src.data(), dst.data(), len, 1.0F);
+      for (std::int64_t i = 0; i < len; ++i) {
+        const float v = src[static_cast<std::size_t>(i)];
+        ASSERT_EQ(dst[static_cast<std::size_t>(i)],
+                  static_cast<std::uint8_t>(nn::quantize_value(v, 1.0F) + 128))
+            << nn::gemm_s8_kernel_name() << " len=" << len << " i=" << i << " v=" << v;
+      }
+      for (std::int64_t i = len; i < len + kGuard; ++i) {
+        ASSERT_EQ(dst[static_cast<std::size_t>(i)], 0xAB)
+            << nn::gemm_s8_kernel_name() << " wrote past n=" << len;
+      }
+    }
+  }
+  EXPECT_GE(builds, 1);
+}
+
 void check_gemm_s8_shapes(nn::GemmS8Isa isa) {
   S8IsaGuard guard(isa);
   if (!guard.ok()) GTEST_SKIP() << "ISA unsupported on this CPU";
@@ -448,6 +491,66 @@ TEST(GemmS8, EpilogueMatchesScalarFmafExpression) {
 }
 
 // ----------------------------------------------------------------- conv2d_s8
+
+// The u8 carrier: an int8 conv that requantizes into the next conv's padded
+// image must leave exactly the bytes quantizing its fp32 output (plus the
+// residual) would have: interior, 128 border and slack, over a destination
+// full of stale bytes. Wide outputs of one full and one partial 16-channel
+// block, two blocks, and a narrow one; NaN inputs and next-layer scales that
+// clamp; every build.
+TEST(Conv2dS8, U8OutputEqualsQuantizingTheFp32OutputUnderEveryIsa) {
+  struct Case {
+    std::int64_t k, in_c, out_c, next_k;
+  };
+  const Case cases[] = {{3, 16, 16, 3}, {3, 8, 8, 5}, {5, 1, 20, 3}, {3, 16, 4, 5}};
+  int builds = 0;
+  for (const nn::GemmS8Isa isa : kAllS8Isas) {
+    S8IsaGuard guard(isa);
+    if (!guard.ok()) continue;
+    ++builds;
+    std::uint64_t seed = 1300;
+    for (const Case& c : cases) {
+      Rng rng(seed++);
+      Tensor input(2, 7, 21, c.in_c);
+      input.fill_uniform(rng, -1.0F, 1.0F);
+      input.raw()[5] = std::numeric_limits<float>::quiet_NaN();
+      Tensor weight(c.k, c.k, c.in_c, c.out_c);
+      weight.fill_uniform(rng, -0.5F, 0.5F);
+      Tensor bias(1, 1, 1, c.out_c);
+      bias.fill_uniform(rng, -0.2F, 0.2F);
+      Tensor next_weight(c.next_k, c.next_k, c.out_c, 6);
+      next_weight.fill_uniform(rng, -0.5F, 0.5F);
+      Tensor residual(2, 7, 21, c.out_c);
+      residual.fill_uniform(rng, -1.0F, 1.0F);
+      std::vector<float> alpha(static_cast<std::size_t>(c.out_c));
+      for (float& a : alpha) a = rng.uniform(0.05F, 0.5F);
+      nn::Epilogue epi;
+      epi.act = nn::Epilogue::Act::kPRelu;
+      epi.prelu_alpha = alpha.data();
+      const float scale = 1.0F / 127.0F;
+      const nn::S8ConvWeights q = nn::quantize_conv_weights(weight);
+      const nn::S8ConvWeights next = nn::quantize_conv_weights(next_weight);
+      Tensor fp32 = nn::conv2d_s8(input, scale, q, &bias, epi, nn::Padding::kSame);
+      add_inplace(fp32, residual);
+      // Half the largest value's scale: the top of the range clamps.
+      const float next_scale = 0.5F * max_abs(fp32) / 127.0F;
+      const nn::S8ImageLayout layout = nn::s8_image_layout(7, 21, next, nn::Padding::kSame);
+      std::vector<std::uint8_t> want(static_cast<std::size_t>(layout.bytes(2)));
+      nn::quantize_s8_image(fp32.raw(), 2, layout, next_scale, want.data());
+      std::vector<std::uint8_t> got(want.size(), 0x5A);
+      nn::S8ConvOutput out;
+      out.u8 = got.data();
+      out.u8_layout = layout;
+      out.u8_act_scale = next_scale;
+      out.residual = residual.raw();
+      nn::conv2d_s8_into(input.raw(), input.shape(), scale, q, &bias, epi, nn::Padding::kSame,
+                         out);
+      EXPECT_EQ(got, want) << nn::gemm_s8_kernel_name() << " " << c.k << "x" << c.k << " "
+                           << c.in_c << "->" << c.out_c;
+    }
+  }
+  EXPECT_GE(builds, 1);
+}
 
 TEST(Conv2dS8, BitExactAgainstInt64Reference) {
   Rng rng(21);

@@ -1,11 +1,14 @@
 // Tests for the execution-plan compiler: pass-pipeline structure, the
 // liveness memory planner's no-alias property, bitwise equivalence of the
 // planned executor against the direct per-layer path (including stale-arena
-// reuse and plan-cache eviction), on-demand arena growth, and exact per-pixel
-// footprints.
+// reuse, plan-cache eviction and the int8 u8 carrier's padded images across
+// shapes), and on-demand arena growth to exactly a plan's peak bytes.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/plan/execution_plan.hpp"
@@ -35,9 +38,9 @@ void expect_bitwise(const Tensor& got, const Tensor& want) {
 }
 
 SesrConfig make_config(std::int64_t m, std::int64_t scale, bool prelu, bool input_residual,
-                       bool with_bias) {
+                       bool with_bias, std::int64_t f = 8) {
   SesrConfig config;
-  config.f = 8;
+  config.f = f;
   config.m = m;
   config.scale = scale;
   config.expand = 16;
@@ -180,8 +183,9 @@ TEST(ExecutionPlan, LiveValuesDisjointForRandomConfigsAndPrecisions) {
     for (std::size_t i = 0; i < values.size(); ++i) {
       const PlanValue& a = values[i];
       if (a.external || a.elements == 0) continue;
-      const std::int64_t arena = a.space == ValueSpace::kFloat ? plan.float_arena_elements()
-                                                               : plan.half_arena_elements();
+      const std::int64_t arena = a.space == ValueSpace::kFloat  ? plan.float_arena_elements()
+                                 : a.space == ValueSpace::kHalf ? plan.half_arena_elements()
+                                                                : plan.u8_arena_bytes();
       EXPECT_LE(a.offset + a.elements, arena);
       for (std::size_t j = i + 1; j < values.size(); ++j) {
         const PlanValue& b = values[j];
@@ -195,21 +199,22 @@ TEST(ExecutionPlan, LiveValuesDisjointForRandomConfigsAndPrecisions) {
   }
 }
 
-TEST(ExecutionPlan, FootprintCoefficientsExactAcrossShapes) {
-  SesrInference net = make_inference(make_config(2, 2, true, true, false), 7);
+TEST(ExecutionPlan, PeakBytesAreWhatOneRunOfThePlanHolds) {
+  const SesrInference base = make_inference(make_config(2, 2, true, true, false), 7);
   for (const InferencePrecision precision : kAllPrecisions) {
-    net.set_precision(precision);
-    const ExecutionPlan small = ExecutionPlan::compile(net, 16, 16);
-    const ExecutionPlan wide = ExecutionPlan::compile(net, 24, 40);
-    const PlanFootprint fs = small.footprint();
-    const PlanFootprint fw = wide.footprint();
-    // Per-pixel coefficients are shape-independent and reproduce the arena
-    // byte-for-byte, so footprint().bytes(pixels) sizes any shape's arena.
-    EXPECT_EQ(fs.float_per_pixel, fw.float_per_pixel);
-    EXPECT_EQ(fs.half_per_pixel, fw.half_per_pixel);
-    EXPECT_EQ(fs.bytes(16 * 16), small.peak_activation_bytes());
-    EXPECT_EQ(fw.bytes(24 * 40), wide.peak_activation_bytes());
-    EXPECT_GT(fs.float_per_pixel, 0);
+    SCOPED_TRACE(static_cast<int>(precision));
+    for (const auto& [h, w] : {std::pair<std::int64_t, std::int64_t>{16, 16}, {24, 40}}) {
+      SesrInference net = base;  // a fresh executor: arenas start empty
+      net.set_precision(precision);
+      const ExecutionPlan plan = ExecutionPlan::compile(net, h, w);
+      EXPECT_EQ(plan.peak_activation_bytes(),
+                plan.float_arena_elements() * 4 + plan.half_arena_elements() * 2 +
+                    plan.u8_arena_bytes());
+      EXPECT_GT(plan.float_arena_elements(), 0);
+      Rng rng(8);
+      (void)net.upscale(random_frame(rng, 1, h, w));
+      EXPECT_EQ(net.plan_arena_bytes(), plan.peak_activation_bytes());
+    }
   }
 }
 
@@ -245,12 +250,38 @@ TEST(ExecutionPlan, EveryConvStepCarriesItsPrecisionsKernel) {
       ++convs_seen;
       switch (precision) {
         case InferencePrecision::kFp32:
-        case InferencePrecision::kInt8:
-          EXPECT_EQ(step.kernel, precision == InferencePrecision::kFp32 ? ConvKernel::kFp32
-                                                                      : ConvKernel::kInt8);
+          EXPECT_EQ(step.kernel, ConvKernel::kFp32);
           EXPECT_EQ(step.stage, kNoValue);
           EXPECT_FALSE(step.round_output);
           EXPECT_EQ(space(step.op.output), ValueSpace::kFloat);
+          EXPECT_EQ(step.requant_conv, -1);
+          break;
+        case InferencePrecision::kInt8:
+          EXPECT_EQ(step.kernel, ConvKernel::kInt8);
+          EXPECT_EQ(step.stage, kNoValue);
+          EXPECT_FALSE(step.round_output);
+          // The middle convs carry u8 images to the next conv; conv 0's
+          // output stays float for the long residual, the last one for the
+          // float tail.
+          if (i == 0 || last) {
+            EXPECT_EQ(space(step.op.output), ValueSpace::kFloat);
+            EXPECT_EQ(step.requant_conv, -1);
+          } else {
+            EXPECT_EQ(space(step.op.output), ValueSpace::kU8);
+            EXPECT_EQ(step.requant_conv, i + 1);
+            // The reader's whole image, over-read slack included, is the
+            // value's own: no value live at the same step overlaps it.
+            const nn::S8ImageLayout layout = nn::s8_image_layout(
+                step.op.out_h(), step.op.out_w(),
+                net.s8_weights()[static_cast<std::size_t>(i + 1)], nn::Padding::kSame);
+            EXPECT_GE(plan.values()[static_cast<std::size_t>(step.op.output)].elements,
+                      layout.bytes(1));
+          }
+          if (i == 0) {
+            EXPECT_EQ(step.op.input, kInputValue);
+          } else {
+            EXPECT_EQ(space(step.op.input), i >= 2 ? ValueSpace::kU8 : ValueSpace::kFloat);
+          }
           break;
         case InferencePrecision::kFp16:
           EXPECT_EQ(step.kernel, last ? ConvKernel::kFp16ToFloat : ConvKernel::kFp16);
@@ -285,7 +316,9 @@ TEST(ExecutionPlan, EveryConvStepCarriesItsPrecisionsKernel) {
             EXPECT_EQ(space(step.stage), ValueSpace::kHalf);
             EXPECT_EQ(step.round_output, !last);
           }
+          // No two int8 layers are adjacent in this plan: no u8 carrier.
           EXPECT_EQ(space(step.op.output), ValueSpace::kFloat);
+          EXPECT_EQ(step.requant_conv, -1);
           break;
       }
     }
@@ -311,6 +344,7 @@ TEST(ExecutionPlan, AllInt8HybridCompilesToTheInt8Steps) {
     EXPECT_EQ(a.op.output, b.op.output);
     EXPECT_EQ(a.stage, b.stage);
     EXPECT_EQ(a.round_output, b.round_output);
+    EXPECT_EQ(a.requant_conv, b.requant_conv);
     EXPECT_EQ(a.temps, b.temps);
   }
   ASSERT_EQ(hybrid.values().size(), int8.values().size());
@@ -319,6 +353,8 @@ TEST(ExecutionPlan, AllInt8HybridCompilesToTheInt8Steps) {
     EXPECT_EQ(hybrid.values()[v].space, int8.values()[v].space);
   }
   EXPECT_EQ(hybrid.float_arena_elements(), int8.float_arena_elements());
+  EXPECT_EQ(hybrid.u8_arena_bytes(), int8.u8_arena_bytes());
+  EXPECT_GT(int8.u8_arena_bytes(), 0);
   EXPECT_EQ(hybrid.half_arena_elements(), 0);
 }
 
@@ -378,13 +414,88 @@ TEST(PlannedExecutor, TiledUpscaleRunsThroughThePlan) {
   expect_bitwise(upscale_tiled(planned, frame, options), planned.upscale_direct(frame));
 }
 
+TEST(PlannedExecutor, Int8ImagesRewriteTheirBordersOnEveryShape) {
+  // The u8 carrier's padded images live in the shared arena: the shapes'
+  // cached plans reuse one another's bytes, and each geometry's border lands
+  // on another's interior. A step that trusted a border from an earlier run
+  // would read a stale byte here.
+  SesrInference net = make_inference(make_config(5, 2, true, true, true, 16), 71);
+  net.set_precision(InferencePrecision::kInt8);
+  Rng rng(72);
+  const std::pair<std::int64_t, std::int64_t> shapes[] = {{64, 64}, {37, 53}, {96, 160}, {64, 64}};
+  for (const auto& [h, w] : shapes) {
+    SCOPED_TRACE(std::to_string(h) + "x" + std::to_string(w));
+    const Tensor frame = random_frame(rng, 1, h, w);
+    const Tensor got = net.upscale(frame);
+    expect_bitwise(got, net.upscale_direct(frame));
+    SesrInference fresh = net;  // copies share no executor state
+    expect_bitwise(got, fresh.upscale(frame));
+  }
+}
+
+TEST(PlannedExecutor, Int8SweepMatchesDirectBitwise) {
+  // Every width 1-40 and height 1-9 (each kernel tile remainder, images
+  // narrower and shorter than the 5x5 kernels), with and without middle
+  // blocks (m = 0 keeps every value float: its residual is a self-skip), f 8
+  // and 16 (a partial and a full 16-channel store), batch 1 and 2, and one
+  // NaN input pixel, against the fp32-carrier direct path.
+  std::uint64_t seed = 80;
+  for (const std::int64_t m : {0, 1, 5}) {
+    for (const std::int64_t f : {8, 16}) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " f=" + std::to_string(f));
+      SesrInference net = make_inference(make_config(m, 2, true, true, true, f), seed++);
+      net.set_precision(InferencePrecision::kInt8);
+      Rng rng(seed++);
+      for (std::int64_t h = 1; h <= 9; ++h) {
+        for (std::int64_t w = 1; w <= 40; ++w) {
+          for (const std::int64_t batch : {1, 2}) {
+            Tensor frame = random_frame(rng, batch, h, w);
+            frame.raw()[rng.uniform_int(0, frame.numel() - 1)] =
+                std::numeric_limits<float>::quiet_NaN();
+            const Tensor got = net.upscale(frame);
+            const Tensor want = net.upscale_direct(frame);
+            ASSERT_EQ(std::memcmp(got.raw(), want.raw(),
+                                  static_cast<std::size_t>(got.numel()) * sizeof(float)),
+                      0)
+                << h << "x" << w << " batch " << batch;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PlannedExecutor, HybridRunsOfInt8LayersCarryU8BetweenThem) {
+  // Adjacent int8 layers of a hybrid plan pass u8; an int8 layer read by an
+  // fp16 one stores float, with its residual added after the kernel.
+  SesrInference net = make_inference(make_config(3, 2, true, true, true), 91);
+  using P = LayerPrecision;
+  const std::vector<LayerPrecision> plans[] = {{P::kInt8, P::kInt8, P::kInt8, P::kFp16, P::kInt8},
+                                               {P::kFp16, P::kInt8, P::kInt8, P::kInt8, P::kFp16}};
+  Rng rng(92);
+  for (const std::vector<LayerPrecision>& layers : plans) {
+    net.set_hybrid_plan(layers);
+    net.set_precision(InferencePrecision::kHybrid);
+    const ExecutionPlan plan = ExecutionPlan::compile(net, 9, 13);
+    int u8_values = 0;
+    for (const PlanValue& v : plan.values()) u8_values += v.space == ValueSpace::kU8;
+    EXPECT_EQ(u8_values, layers[0] == P::kInt8 ? 1 : 2);
+    for (const std::int64_t batch : {1, 2}) {
+      const Tensor frame = random_frame(rng, batch, 9, 13);
+      expect_bitwise(net.upscale(frame), net.upscale_direct(frame));
+    }
+  }
+}
+
 TEST(PlannedExecutor, ArenaGrowsToExactlyTheLargestShapeRunAndNeverShrinks) {
   const SesrInference base = make_inference(make_config(2, 2, false, true, false), 61);
   for (const InferencePrecision precision : kAllPrecisions) {
     SCOPED_TRACE(static_cast<int>(precision));
     SesrInference net = base;  // copies share no executor state
     net.set_precision(precision);
-    const PlanFootprint f = ExecutionPlan::compile(net, 16, 16).footprint();
+    const auto peak = [&](std::int64_t h, std::int64_t w) {
+      return ExecutionPlan::compile(net, h, w).peak_activation_bytes();
+    };
     EXPECT_EQ(net.plan_arena_bytes(), 0);  // nothing run yet
     Rng rng(62);
     const auto run = [&](std::int64_t n, std::int64_t h, std::int64_t w) {
@@ -392,18 +503,18 @@ TEST(PlannedExecutor, ArenaGrowsToExactlyTheLargestShapeRunAndNeverShrinks) {
       expect_bitwise(net.upscale(frame), net.upscale_direct(frame));
     };
     run(1, 20, 20);
-    EXPECT_EQ(net.plan_arena_bytes(), f.bytes(20 * 20));
+    EXPECT_EQ(net.plan_arena_bytes(), peak(20, 20));
     // Growth by less than 2x lands on the exact need, not a doubled capacity.
     run(1, 24, 24);
-    EXPECT_EQ(net.plan_arena_bytes(), f.bytes(24 * 24));
-    // A batch needs the footprint of all its pixels.
+    EXPECT_EQ(net.plan_arena_bytes(), peak(24, 24));
+    // A batch needs its plan's peak once per item.
     run(2, 20, 20);
-    EXPECT_EQ(net.plan_arena_bytes(), f.bytes(2 * 20 * 20));
+    EXPECT_EQ(net.plan_arena_bytes(), 2 * peak(20, 20));
     // Smaller units reuse the grown arena (stale contents and all) and never
     // shrink it.
     run(1, 10, 10);
     run(1, 24, 24);
-    EXPECT_EQ(net.plan_arena_bytes(), f.bytes(2 * 20 * 20));
+    EXPECT_EQ(net.plan_arena_bytes(), 2 * peak(20, 20));
   }
 }
 

@@ -1615,18 +1615,20 @@ TEST(ShardedServer, X4DegradesToTwoStageX2BitIdentical) {
 
 // A replica's arena grows on demand to exactly the largest unit it has run.
 // A frame just below the kAuto tiling threshold leaves the route's peak at
-// that frame's own footprint; a large frame, which kAuto fans into haloed
-// tiles, never pushes it past one haloed tile or one threshold-sized frame.
+// that frame's plan peak; a large frame, which kAuto fans into haloed tiles,
+// leaves it at the larger of that frame and one full haloed tile.
 TEST(ShardedServer, ReplicaArenaGrowsToTheLargestUnitRun) {
   const core::SesrInference inference = make_inference(78, small_config());
   const RouteKey route{"a", 2, core::InferencePrecision::kFp32};
   NetworkRegistry registry;
   registry.add(route, inference);
   const std::int64_t halo = registry.find(route).exact_halo;
-  const core::plan::PlanFootprint footprint =
-      core::plan::ExecutionPlan::compile(inference, 16, 16).footprint();
+  const auto peak = [&](std::int64_t h, std::int64_t w) {
+    return static_cast<std::uint64_t>(
+        core::plan::ExecutionPlan::compile(inference, h, w).peak_activation_bytes());
+  };
   constexpr std::int64_t kTile = 8;
-  const std::int64_t tile_pixels = (kTile + 2 * halo) * (kTile + 2 * halo);
+  const std::int64_t haloed = kTile + 2 * halo;
   // First the frame bound dominates (24x24 > one haloed 8x8 tile), then the
   // tile bound does (8x8 threshold).
   for (const std::int64_t side : {24, 8}) {
@@ -1646,7 +1648,7 @@ TEST(ShardedServer, ReplicaArenaGrowsToTheLargestUnitRun) {
       EXPECT_EQ(max_abs_diff(server.submit(route, small).get(), inference.upscale(small)), 0.0F);
       server.shutdown();
       EXPECT_EQ(server.stats().per_route[0].peak_activation_bytes,
-                static_cast<std::uint64_t>(footprint.bytes(small.shape().h() * small.shape().w())));
+                peak(small.shape().h(), small.shape().w()));
     }
     {
       ShardedServer server(registry, options);
@@ -1654,9 +1656,8 @@ TEST(ShardedServer, ReplicaArenaGrowsToTheLargestUnitRun) {
       EXPECT_EQ(max_abs_diff(server.submit(route, large).get(), inference.upscale(large)), 0.0F);
       server.shutdown();
       EXPECT_GT(server.stats().total.tiles, 1U);  // kAuto fanned the large frame into tiles
-      EXPECT_LE(server.stats().per_route[0].peak_activation_bytes,
-                static_cast<std::uint64_t>(
-                    footprint.bytes(std::max(tile_pixels, options.tiled_threshold_pixels))));
+      EXPECT_EQ(server.stats().per_route[0].peak_activation_bytes,
+                std::max(peak(small.shape().h(), small.shape().w()), peak(haloed, haloed)));
     }
   }
 }
